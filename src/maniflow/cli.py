@@ -1,7 +1,20 @@
 """Batch front door: scenario configs in, runs and reports out.
 
 Config files are flat INI-style text: [section] headers, key = value lines,
-expression values quoted.  Commands:
+expression values quoted.  `parse_config` turns the text into a plain
+{section: {key: value}} dict; the scenarios in `catalog.SCENARIOS` are dicts
+in the same schema, so `build_pipeline` runs either.
+
+`KEYS` is the one table of accepted keys, with the kind and default of each,
+for the sections [grid], [xi], [metric], [scenario], [solver] and
+[diagnostics], plus [audit], [study] and [uniqueness] for the commands of
+those names.  `validate` checks a config against it once, after any
+--override is applied: it rejects unknown sections and keys, values of the
+wrong kind, and keys that the chosen branch would ignore.  Range checks live
+with the objects they guard (ChartGrid, XiGrid, SolverConfig, ...), and
+`Pipeline` reports their errors as config errors naming the section.
+
+Commands:
 
     maniflow run          <config> [--out DIR] [--override sec.key=value ...]
     maniflow audit-compat <config> ...
@@ -17,14 +30,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__, catalog, entropy, fieldio, kinetic
+from .exprparse import ExprError, compile_expr
 from .geometry import ChartGrid, GeometryError, build_metric, norm_l1
 from .model import (BetaFamily, DiffusionModel, FluxModel, ModelError, XiGrid,
-                    compat_norms, make_compatible_flux, psd_audit)
-from .solver import SolverConfig, SolverError, run, total_variation
+                    compat_norms, make_compatible_flux, psd_audit, root_weight)
+from .solver import SolverConfig, SolverError, check_initial_state, run, total_variation
 
 
 class ConfigError(ValueError):
@@ -101,112 +116,166 @@ def load_config(path, overrides=()):
     return cfg
 
 
-def _need(cfg, section, key, kind=None, default=None):
-    try:
-        value = cfg[section][key]
-    except KeyError:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing [{section}] {key}") from None
-    if kind is not None and not isinstance(value, kind):
-        if kind is float and isinstance(value, int):
-            return float(value)
-        raise ConfigError(f"[{section}] {key} must be {kind.__name__}, got {value!r}")
-    return value
+# --- the key table ------------------------------------------------------------
+
+INT, NUM, BOOL, WORD, EXPR = "an integer", "a number", "true or false", "a word", "an expression"
+NUMS, EXPRS = "a list of numbers", "a list of expressions"  # comma-separated
+_TYPES = {INT: int, NUM: (int, float), BOOL: bool, WORD: str, EXPR: (str, int, float)}
+REQUIRED = object()
+
+# section -> key -> (kind, default); a default of None leaves the key unset,
+# other defaults are in the form `_convert` returns
+KEYS = {
+    "grid": {"d": (INT, REQUIRED), "n": (INT, REQUIRED)},
+    "xi": {"n": (INT, 64)},
+    "metric": {"name": (WORD, None), "g11": (EXPR, None), "g12": (EXPR, None),
+               "g21": (EXPR, None), "g22": (EXPR, None)},
+    "scenario": {"sigma11": (EXPR, "0"), "sigma12": (EXPR, "0"), "sigma21": (EXPR, "0"),
+                 "sigma22": (EXPR, "0"), "flux1": (EXPR, "0"), "flux2": (EXPR, "0"),
+                 "flux_prime1": (EXPR, None), "flux_prime2": (EXPR, None),
+                 "compatible": (BOOL, False), "stream": (EXPR, None), "u0": (EXPR, REQUIRED)},
+    "solver": {"eta": (NUM, REQUIRED), "t_end": (NUM, REQUIRED), "cfl": (NUM, 0.4),
+               "scheme": (WORD, "heun"), "snapshots": (INT, 10)},
+    "diagnostics": {"battery_seed": (INT, 0), "battery_count": (INT, 5),
+                    "psi": (EXPRS, ("1", "xi"))},
+    "audit": {"xi_samples": (NUMS, (0.0, 0.5, 1.0)), "tol_factor": (NUM, 10.0),
+              "scale": (NUM, 1.0)},
+    "study": {"eta_list": (NUMS, (0.04, 0.02, 0.01))},
+    "uniqueness": {"cfl_list": (NUMS, (0.4, 0.2))},
+}
 
 
-def _listify(value, conv=float):
-    if isinstance(value, (int, float)):
-        return [conv(value)]
-    return [conv(_parse_value(part)) for part in str(value).split(",") if part.strip()]
+def _convert(kind, value):
+    """`value` in the form the pipeline uses for `kind`; ValueError if it is not one."""
+    if kind in (NUMS, EXPRS):
+        return tuple(_convert(NUM, _parse_value(part)) if kind == NUMS else
+                     _convert(EXPR, part.strip()) for part in str(value).split(",") if part.strip())
+    if isinstance(value, bool) != (kind == BOOL) or not isinstance(value, _TYPES[kind]):
+        raise ValueError(f"must be {kind}, got {value!r}")
+    return float(value) if kind == NUM else value
+
+
+def validate(cfg):
+    """Check a config against KEYS; return every key of every section, defaults filled in.
+
+    Also rejects keys that the chosen branch would ignore.
+    """
+    for section, given in cfg.items():
+        if section not in KEYS:
+            raise ConfigError(f"[{section}] unknown section")
+        for key in given:
+            if key not in KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+    out = {}
+    for section, table in KEYS.items():
+        given = cfg.get(section, {})
+        out[section] = {}
+        for key, (kind, default) in table.items():
+            if default is REQUIRED and key not in given:
+                raise ConfigError(f"[{section}] missing key {key}")
+            try:
+                out[section][key] = _convert(kind, given[key]) if key in given else default
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    compatible = out["scenario"]["compatible"]
+    for section in ("metric", "scenario"):
+        for key in cfg.get(section, {}):
+            reason = ("when compatible = true" if compatible and key.startswith("flux") else
+                      "unless compatible = true" if not compatible and key == "stream" else
+                      "when name is set" if out["metric"]["name"] and key.startswith("g") else
+                      # only the keys of a second axis contain a 2
+                      "when d = 1" if out["grid"]["d"] == 1 and "2" in key else None)
+            if reason:
+                raise ConfigError(f"[{section}] {key} is ignored {reason}")
+    return out
 
 
 # --- pipeline -----------------------------------------------------------------
+
+def _fails(expr, bindings):
+    try:
+        compile_expr(expr)(**bindings)
+    except ExprError:
+        return True
+    return False
+
+
+@contextmanager
+def _building(section, keys=(), values=None, bindings=None):
+    """Report an error raised while building from `section` as a ConfigError.
+
+    The message names the key when the step reads one; for an expression
+    error in a step that reads several, the first of `keys` whose expression
+    in `values` fails on its own under `bindings`.
+    """
+    try:
+        yield
+    except (ExprError, GeometryError, ModelError, SolverError) as exc:
+        if len(keys) > 1 and isinstance(exc, ExprError):
+            keys = [k for k in keys if values[k] is not None and _fails(values[k], bindings)][:1]
+        where = f"[{section}] {keys[0]}:" if len(keys) == 1 else f"[{section}]"
+        raise ConfigError(f"{where} {exc}") from None
+
+
+def _metric_entries(mc, d):
+    """The d x d metric expressions: a catalog entry, or g11...g22 with g21 = g12 if unset."""
+    if mc["name"] is not None:
+        entry = catalog.METRICS.get(mc["name"])
+        if entry is None or entry["d"] != d:
+            raise ConfigError(f"[metric] name: no {d}d catalog metric {mc['name']!r}")
+        return entry["entries"]
+    idx = range(1, d + 1)
+    entries = [[mc[f"g{i}{j}"] if mc[f"g{i}{j}"] is not None else mc[f"g{j}{i}"] for j in idx]
+               for i in idx]
+    missing = [f"g{i}{j}" for i in idx for j in idx if entries[i - 1][j - 1] is None]
+    if missing:
+        raise ConfigError(f"[metric] missing key {missing[0]}")
+    return entries
+
 
 class Pipeline:
     """Everything built from a validated config, ready to run."""
 
     def __init__(self, cfg):
-        d = _need(cfg, "grid", "d", int)
-        n = _need(cfg, "grid", "n", int)
-        if d not in (1, 2):
-            raise ConfigError(f"[grid] d must be 1 or 2, got {d}")
-        if n < 16 or n & (n - 1):
-            raise ConfigError(f"[grid] n must be a power of two >= 16, got {n}")
-        n_xi = _need(cfg, "xi", "n", int, default=64)
-        if n_xi < 16:
-            raise ConfigError(f"[xi] n must be >= 16, got {n_xi}")
+        self.cfg = cfg = validate(cfg)
+        sc, sv, diag = cfg["scenario"], cfg["solver"], cfg["diagnostics"]
+        with _building("grid"):
+            self.grid = grid = ChartGrid(cfg["grid"]["d"], cfg["grid"]["n"])
+        with _building("xi", ["n"]):
+            self.xi = xi = XiGrid(cfg["xi"]["n"])
+        with _building("solver"):
+            self.solver_cfg = SolverConfig(eta=sv["eta"], t_end=sv["t_end"], cfl=sv["cfl"],
+                                           scheme=sv["scheme"], n_snapshots=sv["snapshots"])
+        self.battery_seed, self.battery_count = diag["battery_seed"], diag["battery_count"]
+        if self.battery_count < 1:
+            raise ConfigError(f"[diagnostics] battery_count must be >= 1, got {self.battery_count}")
+        self.psi_list = diag["psi"]
 
-        metric_cfg = cfg.get("metric", {})
-        if "name" in metric_cfg:
-            entry = catalog.METRICS.get(metric_cfg["name"])
-            if entry is None:
-                raise ConfigError(f"[metric] unknown catalog name {metric_cfg['name']!r}")
-            if entry["d"] != d:
-                raise ConfigError(
-                    f"[metric] catalog metric {metric_cfg['name']!r} is {entry['d']}d, grid is {d}d")
-            entries = entry["entries"]
+        d, idx = grid.d, range(1, grid.d + 1)
+        pairs = [f"{i}{j}" for i in idx for j in idx]
+        spatial = {f"x{i}": x[..., None] for i, x in zip(idx, grid.coords())}
+        bindings = dict(spatial, xi=xi.edges.reshape((1,) * d + (-1,)))
+        with _building("metric", [f"g{p}" for p in pairs], cfg["metric"], spatial):
+            self.M = build_metric(_metric_entries(cfg["metric"], d), grid)
+        with _building("scenario", [f"sigma{p}" for p in pairs], sc, bindings):
+            self.dm = DiffusionModel.from_exprs(
+                [[sc[f"sigma{k}{i}"] for i in idx] for k in idx], grid, xi, self.M)
+        if sc["compatible"]:
+            with _building("scenario", ["stream"]):
+                self.fm = make_compatible_flux(self.dm, self.M, stream=sc["stream"])
         else:
-            entries = [[None] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    key = f"g{i + 1}{j + 1}"
-                    alt = f"g{j + 1}{i + 1}"
-                    entries[i][j] = metric_cfg.get(key, metric_cfg.get(alt))
-                    if entries[i][j] is None:
-                        raise ConfigError(f"[metric] missing entry {key}")
-
-        sc = cfg.get("scenario", {})
-        sigma = [[sc.get(f"sigma{k + 1}{i + 1}", "0") for i in range(d)] for k in range(d)]
-        u0_expr = sc.get("u0")
-        if u0_expr is None:
-            raise ConfigError("[scenario] missing u0")
-
-        eta = float(_need(cfg, "solver", "eta", float))
-        if eta <= 0:
-            raise ConfigError(f"[solver] eta must be positive, got {eta}")
-        t_end = float(_need(cfg, "solver", "t_end", float))
-        cfl = float(_need(cfg, "solver", "cfl", float, default=0.4))
-        if not 0 < cfl <= 1:
-            raise ConfigError(f"[solver] cfl must be in (0,1], got {cfl}")
-        scheme = _need(cfg, "solver", "scheme", str, default="heun")
-        if scheme not in ("euler", "heun"):
-            raise ConfigError(f"[solver] unknown scheme {scheme!r}")
-        n_snapshots = _need(cfg, "solver", "snapshots", int, default=10)
-
-        self.cfg = cfg
-        self.grid = ChartGrid(d, n)
-        try:
-            self.M = build_metric(entries, self.grid)
-        except GeometryError as exc:
-            raise ConfigError(f"[metric] {exc}") from exc
-        self.xi = XiGrid(n_xi)
-        try:
-            self.dm = DiffusionModel.from_exprs(sigma, self.grid, self.xi, self.M)
-            if sc.get("compatible", False):
-                stream = sc.get("stream")
-                if stream is not None and d != 2:
-                    raise ConfigError("[scenario] stream functions require d = 2")
-                self.fm = make_compatible_flux(self.dm, self.M, stream=stream)
-            else:
-                flux = [sc.get(f"flux{k + 1}", "0") for k in range(d)]
-                prime = None
-                if any(f"flux_prime{k + 1}" in sc for k in range(d)):
-                    prime = [sc.get(f"flux_prime{k + 1}", "0") for k in range(d)]
-                self.fm = FluxModel.from_exprs(flux, self.grid, self.xi, prime_exprs=prime)
-        except ModelError as exc:
-            raise ConfigError(f"[scenario] {exc}") from exc
-        self.u0 = self.grid.eval_expr(u0_expr)
-        if np.any(self.u0 < 0) or np.any(self.u0 > 1):
-            raise ConfigError("[scenario] u0 must take values in [0,1]")
-        self.solver_cfg = SolverConfig(eta=eta, t_end=t_end, cfl=cfl, scheme=scheme,
-                                       n_snapshots=n_snapshots)
-        diag = cfg.get("diagnostics", {})
-        self.battery_seed = int(diag.get("battery_seed", 0))
-        self.battery_count = int(diag.get("battery_count", 5))
-        self.psi_list = [p.strip() for p in str(diag.get("psi", "1, xi")).split(",")]
-        self.eps = float(diag.get("eps", 8 * self.grid.h))
-        self.delta = float(diag.get("delta", 8 * self.xi.dxi))
+            primes = [sc[f"flux_prime{k}"] for k in idx]
+            prime = None if primes == [None] * d else ["0" if p is None else p for p in primes]
+            keys = [f"flux{k}" for k in idx] + [f"flux_prime{k}" for k in idx]
+            with _building("scenario", keys, sc, bindings):
+                self.fm = FluxModel.from_exprs([sc[f"flux{k}"] for k in idx], grid, xi,
+                                               prime_exprs=prime)
+        with _building("scenario", ["u0"]):
+            self.u0 = grid.eval_expr(sc["u0"])
+            check_initial_state(self.u0, grid)
+        with _building("diagnostics", ["psi"]):
+            for psi in self.psi_list:
+                root_weight(psi, xi)
 
     def run(self, record_dissipation=True):
         return run(self.solver_cfg, self.fm, self.dm, self.M, self.u0, self.xi,
@@ -320,11 +389,9 @@ def cmd_run(cfg, out_dir):
 
 def cmd_audit_compat(cfg, out_dir):
     pipe = build_pipeline(cfg)
-    audit_cfg = cfg.get("audit", {})
-    samples = _listify(audit_cfg.get("xi_samples", "0, 0.5, 1"))
-    tol_factor = float(audit_cfg.get("tol_factor", 10.0))
-    scale = float(audit_cfg.get("scale", 1.0))
-    threshold = tol_factor * pipe.grid.h ** 2 * scale
+    audit = pipe.cfg["audit"]
+    samples = audit["xi_samples"]
+    threshold = audit["tol_factor"] * pipe.grid.h ** 2 * audit["scale"]
 
     rows = []
     ok = True
@@ -345,13 +412,12 @@ def cmd_audit_compat(cfg, out_dir):
 
 
 def cmd_study_eta(cfg, out_dir):
-    pipe_cfg = cfg
-    etas = _listify(_need(cfg, "study", "eta_list", default="0.04, 0.02, 0.01"))
+    etas = validate(cfg)["study"]["eta_list"]
     finals = []
     monitors = {}
     M = None
     for eta in etas:
-        sub = {k: dict(v) for k, v in pipe_cfg.items()}
+        sub = {k: dict(v) for k, v in cfg.items()}
         sub.setdefault("solver", {})["eta"] = eta
         pipe = build_pipeline(sub)
         traj = pipe.run(record_dissipation=False)
@@ -377,7 +443,7 @@ def cmd_study_eta(cfg, out_dir):
 
 
 def cmd_uniqueness(cfg, out_dir):
-    cfls = _listify(_need(cfg, "uniqueness", "cfl_list", default="0.4, 0.2"))
+    cfls = validate(cfg)["uniqueness"]["cfl_list"]
     if len(cfls) < 2:
         raise ConfigError("[uniqueness] cfl_list needs at least two entries")
     trajectories = []
@@ -430,7 +496,7 @@ def main(argv=None):
         handler = {"run": cmd_run, "audit-compat": cmd_audit_compat,
                    "study-eta": cmd_study_eta, "uniqueness": cmd_uniqueness}[args.command]
         return handler(cfg, args.out)
-    except ConfigError as exc:
+    except (ConfigError, ExprError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ModelError, GeometryError) as exc:

@@ -334,20 +334,12 @@ def to_source(node):
 
 
 def compile_expr(source_or_ast):
-    """Accept text, AST, numbers or callables; return an evaluation callable.
+    """Accept text, an AST or a number; return an evaluation function.
 
-    The callable takes keyword bindings and returns the evaluated value.
+    The function takes keyword bindings and returns the evaluated value.
     """
     if isinstance(source_or_ast, (int, float)):
         value = float(source_or_ast)
         return lambda **kw: value
-    if callable(source_or_ast) and not isinstance(source_or_ast, (Num, Var, Neg, Bin, Call)):
-        import inspect
-
-        params = inspect.signature(source_or_ast).parameters
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-            return lambda **kw: source_or_ast(**kw)
-        names = set(params)
-        return lambda **kw: source_or_ast(**{k: v for k, v in kw.items() if k in names})
     ast = parse(source_or_ast) if isinstance(source_or_ast, str) else source_or_ast
     return lambda **kw: evaluate(ast, EvalContext(kw))

@@ -52,7 +52,7 @@ class ChartGrid:
         return list(np.meshgrid(x, x, indexing="ij"))
 
     def eval_expr(self, expr, **extra):
-        """Evaluate an expression (text/AST/callable/number) on the nodes."""
+        """Evaluate an expression (text, AST or number) on the nodes."""
         fn = compile_expr(expr)
         xs = self.coords()
         bindings = {"x1": xs[0]}
@@ -286,10 +286,6 @@ def oneform_norm_sq(w, M):
     return np.einsum("ij...,i...,j...->...", M.ginv, w, w)
 
 
-def vector_norm_sq(X, M):
-    return np.einsum("ij...,i...,j...->...", M.g, X, X)
-
-
 def integrate(v, M):
     """Integral against the volume density: sum of v * sqrt|g| * h^d."""
     return float(np.sum(v * M.sqrt_det) * M.grid.h ** M.grid.d)
@@ -298,6 +294,3 @@ def integrate(v, M):
 def norm_l1(v, M):
     return integrate(np.abs(v), M)
 
-
-def norm_l2(v, M):
-    return np.sqrt(max(integrate(v * v, M), 0.0))

@@ -155,14 +155,6 @@ class FluxModel:
         """Vector field x -> f(x, u(x))."""
         return xi_interp(self.f, u, self.xi)
 
-    def at_xi(self, b):
-        return self.f[..., b]
-
-    def prime_at_xi_value(self, value):
-        """f'(x, xi) at an off-table xi value (linear interp of the table)."""
-        const = np.full(self.grid.shape, float(value))
-        return xi_interp(self.fprime, const, self.xi)
-
     def max_prime_gnorm(self, M):
         norms = np.einsum("ij...,i...b,j...b->...b", M.g, self.fprime, self.fprime)
         return float(np.sqrt(max(np.max(norms), 0.0)))
@@ -202,13 +194,6 @@ class DiffusionModel:
     def zero(cls, grid, xi, M):
         return cls(grid, xi, M, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
 
-    def a_prime_at(self, u):
-        """Tensor field x -> a'(x, u(x)) = (sigma^t sigma)(x, u(x))."""
-        return xi_interp(self.aprime, u, self.xi)
-
-    def a_prime_at_xi(self, b):
-        return self.aprime[..., b]
-
     def A_at(self, u):
         """Tensor field x -> A(x, u(x)), the discrete antiderivative of a'."""
         return xi_interp(self.A, u, self.xi)
@@ -232,6 +217,15 @@ class DiffusionModel:
         return float(np.max(np.maximum(np.abs(0.5 * (tr + disc)), np.abs(0.5 * (tr - disc)))))
 
 
+def root_weight(psi, xi):
+    """sqrt(psi) on the xi-edges; psi is an expression of xi, >= 0 on [0,1]."""
+    w = np.asarray(compile_expr(psi)(xi=xi.edges), dtype=float)
+    w = np.broadcast_to(w, xi.edges.shape)
+    if np.any(w < 0):
+        raise ModelError("psi must be nonnegative on [0,1]")
+    return np.sqrt(w)
+
+
 class BetaFamily:
     """Antiderivatives of the transposed square root, plain and psi-weighted.
 
@@ -251,17 +245,10 @@ class BetaFamily:
         self._div_slope = None
         self._div_metric = None
 
-    def _root_weight(self, psi):
-        w = np.asarray(compile_expr(psi)(xi=self.xi.edges), dtype=float)
-        w = np.broadcast_to(w, self.xi.edges.shape)
-        if np.any(w < 0):
-            raise ModelError("psi must be nonnegative on [0,1]")
-        return np.sqrt(w)
-
     def _tables(self, slope, psi):
         """(values, slopes) edge tables of the sqrt(psi)-weighted antiderivative of slope."""
         if psi is not None:
-            slope = slope * self._root_weight(psi)
+            slope = slope * root_weight(psi, self.xi)
         return cumtrapz_edges(slope, self.xi.dxi), slope
 
     def weighted(self, psi):
@@ -280,14 +267,6 @@ class BetaFamily:
                 [geo.div_tensor11(sT[..., b], M) for b in range(self.xi.n + 1)], axis=-1)
             self._div_metric = M
         return xi_hermite(*self._tables(self._div_slope, psi), u, self.xi)
-
-
-def beta_at(bf, u):
-    return bf.at(u)
-
-
-def beta_psi_at(bf, psi, u):
-    return bf.at(u, psi)
 
 
 # --- geometry compatibility -------------------------------------------------
@@ -325,8 +304,6 @@ def make_compatible_flux(dm, M, stream=None):
     pure stencil truncation.
     """
     grid, xi = dm.grid, dm.xi
-    if stream is not None and grid.d != 2:
-        raise ModelError("stream functions require d = 2")
     f = np.zeros((grid.d,) + grid.shape + (xi.n + 1,))
     for b in range(xi.n + 1):
         f[..., b] = geo.sharp(geo.div_tensor11(dm.A_at_xi(b), M), M)

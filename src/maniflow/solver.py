@@ -92,14 +92,19 @@ def rhs(u, fm, dm, M, eta):
     return out
 
 
-def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
-    """Integrate to t_end; returns snapshots, monitors and the ledger."""
-    grid = M.grid
-    u0 = np.asarray(u0, dtype=float)
+def check_initial_state(u0, grid):
+    """An initial state is a scalar field on the grid with values in [0,1]."""
     if u0.shape != grid.shape:
         raise SolverError(f"initial state shape {u0.shape} != {grid.shape}")
     if np.any(u0 < 0.0) or np.any(u0 > 1.0):
         raise SolverError("initial state must take values in [0,1]")
+
+
+def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
+    """Integrate to t_end; returns snapshots, monitors and the ledger."""
+    grid = M.grid
+    u0 = np.asarray(u0, dtype=float)
+    check_initial_state(u0, grid)
 
     dt_raw = stable_dt(cfg, fm, dm, M)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_raw)))

@@ -1,0 +1,111 @@
+import numpy as np
+import pytest
+
+from maniflow import cli
+
+# a tiny 1D run: n = 16, n_xi = 16, about 30 Heun steps
+BASE = {
+    "grid": {"d": "1", "n": "16"},
+    "xi": {"n": "16"},
+    "metric": {"name": "flat1d"},
+    "scenario": {"sigma11": '"sqrt(2*xi)"', "u0": '"0.5 + 0.25*sin(2*pi*x1)"'},
+    "solver": {"eta": "1e-2", "t_end": "0.01"},
+}
+
+OUTPUTS = {"report.json", "kinetic_report.json", "u_final.f64", "u_final.f64.json",
+           "u_final.csv", "monitors.csv", "ledger.csv"}
+
+
+def write_config(tmp_path, changes=()):
+    """BASE as INI text, with (section.key, raw value) pairs set or added."""
+    sections = {s: dict(kv) for s, kv in BASE.items()}
+    for target, value in changes:
+        section, key = target.split(".")
+        sections.setdefault(section, {})[key] = value
+    path = tmp_path / "case.ini"
+    path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                            for s, kv in sections.items()))
+    return path
+
+
+def run_cli(capsys, path, *extra):
+    rc = cli.main(["run", str(path), *extra])
+    return rc, capsys.readouterr().err
+
+
+def read_monitors(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def test_valid_run_writes_every_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc, err = run_cli(capsys, write_config(tmp_path), "--out", str(out))
+    assert rc == 0, err
+    assert {p.name for p in out.iterdir()} == OUTPUTS
+
+
+def test_override_reaches_the_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc, err = run_cli(capsys, write_config(tmp_path), "--out", str(out),
+                      "--override", "solver.t_end=0.02")
+    assert rc == 0, err
+    assert read_monitors(out / "monitors.csv")[-1, 0] == pytest.approx(0.02, rel=1e-12)
+
+
+def test_range_violation_exits_1(tmp_path, capsys):
+    # steep convection, forward Euler at cfl = 1 and almost no viscosity
+    path = write_config(tmp_path, [("scenario.sigma11", '"0"'), ("scenario.flux1", '"20*xi^2"'),
+                                   ("solver.scheme", "euler"), ("solver.cfl", "1"),
+                                   ("solver.eta", "1e-4"), ("solver.t_end", "0.5")])
+    rc, err = run_cli(capsys, path)
+    assert rc == 1
+    assert err.startswith("runtime failure:") and "outside" in err
+
+
+BAD = {
+    "malformed_u0": ([("scenario.u0", '"sin(2*pi*x1"')], []),
+    "misspelled_key": ([("scenario.sigma_11", '"1"')], []),
+    "unknown_section": ([("solvr.eta", "1e-2")], []),
+    "unknown_override": ([], ["--override", "solver.etaa=3"]),
+    "negative_t_end": ([("solver.t_end", "-1")], []),
+    "non_integer": ([("diagnostics.battery_count", "abc")], []),
+    "empty_battery": ([("diagnostics.battery_count", "0")], []),
+    "removed_key": ([("diagnostics.eps", "0.1")], []),
+    "flux_with_compatible": ([("scenario.flux1", '"xi"'), ("scenario.compatible", "true")], []),
+    "stream_without_compatible": ([("scenario.stream", '"sin(2*pi*x1)"')], []),
+    "g_with_name": ([("metric.g11", '"2"')], []),
+    "second_axis_in_1d": ([("scenario.sigma12", '"0"')], []),
+    "u0_out_of_range": ([("scenario.u0", '"1.5"')], []),
+    "eval_error": ([("scenario.sigma11", '"sqrt(xi - 0.5)"')], []),
+    "negative_psi": ([("diagnostics.psi", '"xi - 1"')], []),
+    "small_n": ([("grid.n", "8")], []),
+}
+
+
+@pytest.mark.parametrize("changes, extra", list(BAD.values()), ids=list(BAD))
+def test_bad_input_exits_2(tmp_path, capsys, changes, extra):
+    rc, err = run_cli(capsys, write_config(tmp_path, changes), *extra)
+    assert rc == 2
+    assert err.startswith("config error: [") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_expression_error_names_its_key(tmp_path, capsys):
+    path = write_config(tmp_path, [("scenario.sigma11", '"sqrt(xi - 0.5)"')])
+    rc, err = run_cli(capsys, path)
+    assert rc == 2
+    assert err.startswith("config error: [scenario] sigma11: sqrt of negative value")
+
+
+def test_validate_fills_defaults_and_converts():
+    minimal = {"grid": {"d": 1, "n": 16}, "scenario": {"u0": "0.5"},
+               "solver": {"eta": 1, "t_end": 0.1}}
+    cfg = cli.validate(minimal)
+    assert cfg["solver"] == {"eta": 1.0, "t_end": 0.1, "cfl": 0.4, "scheme": "heun",
+                             "snapshots": 10}
+    assert cfg["diagnostics"]["psi"] == ("1", "xi")
+    assert cfg["study"]["eta_list"] == (0.04, 0.02, 0.01)
+    given = cli.validate(dict(minimal, study={"eta_list": "0.1, 1"},
+                              diagnostics={"psi": "xi, 1 - xi"}))
+    assert given["study"]["eta_list"] == (0.1, 1.0)
+    assert given["diagnostics"]["psi"] == ("xi", "1 - xi")

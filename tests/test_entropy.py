@@ -286,7 +286,8 @@ class TestChainRule:
         for n in (16, 32, 64):
             grid = ChartGrid(2, n)
             M = build_metric(catalog.METRICS["curved2d"]["entries"], grid)
-            dm = DiffusionModel.from_exprs(sc["sigma"], grid, XiGrid(n), M)
+            sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
+            dm = DiffusionModel.from_exprs(sigma, grid, XiGrid(n), M)
             residuals.append(chain_rule_residual(grid.eval_expr(sc["u0"]), "xi", dm, M))
         for coarse, fine in zip(residuals, residuals[1:]):
             assert coarse / fine >= 3.0

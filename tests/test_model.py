@@ -3,9 +3,9 @@ import pytest
 
 from maniflow.geometry import ChartGrid, build_metric, euclidean_metric
 from maniflow.model import (BetaFamily, DiffusionModel, FluxModel, ModelError,
-                            XiGrid, beta_at, beta_psi_at, compat_norms,
-                            compat_residual, cumtrapz_edges, make_compatible_flux,
-                            psd_audit, stream_vector, xi_hermite, xi_interp)
+                            XiGrid, compat_norms, compat_residual, cumtrapz_edges,
+                            make_compatible_flux, psd_audit, stream_vector, xi_hermite,
+                            xi_interp)
 from maniflow import catalog
 
 TWO_PI = 2.0 * np.pi
@@ -174,8 +174,8 @@ class TestBetaFamily:
         dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
         bf = BetaFamily(dm)
         zero = np.zeros(grid.shape)
-        assert np.max(np.abs(beta_at(bf, zero))) == 0.0
-        assert np.max(np.abs(beta_psi_at(bf, "xi", zero))) == 0.0
+        assert np.max(np.abs(bf.at(zero))) == 0.0
+        assert np.max(np.abs(bf.at(zero, "xi"))) == 0.0
 
     def test_psi_one_bit_identical_to_plain(self, wavy_1d):
         grid, M, xi = wavy_1d
@@ -190,8 +190,8 @@ class TestBetaFamily:
         dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
         bf = BetaFamily(dm)
         u = 0.5 + 0.3 * np.sin(TWO_PI * grid.coords()[0])
-        assert np.max(np.abs(beta_at(bf, u)[0, 0] - (u + 0.5 * u * u))) <= 1e-14
-        assert np.max(np.abs(beta_psi_at(bf, "4", u)[0, 0] - 2.0 * (u + 0.5 * u * u))) <= 1e-14
+        assert np.max(np.abs(bf.at(u)[0, 0] - (u + 0.5 * u * u))) <= 1e-14
+        assert np.max(np.abs(bf.at(u, "4")[0, 0] - 2.0 * (u + 0.5 * u * u))) <= 1e-14
 
     def test_sqrt_weight_closed_form(self, one_d):
         # sigma = 1, psi(z) = z: antiderivative of sqrt(z) is (2/3) z^{3/2}
@@ -273,7 +273,8 @@ class TestCompatibility:
         M = build_metric(CURVED2D, grid)
         xi = XiGrid(32)
         sc = catalog.SCENARIOS["curved_const"]["scenario"]
-        dm = DiffusionModel.from_exprs(sc["sigma"], grid, xi, M)
+        sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
+        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
         fm = make_compatible_flux(dm, M, stream=sc["stream"])
         for s in (0.0, 0.5, 1.0):
             norms = compat_norms(fm, dm, M, s)
@@ -286,7 +287,8 @@ class TestCompatibility:
             M = build_metric(CURVED2D, grid)
             xi = XiGrid(32)
             sc = catalog.SCENARIOS["curved_const"]["scenario"]
-            dm = DiffusionModel.from_exprs(sc["sigma"], grid, xi, M)
+            sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
+            dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
             fm = make_compatible_flux(dm, M, stream=sc["stream"])
             worst.append(max(compat_norms(fm, dm, M, s)["max"] for s in (0.0, 0.5, 1.0)))
         assert 2.5 <= worst[0] / worst[1] <= 6.0
@@ -296,7 +298,8 @@ class TestCompatibility:
         M = build_metric(CURVED2D, grid)
         xi = XiGrid(32)
         sc = catalog.SCENARIOS["curved_const"]["scenario"]
-        dm = DiffusionModel.from_exprs(sc["sigma"], grid, xi, M)
+        sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
+        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
         fm = make_compatible_flux(dm, M, stream=sc["stream"])
         perturbed = fm.f.copy()
         perturbed[0] += 0.1

@@ -93,7 +93,8 @@ class TestRhs:
         M = build_metric(catalog.METRICS["curved2d"]["entries"], grid)
         xi = XiGrid(32)
         sc = catalog.SCENARIOS["curved_const"]["scenario"]
-        dm = DiffusionModel.from_exprs(sc["sigma"], grid, xi, M)
+        sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
+        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
         fm = make_compatible_flux(dm, M, stream=sc["stream"])
         u = np.full(grid.shape, 0.5)
         r = rhs(u, fm, dm, M, 5e-3)
@@ -129,7 +130,8 @@ class TestRun:
         M = build_metric(catalog.METRICS["curved2d"]["entries"], grid)
         xi = XiGrid(32)
         sc = cfg_dict["scenario"]
-        dm = DiffusionModel.from_exprs(sc["sigma"], grid, xi, M)
+        sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
+        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
         fm = make_compatible_flux(dm, M, stream=sc["stream"])
         u0 = np.full(grid.shape, 0.5)
         traj = run(SolverConfig(eta=5e-3, t_end=0.1), fm, dm, M, u0, xi)
