@@ -138,8 +138,7 @@ KEYS = {
                "scheme": (WORD, "heun"), "snapshots": (INT, 10)},
     "diagnostics": {"battery_seed": (INT, 0), "battery_count": (INT, 5),
                     "psi": (EXPRS, ("1", "xi"))},
-    "audit": {"xi_samples": (NUMS, (0.0, 0.5, 1.0)), "tol_factor": (NUM, 10.0),
-              "scale": (NUM, 1.0)},
+    "audit": {"xi_samples": (NUMS, (0.0, 0.5, 1.0)), "tol_factor": (NUM, 10.0)},
     "study": {"eta_list": (NUMS, (0.04, 0.02, 0.01))},
     "uniqueness": {"cfl_list": (NUMS, (0.4, 0.2))},
 }
@@ -391,7 +390,7 @@ def cmd_audit_compat(cfg, out_dir):
     pipe = build_pipeline(cfg)
     audit = pipe.cfg["audit"]
     samples = audit["xi_samples"]
-    threshold = audit["tol_factor"] * pipe.grid.h ** 2 * audit["scale"]
+    threshold = audit["tol_factor"] * pipe.grid.h ** 2
 
     rows = []
     ok = True

@@ -28,7 +28,6 @@ class EntropyFn:
     ds: object
     d2s: object
     name: str = "entropy"
-    convex: bool = True
 
     def __post_init__(self):
         if abs(float(self.s(0.0))) > 1e-12:
@@ -46,7 +45,7 @@ def square_entropy():
 def identity_entropy():
     return EntropyFn(lambda v: v, lambda v: np.ones_like(np.asarray(v, dtype=float)),
                      lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-                     name="identity", convex=False)
+                     name="identity")
 
 
 def quartic_entropy():
@@ -155,20 +154,24 @@ def entropy_residual(u_prev, u_next, dt, S, fm, dm, M, eta, battery):
     return worst
 
 
+def battery_profile(rng, grid, amp_max):
+    """Product over the axes of 1 + amp sin(2 pi k (x + shift)), amp in [0.3, amp_max).
+
+    Per axis, draws k, shift and amp from `rng`, in that order.
+    """
+    phi = np.ones(grid.shape)
+    for x in grid.coords():
+        k = int(rng.integers(1, 3))
+        shift = rng.uniform(0.0, 1.0)
+        amp = rng.uniform(0.3, amp_max)
+        phi = phi * (1.0 + amp * np.sin(2.0 * np.pi * k * (x + shift)))
+    return phi
+
+
 def spatial_battery(grid, seed=0, count=5):
     """Deterministic battery of smooth periodic test profiles."""
     rng = np.random.default_rng(seed)
-    xs = grid.coords()
-    battery = []
-    for _ in range(count):
-        phi = np.ones(grid.shape)
-        for x in xs:
-            k = int(rng.integers(1, 3))
-            shift = rng.uniform(0.0, 1.0)
-            amp = rng.uniform(0.3, 0.9)
-            phi = phi * (1.0 + amp * np.sin(2.0 * np.pi * k * (x + shift)))
-        battery.append(phi)
-    return battery
+    return [battery_profile(rng, grid, 0.9) for _ in range(count)]
 
 
 # --- energy balance ----------------------------------------------------------

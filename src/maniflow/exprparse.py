@@ -27,8 +27,6 @@ FUNCTIONS = {
     "max": (2, np.maximum),
 }
 
-KNOWN_VARIABLES = ("x1", "x2", "xi", "t", "pi")
-
 
 class ExprError(Exception):
     """Base class for parse- and eval-time failures; carries a byte offset."""

@@ -210,12 +210,16 @@ def div_oneform(w, M):
 
 
 def div_tensor11(T, M):
-    """(div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l."""
+    """(div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l.
+
+    T may carry trailing batch axes after the grid axes (see `_batched`).
+    """
     grid = M.grid
+    trace, gamma = _batched(M, T, 2, M.gamma_trace, M.gamma)
     dT = np.stack([ddx(T, 2 + j, grid.h) for j in range(grid.d)])  # dT[j, k, i] = d_j T^k_i
     out = np.einsum("jji...->i...", dT)
-    out += np.einsum("l...,li...->i...", M.gamma_trace, T)
-    out -= np.einsum("lji...,jl...->i...", M.gamma, T)
+    out += np.einsum("l...,li...->i...", trace, T)
+    out -= np.einsum("lji...,jl...->i...", gamma, T)
     return out
 
 
@@ -266,14 +270,26 @@ def laplace_beltrami(v, M):
 
 # --- algebraic operators ----------------------------------------------------
 
+def _batched(M, field, n_index, *arrays):
+    """Metric arrays (index axes + grid) with one unit axis per batch axis of `field`.
+
+    `field` has `n_index` index axes, the grid axes, then any batch axes (such
+    as the xi-edges of a coefficient table), which all see the same metric.
+    """
+    tail = (1,) * (field.ndim - n_index - M.grid.d)
+    return [a.reshape(a.shape + tail) for a in arrays]
+
+
 def transpose11(T, M):
-    """Metric transpose: (T^t)^k_i = g^{kl} T^m_l g_{mi}."""
-    return np.einsum("kl...,ml...,mi...->ki...", M.ginv, T, M.g)
+    """Metric transpose: (T^t)^k_i = g^{kl} T^m_l g_{mi}; T may carry batch axes."""
+    ginv, g = _batched(M, T, 2, M.ginv, M.g)
+    return np.einsum("kl...,ml...,mi...->ki...", ginv, T, g)
 
 
 def sharp(w, M):
-    """Raise an index: (w#)^j = g^{ji} w_i."""
-    return np.einsum("ji...,i...->j...", M.ginv, w)
+    """Raise an index: (w#)^j = g^{ji} w_i; w may carry batch axes."""
+    ginv, = _batched(M, w, 1, M.ginv)
+    return np.einsum("ji...,i...->j...", ginv, w)
 
 
 def flat(X, M):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
-from .entropy import dissipation_densities
+from .entropy import battery_profile, dissipation_densities
 from .exprparse import compile_expr  # noqa: F401  (the traced benchmark run wraps it here)
 
 
@@ -70,51 +70,42 @@ def _convolve_periodic(F, offsets, weights, axis):
 # --- kinetic test battery ------------------------------------------------------
 
 class KineticTestFn:
-    """Separable space-time-state test function with coded derivatives."""
+    """Separable test function psi(t, x, xi) = tau(t) phi(x) theta(xi).
 
-    def __init__(self, grid, xi, x_profile, t_coeffs, xi_center, xi_radius):
-        self.x_profile = x_profile  # ScalarField
+    tau(t) = a + b cos(omega t), and theta is the bump (1 - s^2)^2 with
+    s = (xi - center) / radius, sampled on the bin centers; `dtheta` is its
+    exact derivative at off-lattice state values.
+    """
+
+    def __init__(self, xi, phi, t_coeffs, xi_center, xi_radius):
+        self.phi = phi  # ScalarField
         a, b, omega = t_coeffs
-        self._t = lambda t: a + b * np.cos(omega * t)
-        self._dt = lambda t: -b * omega * np.sin(omega * t)
+        self.tau = lambda t: a + b * np.cos(omega * t)
+        self.dtau = lambda t: -b * omega * np.sin(omega * t)
         s = (xi.centers - xi_center) / xi_radius
         inside = np.abs(s) < 1.0
-        prof = np.zeros_like(s)
-        prof[inside] = (1.0 - s[inside] ** 2) ** 2
-        self.xi_profile = prof
+        theta = np.zeros_like(s)
+        theta[inside] = (1.0 - s[inside] ** 2) ** 2
+        self.theta = theta
         self.xi_center = xi_center
         self.xi_radius = xi_radius
 
-    def value(self, t):
-        return self._t(t) * self.x_profile[..., None] * self.xi_profile
-
-    def dt(self, t):
-        return self._dt(t) * self.x_profile[..., None] * self.xi_profile
-
-    def dxi_at_values(self, t, values):
-        """d_xi psi evaluated at off-lattice state values (exact profile)."""
+    def dtheta(self, values):
         s = (np.asarray(values) - self.xi_center) / self.xi_radius
-        dprof = np.where(np.abs(s) < 1.0, -4.0 * s * (1.0 - s ** 2) / self.xi_radius, 0.0)
-        return self._t(t) * self.x_profile * dprof
+        return np.where(np.abs(s) < 1.0, -4.0 * s * (1.0 - s ** 2) / self.xi_radius, 0.0)
 
 
 def kinetic_battery(grid, xi, seed=0, count=5, t_scale=1.0):
     """Deterministic battery of smooth test functions, compact in state."""
     rng = np.random.default_rng(seed)
-    xs = grid.coords()
     battery = []
     for _ in range(count):
-        prof = np.ones(grid.shape)
-        for x in xs:
-            k = int(rng.integers(1, 3))
-            shift = rng.uniform(0.0, 1.0)
-            amp = rng.uniform(0.3, 0.8)
-            prof = prof * (1.0 + amp * np.sin(2.0 * np.pi * k * (x + shift)))
+        phi = battery_profile(rng, grid, 0.8)
         t_coeffs = (rng.uniform(0.6, 1.2), rng.uniform(0.2, 0.6),
                     rng.uniform(0.5, 2.0) * np.pi / max(t_scale, 1e-12))
         center = rng.uniform(0.4, 0.6)
         radius = rng.uniform(0.25, 0.34)
-        battery.append(KineticTestFn(grid, xi, prof, t_coeffs, center, radius))
+        battery.append(KineticTestFn(xi, phi, t_coeffs, center, radius))
     return battery
 
 
@@ -123,45 +114,44 @@ def kinetic_battery(grid, xi, seed=0, count=5, t_scale=1.0):
 def kinetic_residual(traj, fm, dm, M, xi, battery):
     """Max weak residual of the kinetic equation over a test battery.
 
-    Time integrals use the trapezoid rule on the stored snapshots; space
-    operators are the discrete geometry operators applied per state bin;
-    the measure term pairs per-node dissipation densities with the exact
-    state derivative of the test function at u(x).
+    Each test function is separable, psi = tau(t) phi(x) theta(xi), so the
+    state integrals come first: Theta = sum_b theta_b chi_b dxi, and the same
+    theta-weighted sums of chi f' and chi a' at the bin centers.  The space
+    operators then act once per test function and snapshot, and every term
+    is paired with phi through `geometry.integrate`.  Time integrals use the
+    trapezoid rule on the stored snapshots; the measure term pairs per-node
+    dissipation densities with the exact state derivative of theta at u(x).
     """
-    grid = M.grid
     eta = traj.eta
     times = np.asarray(traj.times)
-    n_snap = len(times)
-    w_t = np.zeros(n_snap)
+    w_t = np.zeros(len(times))
     w_t[1:] += 0.5 * np.diff(times)
     w_t[:-1] += 0.5 * np.diff(times)
 
     fprime_centers = 0.5 * (fm.fprime[..., 1:] + fm.fprime[..., :-1])
     aprime_centers = 0.5 * (dm.aprime[..., 1:] + dm.aprime[..., :-1])
-    cell = M.sqrt_det * grid.h ** grid.d
 
-    residuals = np.zeros(len(battery))
-    chi0 = chi_from_u(traj.snapshots[0], xi)
-    chiT = chi_from_u(traj.u_final, xi)
-    for i, psi in enumerate(battery):
-        residuals[i] = (np.sum(chiT * psi.value(times[-1]) * cell[..., None]) -
-                        np.sum(chi0 * psi.value(times[0]) * cell[..., None])) * xi.dxi
+    thetas = np.stack([psi.theta for psi in battery], axis=-1) * xi.dxi  # bins x battery
+    theta0 = chi_from_u(traj.snapshots[0], xi) @ thetas
+    thetaT = chi_from_u(traj.u_final, xi) @ thetas
+    residuals = np.array([psi.tau(times[-1]) * geo.integrate(psi.phi * thetaT[..., i], M)
+                          - psi.tau(times[0]) * geo.integrate(psi.phi * theta0[..., i], M)
+                          for i, psi in enumerate(battery)])
 
     for k, (t, u) in enumerate(zip(times, traj.snapshots)):
         chi = chi_from_u(u, xi)
-        transport = np.empty(grid.shape + (xi.n,))
-        diffusion = np.empty(grid.shape + (xi.n,))
-        for b in range(xi.n):
-            transport[..., b] = geo.div_vector(chi[..., b] * fprime_centers[..., b], M)
-            diffusion[..., b] = geo.divdiv_tensor11(chi[..., b] * aprime_centers[..., b], M)
+        # theta-weighted state integrals; the last axis runs over the battery
+        theta_chi = chi @ thetas
+        theta_flux = (chi * fprime_centers) @ thetas
+        theta_diff = (chi * aprime_centers) @ thetas
         m_density, n_density = dissipation_densities(u, dm, M, eta)
         total_density = m_density + n_density
         for i, psi in enumerate(battery):
-            val = psi.value(t)
-            term = -np.sum(chi * psi.dt(t) * cell[..., None]) * xi.dxi
-            term += np.sum(transport * val * cell[..., None]) * xi.dxi
-            term -= np.sum(diffusion * val * cell[..., None]) * xi.dxi
-            term += np.sum(total_density * psi.dxi_at_values(t, u) * cell)
+            strong = (geo.div_vector(theta_flux[..., i], M)
+                      - geo.divdiv_tensor11(theta_diff[..., i], M)
+                      + total_density * psi.dtheta(u))
+            term = (psi.tau(t) * geo.integrate(psi.phi * strong, M)
+                    - psi.dtau(t) * geo.integrate(psi.phi * theta_chi[..., i], M))
             residuals[i] += w_t[k] * term
 
     return float(np.max(np.abs(residuals)))

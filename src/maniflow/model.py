@@ -177,7 +177,7 @@ class DiffusionModel:
         if not np.all(np.isfinite(sigma_table)):
             raise ModelError("sigma table contains non-finite entries")
         self.sigma = sigma_table
-        self.sigmaT = np.einsum("kl...,ml...z,mi...->ki...z", M.ginv, sigma_table, M.g)
+        self.sigmaT = geo.transpose11(sigma_table, M)
         self.aprime = np.einsum("km...z,mi...z->ki...z", self.sigmaT, sigma_table)
         self.A = cumtrapz_edges(self.aprime, xi.dxi)
 
@@ -197,9 +197,6 @@ class DiffusionModel:
     def A_at(self, u):
         """Tensor field x -> A(x, u(x)), the discrete antiderivative of a'."""
         return xi_interp(self.A, u, self.xi)
-
-    def A_at_xi(self, b):
-        return self.A[..., b]
 
     def A_at_xi_value(self, value):
         const = np.full(self.grid.shape, float(value))
@@ -241,7 +238,6 @@ class BetaFamily:
     def __init__(self, dm):
         self.dm = dm
         self.xi = dm.xi
-        self.plain = cumtrapz_edges(dm.sigmaT, dm.xi.dxi)
         self._div_slope = None
         self._div_metric = None
 
@@ -262,9 +258,7 @@ class BetaFamily:
     def div_at(self, u, M, psi=None):
         """One-form field x -> (div_x beta^psi)(x, xi) evaluated at xi = u(x)."""
         if self._div_metric is not M:
-            sT = self.dm.sigmaT
-            self._div_slope = np.stack(
-                [geo.div_tensor11(sT[..., b], M) for b in range(self.xi.n + 1)], axis=-1)
+            self._div_slope = geo.div_tensor11(self.dm.sigmaT, M)
             self._div_metric = M
         return xi_hermite(*self._tables(self._div_slope, psi), u, self.xi)
 
@@ -303,13 +297,10 @@ def make_compatible_flux(dm, M, stream=None):
     the compatibility residual then agree analytically, so the audit sees
     pure stencil truncation.
     """
-    grid, xi = dm.grid, dm.xi
-    f = np.zeros((grid.d,) + grid.shape + (xi.n + 1,))
-    for b in range(xi.n + 1):
-        f[..., b] = geo.sharp(geo.div_tensor11(dm.A_at_xi(b), M), M)
+    f = geo.sharp(geo.div_tensor11(dm.A, M), M)
     if stream is not None:
         f += stream_vector(stream, M)[..., None]
-    return FluxModel(grid, xi, f)
+    return FluxModel(dm.grid, dm.xi, f)
 
 
 def psd_audit(dm, M, n_dirs=8, seed=0):

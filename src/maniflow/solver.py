@@ -10,7 +10,7 @@ the xi-binned ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class Trajectory:
     ledger: DissipationLedger
     dt: float
     eta: float
-    config: SolverConfig = None
 
     @property
     def u_final(self):
@@ -156,7 +155,7 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
                       monitor_t=np.asarray(mon_t), mass=np.asarray(mass),
                       u_min=np.asarray(umin), u_max=np.asarray(umax),
                       energy=np.asarray(energy), ledger=ledger, dt=dt,
-                      eta=cfg.eta, config=cfg)
+                      eta=cfg.eta)
 
 
 def total_variation(u):

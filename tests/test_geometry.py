@@ -243,6 +243,30 @@ class TestAlgebraicInvariants:
         assert abs(lhs - rhs) <= 1e-12
 
 
+class TestBatchAxes:
+    """Operators on a grid x xi-edge table equal the stack of per-edge results, bit for bit."""
+
+    @pytest.fixture(params=[(32, 31), (64, 32)], ids=lambda p: f"n{p[0]}-nxi{p[1]}")
+    def table(self, request):
+        n, n_xi = request.param
+        grid = ChartGrid(2, n)
+        M = build_metric(CURVED2D_STR, grid)
+        rng = np.random.default_rng(3)
+        return M, rng.normal(size=(2, 2) + grid.shape + (n_xi + 1,))
+
+    @pytest.mark.parametrize("op", [transpose11, div_tensor11])
+    def test_tensor_operators(self, table, op):
+        M, T = table
+        per_edge = np.stack([op(T[..., b], M) for b in range(T.shape[-1])], axis=-1)
+        assert np.array_equal(op(T, M), per_edge)
+
+    def test_sharp(self, table):
+        M, T = table
+        w = T[0]
+        per_edge = np.stack([sharp(w[..., b], M) for b in range(w.shape[-1])], axis=-1)
+        assert np.array_equal(sharp(w, M), per_edge)
+
+
 class TestConservationAndConsistency:
     def setup_method(self):
         self.grid = ChartGrid(2, 64)

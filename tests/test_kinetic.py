@@ -1,0 +1,104 @@
+import numpy as np
+import pytest
+
+from maniflow import catalog, cli
+from maniflow.entropy import dissipation_densities
+from maniflow.geometry import ChartGrid, div_vector, divdiv_tensor11, euclidean_metric
+from maniflow.kinetic import (KineticError, bump_kernel, chi_from_u, contraction,
+                              kinetic_battery, kinetic_residual)
+from maniflow.model import XiGrid
+
+
+def pipeline(name, **overrides):
+    """A catalog scenario with `section_key=value` overrides, built and run."""
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS[name].items()}
+    for target, value in overrides.items():
+        section, key = target.split("_", 1)
+        cfg.setdefault(section, {})[key] = value
+    pipe = cli.build_pipeline(cfg)
+    return pipe, pipe.run()
+
+
+def battery_of(pipe, seed):
+    return kinetic_battery(pipe.grid, pipe.xi, seed=seed, t_scale=pipe.solver_cfg.t_end)
+
+
+def per_bin_residual(traj, fm, dm, M, xi, battery):
+    """The weak kinetic residual with the space operators applied per xi-bin."""
+    grid = M.grid
+    times = np.asarray(traj.times)
+    w_t = np.zeros(len(times))
+    w_t[1:] += 0.5 * np.diff(times)
+    w_t[:-1] += 0.5 * np.diff(times)
+    fprime_c = 0.5 * (fm.fprime[..., 1:] + fm.fprime[..., :-1])
+    aprime_c = 0.5 * (dm.aprime[..., 1:] + dm.aprime[..., :-1])
+    cell = (M.sqrt_det * grid.h ** grid.d)[..., None]
+
+    def value(psi, t):
+        return psi.tau(t) * psi.phi[..., None] * psi.theta
+
+    res = np.zeros(len(battery))
+    chi0, chiT = chi_from_u(traj.snapshots[0], xi), chi_from_u(traj.u_final, xi)
+    for i, psi in enumerate(battery):
+        res[i] = (np.sum(chiT * value(psi, times[-1]) * cell)
+                  - np.sum(chi0 * value(psi, times[0]) * cell)) * xi.dxi
+    for k, (t, u) in enumerate(zip(times, traj.snapshots)):
+        chi = chi_from_u(u, xi)
+        transport = np.stack([div_vector(chi[..., b] * fprime_c[..., b], M)
+                              for b in range(xi.n)], axis=-1)
+        diffusion = np.stack([divdiv_tensor11(chi[..., b] * aprime_c[..., b], M)
+                              for b in range(xi.n)], axis=-1)
+        density = sum(dissipation_densities(u, dm, M, traj.eta))
+        for i, psi in enumerate(battery):
+            dt_psi = psi.dtau(t) * psi.phi[..., None] * psi.theta
+            term = np.sum((-chi * dt_psi + (transport - diffusion) * value(psi, t)) * cell) * xi.dxi
+            term += np.sum(density * psi.tau(t) * psi.phi * psi.dtheta(u) * cell[..., 0])
+            res[i] += w_t[k] * term
+    return float(np.max(np.abs(res)))
+
+
+class TestBumpKernel:
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+    def test_unit_mass_and_symmetric(self, eps):
+        m, w = bump_kernel(eps, 1.0 / 64)
+        assert abs(np.sum(w) - 1.0) <= 1e-14
+        assert np.array_equal(m, -m[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(w >= 0.0)
+
+    def test_rejects_below_two_cells(self):
+        with pytest.raises(KineticError, match="2 cells"):
+            bump_kernel(1.5 / 64, 1.0 / 64)
+
+
+class TestKineticFunction:
+    def test_rejects_negative_states(self):
+        with pytest.raises(KineticError, match="nonnegative"):
+            chi_from_u(np.array([0.5, -1e-3]), XiGrid(16))
+
+    def test_self_contraction_vanishes(self):
+        grid = ChartGrid(1, 32)
+        xi = XiGrid(16)
+        u = 0.5 + 0.4 * np.sin(2.0 * np.pi * grid.coords()[0])
+        chi = chi_from_u(u, xi)
+        assert contraction(chi, chi, euclidean_metric(grid), xi) == 0.0
+
+
+class TestKineticResidual:
+    @pytest.mark.parametrize("name", ["shock", "curved_evo"])
+    def test_equals_per_bin_formula(self, name):
+        pipe, traj = pipeline(name, grid_n=32 if name == "shock" else 16, xi_n=16,
+                              solver_t_end=0.02, solver_snapshots=4)
+        battery = battery_of(pipe, seed=1)
+        got = kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, battery)
+        ref = per_bin_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, battery)
+        assert ref > 0.0
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_falls_under_refinement(self):
+        # measured ratios at seeds 0, 1, 2: 2.5, 3.0, 3.4
+        runs = [pipeline("curved_evo", grid_n=n, xi_n=n, solver_snapshots=40) for n in (16, 32)]
+        for seed in range(3):
+            coarse, fine = (kinetic_residual(traj, p.fm, p.dm, p.M, p.xi, battery_of(p, seed))
+                            for p, traj in runs)
+            assert coarse / fine >= 2.0, (seed, coarse, fine)
