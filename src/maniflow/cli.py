@@ -309,8 +309,7 @@ def _write_monitors(traj, path):
                 traj.u_max[k], traj.energy[k])) + "\n")
 
 
-def _write_ledger(traj, u0, M, path):
-    nu = entropy.nu_profile(u0, M, traj.ledger.xi)
+def _write_ledger(traj, nu, path):
     with open(path, "w") as fh:
         fh.write("xi_bin_center,M_b,N_b,nu\n")
         for b, c in enumerate(traj.ledger.xi.centers):
@@ -368,7 +367,7 @@ def cmd_run(cfg, out_dir):
     if out_dir:
         fieldio.ensure_dir(out_dir)
         _write_monitors(traj, f"{out_dir}/monitors.csv")
-        _write_ledger(traj, pipe.u0, pipe.M, f"{out_dir}/ledger.csv")
+        _write_ledger(traj, nu_check["nu"], f"{out_dir}/ledger.csv")
         fieldio.write_csv(traj.u_final, pipe.grid, f"{out_dir}/u_final.csv")
         fieldio.write_raw(traj.u_final, pipe.grid, f"{out_dir}/u_final.f64")
         _json_dump(report, f"{out_dir}/report.json")

@@ -79,24 +79,6 @@ class Call:
     offset: int = 0
 
 
-def same_shape(a, b):
-    """Structural equality ignoring source offsets."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Num):
-        return a.value == b.value
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Neg):
-        return same_shape(a.child, b.child)
-    if isinstance(a, Bin):
-        return a.op == b.op and same_shape(a.left, b.left) and same_shape(a.right, b.right)
-    if isinstance(a, Call):
-        return (a.fn == b.fn and len(a.args) == len(b.args)
-                and all(same_shape(x, y) for x, y in zip(a.args, b.args)))
-    return False
-
-
 # --- Tokenizer -------------------------------------------------------------
 
 _OPS = set("+-*/^(),")
@@ -228,38 +210,27 @@ def parse(source):
 
 # --- Evaluation -------------------------------------------------------------
 
-class EvalContext:
-    """Name -> value bindings.  pi is always bound; values may be arrays."""
+def evaluate(ast, bindings):
+    """Evaluate an AST under name -> value bindings; pi is always bound.
 
-    def __init__(self, bindings=None):
-        self.bindings = {"pi": np.pi}
-        if bindings:
-            self.bindings.update(bindings)
-
-    def lookup(self, name, offset):
-        try:
-            return self.bindings[name]
-        except KeyError:
-            raise EvalError(f"unbound variable {name!r}", offset) from None
+    Values may be numpy arrays; the arithmetic is deterministic IEEE double.
+    """
+    return _eval(ast, {"pi": np.pi, **bindings})
 
 
-def evaluate(ast, ctx):
-    """Evaluate an AST under a context; deterministic IEEE double arithmetic."""
-    if isinstance(ctx, dict):
-        ctx = EvalContext(ctx)
-    return _eval(ast, ctx)
-
-
-def _eval(node, ctx):
+def _eval(node, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        return ctx.lookup(node.name, node.offset)
+        try:
+            return env[node.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {node.name!r}", node.offset) from None
     if isinstance(node, Neg):
-        return -_eval(node.child, ctx)
+        return -_eval(node.child, env)
     if isinstance(node, Bin):
-        a = _eval(node.left, ctx)
-        b = _eval(node.right, ctx)
+        a = _eval(node.left, env)
+        b = _eval(node.right, env)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -277,7 +248,7 @@ def _eval(node, ctx):
             return a ** b
         raise EvalError(f"unknown operator {node.op!r}", node.offset)
     if isinstance(node, Call):
-        args = [_eval(arg, ctx) for arg in node.args]
+        args = [_eval(arg, env) for arg in node.args]
         if node.fn == "sqrt":
             if np.any(np.asarray(args[0]) < 0):
                 raise EvalError("sqrt of negative value", node.offset)
@@ -286,58 +257,13 @@ def _eval(node, ctx):
     raise EvalError(f"unknown node {type(node).__name__}", getattr(node, "offset", 0))
 
 
-# --- Pretty printer ---------------------------------------------------------
-
-def _prec(node):
-    if isinstance(node, Bin):
-        return _LBP[node.op]
-    if isinstance(node, Neg):
-        return _UNARY_BP
-    return 100
-
-
-def to_source(node):
-    """Render an AST back to parseable text (minimal parentheses)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_source(node.child)
-        if _prec(node.child) <= _UNARY_BP and not isinstance(node.child, Neg):
-            # operand binds no tighter than unary minus: parenthesize
-            inner = f"({inner})"
-        elif isinstance(node.child, Neg):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Bin):
-        bp = _LBP[node.op]
-        left = to_source(node.left)
-        right = to_source(node.right)
-        if node.op == "^":
-            # right-assoc: parenthesize left at equal precedence
-            if _prec(node.left) <= bp:
-                left = f"({left})"
-            if _prec(node.right) < bp:
-                right = f"({right})"
-        else:
-            if _prec(node.left) < bp:
-                left = f"({left})"
-            if _prec(node.right) <= bp:
-                right = f"({right})"
-        return f"{left} {node.op} {right}"
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(to_source(a) for a in node.args)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def compile_expr(source_or_ast):
-    """Accept text, an AST or a number; return an evaluation function.
+def compile_expr(source):
+    """Accept text or a number; return an evaluation function.
 
     The function takes keyword bindings and returns the evaluated value.
     """
-    if isinstance(source_or_ast, (int, float)):
-        value = float(source_or_ast)
+    if isinstance(source, (int, float)):
+        value = float(source)
         return lambda **kw: value
-    ast = parse(source_or_ast) if isinstance(source_or_ast, str) else source_or_ast
-    return lambda **kw: evaluate(ast, EvalContext(kw))
+    ast = parse(source)
+    return lambda **kw: evaluate(ast, kw)

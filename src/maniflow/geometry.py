@@ -3,7 +3,8 @@
 A chart is the unit torus [0,1)^d (d = 1 or 2) sampled on n points per
 axis.  A metric is an SPD matrix field g_ij sampled on the nodes; its
 inverse, volume density sqrt|g| and Christoffel symbols are derived once
-and reused by every differential operator.
+and reused by every differential operator, and so are the metric-only
+coefficients of the tensor divergences, on first use.
 
 Array shape conventions:
     ScalarField   : grid
@@ -18,6 +19,8 @@ exactly.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +55,7 @@ class ChartGrid:
         return list(np.meshgrid(x, x, indexing="ij"))
 
     def eval_expr(self, expr, **extra):
-        """Evaluate an expression (text, AST or number) on the nodes."""
+        """Evaluate an expression (text or number) on the nodes."""
         fn = compile_expr(expr)
         xs = self.coords()
         bindings = {"x1": xs[0]}
@@ -100,7 +103,6 @@ class MetricField:
         self.gamma = self._christoffel()
         # Gamma^j_{kj} contracted over the repeated slot, indexed by k
         self.gamma_trace = np.einsum("jkj...->k...", self.gamma)
-        self._dgamma = None
 
     def _check_spd(self, lam_min):
         if self.grid.d == 1:
@@ -147,16 +149,35 @@ class MetricField:
                     gamma[k, i, j] = 0.5 * acc
         return gamma
 
-    @property
-    def dgamma(self):
-        """dgamma[i, k, l, j] = d_i Gamma^k_{lj} (central FD, cached)."""
-        if self._dgamma is None:
-            d, h = self.grid.d, self.grid.h
-            out = np.empty((d, d, d, d) + self.grid.shape)
-            for i in range(d):
-                out[i] = ddx(self.gamma, 3 + i, h)
-            self._dgamma = out
-        return self._dgamma
+    @cached_property
+    def div11_coef(self):
+        """R[i, a, b] = Gamma^j_{ja} delta^b_i - Gamma^b_{ai}.
+
+        So (div T)_i = d_j T^j_i + R[i, a, b] T^a_b; built on first use.
+        """
+        R = -np.einsum("bai...->iab...", self.gamma)
+        for i in range(self.grid.d):
+            R[i, :, i] += self.gamma_trace
+        return R
+
+    @cached_property
+    def divdiv_coef(self):
+        """(P, Q) with divdiv T = g^{ij} d_i d_k T^k_j + P[a, b, c] d_a T^b_c + Q[a, b] T^a_b.
+
+        The bracket form of div(div T), grouped by derivative order of T, with
+        t_l = Gamma^j_{lj}, c^k = g^{ij} Gamma^k_{ij} and d_i Gamma by central FD;
+        built on first use.
+        """
+        d, h = self.grid.d, self.grid.h
+        gi, G, t = self.ginv, self.gamma, self.gamma_trace
+        dG = np.stack([ddx(G, 3 + i, h) for i in range(d)])  # dG[i, k, l, j] = d_i Gamma^k_{lj}
+        c = np.einsum("ij...,kij...->k...", gi, G)
+        P = np.einsum("ac...,b...->abc...", gi, t) - np.einsum("aj...,cbj...->abc...", gi, G)
+        for a in range(d):
+            P[a, a] -= c
+        Q = (np.einsum("ib...,ikka...->ab...", gi, dG) - np.einsum("ij...,ibaj...->ab...", gi, dG)
+             - np.einsum("a...,b...->ab...", t, c) + np.einsum("k...,bka...->ab...", c, G))
+        return P, Q
 
     def volume(self):
         return float(np.sum(self.sqrt_det) * self.grid.h ** self.grid.d)
@@ -212,37 +233,34 @@ def div_oneform(w, M):
 def div_tensor11(T, M):
     """(div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l.
 
+    The Christoffel terms are one metric-only contraction, `MetricField.div11_coef`.
     T may carry trailing batch axes after the grid axes (see `_batched`).
     """
     grid = M.grid
-    trace, gamma = _batched(M, T, 2, M.gamma_trace, M.gamma)
-    dT = np.stack([ddx(T, 2 + j, grid.h) for j in range(grid.d)])  # dT[j, k, i] = d_j T^k_i
-    out = np.einsum("jji...->i...", dT)
-    out += np.einsum("l...,li...->i...", trace, T)
-    out -= np.einsum("lji...,jl...->i...", gamma, T)
+    R, = _batched(M, T, 2, M.div11_coef)
+    out = np.einsum("iab...,ab...->i...", R, T)
+    for j in range(grid.d):
+        out += ddx(T[j], 1 + j, grid.h)
     return out
 
 
 def divdiv_tensor11(T, M):
-    """Scalar double divergence of a (1,1) tensor field (full bracket form)."""
+    """Scalar double divergence of a (1,1) tensor field.
+
+    The principal part g^{ij} d_i d_k T^k_j uses the compact 3-point stencil
+    when i = k and central-of-central otherwise; the lower-order terms use the
+    metric-only coefficients of `MetricField.divdiv_coef`.
+    """
     grid = M.grid
     d, h = grid.d, grid.h
-    dT = np.stack([ddx(T, 2 + l, h) for l in range(d)])  # dT[l, k, i] = d_l T^k_i
-    ddT = np.empty((d, d, d, d) + grid.shape)  # ddT[i, k, a, b] = d_i d_k T^a_b
+    P, Q = M.divdiv_coef
+    dT = np.stack([ddx(T, 2 + a, h) for a in range(d)])  # dT[a, b, c] = d_a T^b_c
+    out = np.einsum("abc...,abc...->...", P, dT) + np.einsum("ab...,ab...->...", Q, T)
     for i in range(d):
-        for k in range(i, d):
-            ddT[i, k] = d2dx(T, 2 + i, 2 + k, h)
-            ddT[k, i] = ddT[i, k]
-    G, dG, gi = M.gamma, M.dgamma, M.ginv
-
-    out = np.einsum("ij...,ikkj...->...", gi, ddT)
-    out += np.einsum("ij...,l...,ilj...->...", gi, M.gamma_trace, dT)
-    out -= np.einsum("ij...,lkj...,ikl...->...", gi, G, dT)
-    out -= np.einsum("ij...,kij...,llk...->...", gi, G, dT)
-    out += np.einsum("ij...,il...,lj...->...", gi, np.einsum("ikkl...->il...", dG), T)
-    out -= np.einsum("ij...,ilkj...,kl...->...", gi, dG, T)
-    out -= np.einsum("ij...,kij...,r...,rk...->...", gi, G, M.gamma_trace, T)
-    out += np.einsum("ij...,kij...,rkl...,lr...->...", gi, G, G, T)
+        for k in range(d):
+            # d_i d_k T^k_j; a cross derivative always differences the lower axis first
+            ddT = d2dx(T[k], 1 + min(i, k), 1 + max(i, k), h)
+            out += np.einsum("j...,j...->...", M.ginv[i], ddT)
     return out
 
 

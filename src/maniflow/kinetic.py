@@ -167,7 +167,7 @@ def friedrichs_commutator(a, v, eps_list, grid):
     Derivatives are central differences along the first axis; kernels are
     the symmetric bump, periodic wrap.
     """
-    a_field = grid.eval_expr(a) if not isinstance(a, np.ndarray) else a
+    a_field = grid.eval_expr(a)
     v = np.asarray(v, dtype=float)
     h = grid.h
     cellvol = h ** grid.d

@@ -64,11 +64,7 @@ def xi_interp(table, u, xi):
     w = pos - i0
     if table.ndim == 1:  # pure state table: broadcast over the value array
         return table[i0] * (1.0 - w) + table[i0 + 1] * w
-    comp_ndim = table.ndim - 1 - np.asarray(u).ndim
-    idx = i0.reshape((1,) * comp_ndim + i0.shape)
-    lo = np.take_along_axis(table, np.broadcast_to(idx[..., None], table.shape[:-1] + (1,)), -1)[..., 0]
-    hi = np.take_along_axis(table, np.broadcast_to(idx[..., None] + 1, table.shape[:-1] + (1,)), -1)[..., 0]
-    return lo * (1.0 - w) + hi * w
+    return _take_edge(table, i0) * (1.0 - w) + _take_edge(table, i0 + 1) * w
 
 
 def _take_edge(table, idx):
@@ -198,10 +194,6 @@ class DiffusionModel:
         """Tensor field x -> A(x, u(x)), the discrete antiderivative of a'."""
         return xi_interp(self.A, u, self.xi)
 
-    def A_at_xi_value(self, value):
-        const = np.full(self.grid.shape, float(value))
-        return xi_interp(self.A, const, self.xi)
-
     def sigmaT_at(self, u):
         return xi_interp(self.sigmaT, u, self.xi)
 
@@ -269,7 +261,7 @@ def compat_residual(fm, dm, M, xi_value):
     """Pointwise residual div f(., xi) - divdiv A(., xi) at one state value."""
     const = np.full(fm.grid.shape, float(xi_value))
     f_slice = xi_interp(fm.f, const, fm.xi)
-    A_slice = dm.A_at_xi_value(xi_value)
+    A_slice = xi_interp(dm.A, const, dm.xi)
     return geo.div_vector(f_slice, M) - geo.divdiv_tensor11(A_slice, M)
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,3 +114,19 @@ def test_validate_fills_defaults_and_converts():
                               diagnostics={"psi": "xi, 1 - xi"}))
     assert given["study"]["eta_list"] == (0.1, 1.0)
     assert given["diagnostics"]["psi"] == ("xi", "1 - xi")
+
+
+def test_cli_import_loads_no_scipy():
+    """`import maniflow.cli` stays free of scipy.
+
+    Importing scipy.sparse alone adds about 20 MB of peak RSS, more than the
+    benchmark's memory bound allows on any workload, so an operator path that
+    needs scipy must import it only where it is used.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, maniflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+

@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from maniflow.exprparse import (Bin, Call, EvalError, Neg, Num, ParseError, Var,
-                                evaluate, parse, same_shape, to_source)
+from maniflow.exprparse import Bin, EvalError, Neg, ParseError, evaluate, parse
 
 
 def ev(src, **binds):
@@ -74,8 +72,9 @@ class TestEvaluation:
         assert ev("exp(0) - 1") == 0
 
     def test_unbound_variable(self):
-        with pytest.raises(EvalError, match="unbound"):
+        with pytest.raises(EvalError, match="unbound") as err:
             ev("x1 + t", x1=1.0)
+        assert err.value.offset == 5
 
     def test_sqrt_negative_reports_offset(self):
         with pytest.raises(EvalError) as err:
@@ -206,34 +205,3 @@ def check_oracle_agreement(n_cases, seed=1234):
 
 def test_precedence_oracle_sample():
     assert check_oracle_agreement(800) == 800
-
-
-# --- round-trip property -------------------------------------------------------
-
-_var_names = st.sampled_from(["x1", "x2", "xi", "t", "pi"])
-_numbers = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-                     allow_infinity=False).map(lambda v: Num(round(v, 6)))
-
-
-def _asts(max_depth=5):
-    base = st.one_of(_numbers, _var_names.map(Var))
-    return st.recursive(
-        base,
-        lambda children: st.one_of(
-            children.map(Neg),
-            st.tuples(st.sampled_from("+-*/^"), children, children).map(
-                lambda t: Bin(t[0], t[1], t[2])),
-            st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
-                      children).map(lambda t: Call(t[0], (t[1],))),
-            st.tuples(st.sampled_from(["min", "max"]), children, children).map(
-                lambda t: Call(t[0], (t[1], t[2]))),
-        ),
-        max_leaves=25)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_asts())
-def test_pretty_print_round_trip(ast):
-    text = to_source(ast)
-    reparsed = parse(text)
-    assert same_shape(ast, reparsed), f"{text!r} reparsed differently"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from maniflow.catalog import METRICS
 from maniflow.geometry import (ChartGrid, GeometryError, MetricField, build_metric,
-                               ddx, div_oneform, div_tensor11, div_vector,
+                               d2dx, ddx, div_oneform, div_tensor11, div_vector,
                                divdiv_tensor11, euclidean_metric, flat, gradient,
                                integrate, laplace_beltrami, oneform_norm_sq,
                                sharp, transpose11)
@@ -265,6 +266,65 @@ class TestBatchAxes:
         w = T[0]
         per_edge = np.stack([sharp(w[..., b], M) for b in range(w.shape[-1])], axis=-1)
         assert np.array_equal(sharp(w, M), per_edge)
+
+
+def bracket_div_tensor11(T, M):
+    """Reference: (div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l, term by term."""
+    dT = np.stack([ddx(T, 2 + j, M.grid.h) for j in range(M.grid.d)])  # dT[j, k, i] = d_j T^k_i
+    out = np.einsum("jji...->i...", dT)
+    out += np.einsum("l...,li...->i...", M.gamma_trace, T)
+    out -= np.einsum("lji...,jl...->i...", M.gamma, T)
+    return out
+
+
+def bracket_divdiv_tensor11(T, M):
+    """Reference: the eight-term bracket form of div(div T), with d_i Gamma by central FD."""
+    d, h = M.grid.d, M.grid.h
+    dT = np.stack([ddx(T, 2 + l, h) for l in range(d)])  # dT[l, k, i] = d_l T^k_i
+    ddT = np.empty((d, d, d, d) + M.grid.shape)  # ddT[i, k, a, b] = d_i d_k T^a_b
+    for i in range(d):
+        for k in range(i, d):
+            ddT[i, k] = d2dx(T, 2 + i, 2 + k, h)
+            ddT[k, i] = ddT[i, k]
+    G, gi, t = M.gamma, M.ginv, M.gamma_trace
+    dG = np.stack([ddx(G, 3 + i, h) for i in range(d)])  # dG[i, k, l, j] = d_i Gamma^k_{lj}
+
+    out = np.einsum("ij...,ikkj...->...", gi, ddT)
+    out += np.einsum("ij...,l...,ilj...->...", gi, t, dT)
+    out -= np.einsum("ij...,lkj...,ikl...->...", gi, G, dT)
+    out -= np.einsum("ij...,kij...,llk...->...", gi, G, dT)
+    out += np.einsum("ij...,il...,lj...->...", gi, np.einsum("ikkl...->il...", dG), T)
+    out -= np.einsum("ij...,ilkj...,kl...->...", gi, dG, T)
+    out -= np.einsum("ij...,kij...,r...,rk...->...", gi, G, t, T)
+    out += np.einsum("ij...,kij...,rkl...,lr...->...", gi, G, G, T)
+    return out
+
+
+class TestMetricCoefficientsMatchBracketForm:
+    """The operators with per-metric coefficients equal the term-by-term bracket forms.
+
+    On flat metrics every Christoffel term vanishes and the stencils are the
+    same, so the results agree bit for bit; on curved metrics the regrouped
+    sums round differently, within a few ulps of max |out|.
+    """
+
+    CASES = [("flat1d", 64, True), ("flat2d", 32, True), ("wavy1d", 128, False),
+             ("curved2d", 32, False), ("curved2d", 64, False)]
+
+    @pytest.mark.parametrize("name, n, bitwise", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    @pytest.mark.parametrize("op, ref", [(div_tensor11, bracket_div_tensor11),
+                                         (divdiv_tensor11, bracket_divdiv_tensor11)],
+                             ids=["div_tensor11", "divdiv_tensor11"])
+    def test_random_tensor(self, name, n, bitwise, op, ref):
+        metric = METRICS[name]
+        grid = ChartGrid(metric["d"], n)
+        M = build_metric(metric["entries"], grid)
+        T = np.random.default_rng(11).normal(size=(grid.d, grid.d) + grid.shape)
+        got, want = op(T, M), ref(T, M)
+        if bitwise:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestConservationAndConsistency:
