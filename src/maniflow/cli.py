@@ -497,7 +497,7 @@ def main(argv=None):
     except (ConfigError, ExprError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ModelError, GeometryError) as exc:
+    except (SolverError, ModelError, GeometryError, kinetic.KineticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

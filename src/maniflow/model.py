@@ -8,6 +8,8 @@ analytically coincide here up to one quadrature convention.  The one
 exception is the beta family of the chain rule: its antiderivative tables
 carry their integrand as an exact xi-slope, so they are evaluated by cubic
 Hermite interpolation (`xi_hermite`), whose xi-derivative is second order.
+Both read a table the one way: `_locate` maps u to the flat row index
+k = node*(n_xi+1) + i0 and an in-cell weight, `_gather` reads rows k, k+1.
 """
 
 from __future__ import annotations
@@ -50,28 +52,31 @@ def cumtrapz_edges(table, dxi):
     return out
 
 
+def _locate(u, xi):
+    """Flat row index k = node*(n_xi+1) + i0 of the xi-cell holding u, and the weight in it."""
+    pos = np.asarray(u) / xi.dxi
+    i0 = np.clip(np.floor(pos).astype(int), 0, xi.n - 1)
+    k = i0 + (xi.n + 1) * np.arange(i0.size).reshape(i0.shape)
+    return k, pos - i0
+
+
+def _gather(table, k):
+    """Rows k of a comps + grid + (n_edges,) table, read in its stored layout.
+
+    For a C-contiguous table the reshape is a view, so nothing is copied.
+    """
+    table = np.asarray(table)
+    return np.take(table.reshape(table.shape[:table.ndim - 1 - k.ndim] + (-1,)), k, axis=-1)
+
+
 def xi_interp(table, u, xi):
     """Linear interpolation of an edge table at state values u.
 
     `table` has shape comps + grid + (n_edges,), `u` has the grid shape.
     Values outside [0,1] are extrapolated linearly from the end cells.
     """
-    table = np.asarray(table)
-    dxi = xi.dxi if isinstance(xi, XiGrid) else float(xi)
-    nbins = table.shape[-1] - 1
-    pos = np.asarray(u) / dxi
-    i0 = np.clip(np.floor(pos).astype(int), 0, nbins - 1)
-    w = pos - i0
-    if table.ndim == 1:  # pure state table: broadcast over the value array
-        return table[i0] * (1.0 - w) + table[i0 + 1] * w
-    return _take_edge(table, i0) * (1.0 - w) + _take_edge(table, i0 + 1) * w
-
-
-def _take_edge(table, idx):
-    """table[..., idx] with idx of the trailing grid shape, broadcast over comps."""
-    idx = idx.reshape((1,) * (table.ndim - 1 - idx.ndim) + idx.shape)
-    full = np.broadcast_to(idx[..., None], table.shape[:-1] + (1,))
-    return np.take_along_axis(table, full, -1)[..., 0]
+    k, w = _locate(u, xi)
+    return _gather(table, k) * (1.0 - w) + _gather(table, k + 1) * w
 
 
 def xi_hermite(values, slopes, u, xi):
@@ -84,18 +89,15 @@ def xi_hermite(values, slopes, u, xi):
     end cells, as in `xi_interp`.
     """
     dxi = xi.dxi
-    nbins = values.shape[-1] - 1
-    pos = np.asarray(u) / dxi
-    i0 = np.clip(np.floor(pos).astype(int), 0, nbins - 1)
-    t = pos - i0
+    k, t = _locate(u, xi)
     t2 = t * t
     t3 = t2 * t
     h00 = 2.0 * t3 - 3.0 * t2 + 1.0
     h10 = (t3 - 2.0 * t2 + t) * dxi
     h01 = 3.0 * t2 - 2.0 * t3
     h11 = (t3 - t2) * dxi
-    return (h00 * _take_edge(values, i0) + h10 * _take_edge(slopes, i0)
-            + h01 * _take_edge(values, i0 + 1) + h11 * _take_edge(slopes, i0 + 1))
+    return (h00 * _gather(values, k) + h10 * _gather(slopes, k)
+            + h01 * _gather(values, k + 1) + h11 * _gather(slopes, k + 1))
 
 
 def _tabulate(expr, grid, edges):
@@ -238,10 +240,6 @@ class BetaFamily:
         if psi is not None:
             slope = slope * root_weight(psi, self.xi)
         return cumtrapz_edges(slope, self.xi.dxi), slope
-
-    def weighted(self, psi):
-        """Table of the sqrt(psi)-weighted antiderivative; psi >= 0 on [0,1]."""
-        return self._tables(self.dm.sigmaT, psi)[0]
 
     def at(self, u, psi=None):
         """Tensor field x -> beta^psi(x, u(x))."""

@@ -4,6 +4,7 @@ workloads are faithful copies of them."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maniflow import catalog, cli
@@ -32,3 +33,14 @@ def test_workload_is_catalog_entry_plus_listed_overrides(path):
         section, key = target.split(".")
         expected.setdefault(section, {})[key] = cli._parse_value(value)
     assert cli.load_config(str(path)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(catalog.SCENARIOS))
+def test_lookup_tables_are_read_without_a_copy(name):
+    # the xi-lookup reads grid and edge axes as one flat axis of the stored table;
+    # a strided table would be copied whole on every lookup
+    pipe = cli.build_pipeline(catalog.SCENARIOS[name])
+    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT):
+        assert table.flags.c_contiguous
+        comps = table.shape[:table.ndim - 1 - pipe.grid.d]
+        assert np.shares_memory(table.reshape(comps + (-1,)), table)

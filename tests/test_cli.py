@@ -67,6 +67,19 @@ def test_range_violation_exits_1(tmp_path, capsys):
     assert err.startswith("runtime failure:") and "outside" in err
 
 
+
+def test_kinetic_error_is_a_runtime_failure(tmp_path, capsys):
+    # pure convection of a flat-topped bump: the state dips just below 0,
+    # inside the solver's range but not the kinetic function's
+    path = write_config(tmp_path, [("grid.n", "128"), ("scenario.sigma11", '"0"'),
+                                   ("scenario.flux1", '"xi"'), ("scenario.flux_prime1", '"1"'),
+                                   ("scenario.u0", '"0.5*max(0, sin(2*pi*x1))^8"'),
+                                   ("solver.eta", "5e-4"), ("solver.t_end", "0.05")])
+    rc, err = run_cli(capsys, path)
+    assert rc == 1
+    assert err.startswith("runtime failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
 BAD = {
     "malformed_u0": ([("scenario.u0", '"sin(2*pi*x1"')], []),
     "misspelled_key": ([("scenario.sigma_11", '"1"')], []),

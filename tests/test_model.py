@@ -4,8 +4,8 @@ import pytest
 from maniflow.geometry import ChartGrid, build_metric, euclidean_metric
 from maniflow.model import (BetaFamily, DiffusionModel, FluxModel, ModelError,
                             XiGrid, compat_norms, compat_residual, cumtrapz_edges,
-                            make_compatible_flux, psd_audit, stream_vector, xi_hermite,
-                            xi_interp)
+                            make_compatible_flux, psd_audit, root_weight, stream_vector,
+                            xi_hermite, xi_interp)
 from maniflow import catalog
 
 TWO_PI = 2.0 * np.pi
@@ -31,10 +31,73 @@ class TestXiGrid:
 
     def test_xi_interp_extrapolates_linearly(self):
         xi = XiGrid(16)
-        table = 3.0 * xi.edges + 1.0
+        table = np.ones((2, 4, 1)) * (3.0 * xi.edges + 1.0)  # comps + grid + edges
         for u in (-0.05, 0.37, 1.08):
             got = xi_interp(table, np.full((4,), u), xi)
             assert np.allclose(got, 3.0 * u + 1.0, atol=1e-14)
+
+
+class TestGather:
+    """xi_interp and xi_hermite read the same rows as a loop over the nodes."""
+
+    N_XI = 16
+
+    @staticmethod
+    def per_node_rows(table, u, xi):
+        """(table[..., node, i0], table[..., node, i0 + 1], weight), node by node."""
+        lo = np.empty(table.shape[:-1])
+        hi = np.empty(table.shape[:-1])
+        w = np.empty(u.shape)
+        for node in np.ndindex(u.shape):
+            pos = u[node] / xi.dxi
+            i0 = min(max(int(np.floor(pos)), 0), xi.n - 1)
+            lo[(Ellipsis,) + node] = table[(Ellipsis,) + node + (i0,)]
+            hi[(Ellipsis,) + node] = table[(Ellipsis,) + node + (i0 + 1,)]
+            w[node] = pos - i0
+        return lo, hi, w
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        xi = XiGrid(self.N_XI)
+        rng = np.random.default_rng(11)
+        shape = (2, 2, 32, 32, xi.n + 1)
+        values, slopes = rng.normal(size=shape), rng.normal(size=shape)
+        # on edges, exactly 1, below 0, above 1 and inside the cells
+        kinds = rng.integers(0, 5, size=(32, 32))
+        u = np.choose(kinds, [xi.edges[rng.integers(0, xi.n + 1, size=(32, 32))],
+                              np.ones((32, 32)),
+                              rng.uniform(-0.1, 0.0, size=(32, 32)),
+                              rng.uniform(1.0, 1.1, size=(32, 32)),
+                              rng.uniform(0.0, 1.0, size=(32, 32))])
+        return xi, values, slopes, u
+
+    def layouts(self, table):
+        """The table as stored, as a transposed view and as a broadcast view."""
+        transposed = np.ascontiguousarray(table.swapaxes(0, 1)).swapaxes(0, 1)
+        broadcast = np.broadcast_to(table[:1, :1], table.shape)
+        assert not transposed.flags.c_contiguous and not broadcast.flags.c_contiguous
+        return {"stored": table, "transposed": transposed, "broadcast": broadcast}
+
+    def test_covers_every_kind_of_state(self, setup):
+        xi, _, _, u = setup
+        assert np.any(u == 1.0) and np.any(u < 0.0) and np.any(u > 1.0)
+        assert np.any(np.isin(u, xi.edges[1:-1]))
+
+    def test_xi_interp_equals_per_node_reference(self, setup):
+        xi, values, _, u = setup
+        for name, table in self.layouts(values).items():
+            lo, hi, w = self.per_node_rows(table, u, xi)
+            assert np.array_equal(xi_interp(table, u, xi), lo * (1.0 - w) + hi * w), name
+
+    def test_xi_hermite_equals_per_node_reference(self, setup):
+        xi, values, slopes, u = setup
+        for (name, v), s in zip(self.layouts(values).items(), self.layouts(slopes).values()):
+            v0, v1, t = self.per_node_rows(v, u, xi)
+            s0, s1, _ = self.per_node_rows(s, u, xi)
+            t2, t3 = t * t, t * t * t
+            ref = ((2.0 * t3 - 3.0 * t2 + 1.0) * v0 + (t3 - 2.0 * t2 + t) * xi.dxi * s0
+                   + (3.0 * t2 - 2.0 * t3) * v1 + (t3 - t2) * xi.dxi * s1)
+            assert np.array_equal(xi_hermite(v, s, u, xi), ref), name
 
 
 class TestXiHermite:
@@ -181,7 +244,12 @@ class TestBetaFamily:
         grid, M, xi = wavy_1d
         dm = DiffusionModel.from_exprs([["1 + 0.5*xi"]], grid, xi, M)
         bf = BetaFamily(dm)
-        assert np.array_equal(bf.weighted("1"), cumtrapz_edges(dm.sigmaT, xi.dxi))
+        plain = cumtrapz_edges(dm.sigmaT, xi.dxi)
+        # xi_hermite returns the table itself at the edges
+        for b, z in enumerate(xi.edges):
+            assert np.array_equal(bf.at(np.full(grid.shape, z), "1"), plain[..., b])
+        u = 0.5 + 0.4 * np.sin(TWO_PI * grid.coords()[0])
+        assert np.array_equal(bf.at(u, "1"), bf.at(u))
 
     def test_at_is_hermite_in_xi(self, wavy_1d):
         # sigma = 1 + xi: the trapezoid table of xi + xi^2/2 is exact, and the
@@ -198,7 +266,8 @@ class TestBetaFamily:
         grid, M, xi = one_d
         dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
         bf = BetaFamily(dm)
-        table = bf.weighted("xi")
+        # the weighted table, read back at the edges where xi_hermite returns it
+        table = np.stack([bf.at(np.full(grid.shape, z), "xi") for z in xi.edges], axis=-1)
         exact = (2.0 / 3.0) * xi.edges ** 1.5
         err = np.max(np.abs(table[0, 0] - exact))
         # sqrt singularity at 0 costs half an order: O(dxi^{3/2})
@@ -214,9 +283,8 @@ class TestBetaFamily:
 
     def test_negative_psi_rejected(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
         with pytest.raises(ModelError, match="nonnegative"):
-            BetaFamily(dm).weighted("xi - 0.5")
+            root_weight("xi - 0.5", xi)
 
 
 class TestFluxModel:
