@@ -8,8 +8,8 @@ analytically coincide here up to one quadrature convention.  The one
 exception is the beta family of the chain rule: its antiderivative tables
 carry their integrand as an exact xi-slope, so they are evaluated by cubic
 Hermite interpolation (`xi_hermite`), whose xi-derivative is second order.
-Both read a table the one way: `_locate` maps u to the flat row index
-k = node*(n_xi+1) + i0 and an in-cell weight, `_gather` reads rows k, k+1.
+Both read tables through one path: `_locate` maps u to the flat row index
+k = node*(n_xi+1) + i0 and an in-cell weight; `_gather` reads rows k, k+1.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def _gather(table, k):
 
     For a C-contiguous table the reshape is a view, so nothing is copied.
     """
-    table = np.asarray(table)
     return np.take(table.reshape(table.shape[:table.ndim - 1 - k.ndim] + (-1,)), k, axis=-1)
 
 

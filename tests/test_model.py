@@ -40,8 +40,6 @@ class TestXiGrid:
 class TestGather:
     """xi_interp and xi_hermite read the same rows as a loop over the nodes."""
 
-    N_XI = 16
-
     @staticmethod
     def per_node_rows(table, u, xi):
         """(table[..., node, i0], table[..., node, i0 + 1], weight), node by node."""
@@ -58,7 +56,7 @@ class TestGather:
 
     @pytest.fixture(scope="class")
     def setup(self):
-        xi = XiGrid(self.N_XI)
+        xi = XiGrid(16)
         rng = np.random.default_rng(11)
         shape = (2, 2, 32, 32, xi.n + 1)
         values, slopes = rng.normal(size=shape), rng.normal(size=shape)
@@ -69,6 +67,8 @@ class TestGather:
                               rng.uniform(-0.1, 0.0, size=(32, 32)),
                               rng.uniform(1.0, 1.1, size=(32, 32)),
                               rng.uniform(0.0, 1.0, size=(32, 32))])
+        assert np.any(u == 1.0) and np.any(u < 0.0) and np.any(u > 1.0)
+        assert np.any(np.isin(u, xi.edges[1:-1]))
         return xi, values, slopes, u
 
     def layouts(self, table):
@@ -77,11 +77,6 @@ class TestGather:
         broadcast = np.broadcast_to(table[:1, :1], table.shape)
         assert not transposed.flags.c_contiguous and not broadcast.flags.c_contiguous
         return {"stored": table, "transposed": transposed, "broadcast": broadcast}
-
-    def test_covers_every_kind_of_state(self, setup):
-        xi, _, _, u = setup
-        assert np.any(u == 1.0) and np.any(u < 0.0) and np.any(u > 1.0)
-        assert np.any(np.isin(u, xi.edges[1:-1]))
 
     def test_xi_interp_equals_per_node_reference(self, setup):
         xi, values, _, u = setup
@@ -282,7 +277,7 @@ class TestBetaFamily:
         assert np.max(np.abs(db - dm.sigmaT[..., 1:-1])) <= 2.0 * xi.dxi ** 2
 
     def test_negative_psi_rejected(self, one_d):
-        grid, M, xi = one_d
+        _, _, xi = one_d
         with pytest.raises(ModelError, match="nonnegative"):
             root_weight("xi - 0.5", xi)
 
