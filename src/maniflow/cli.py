@@ -135,7 +135,7 @@ KEYS = {
                  "flux_prime1": (EXPR, None), "flux_prime2": (EXPR, None),
                  "compatible": (BOOL, False), "stream": (EXPR, None), "u0": (EXPR, REQUIRED)},
     "solver": {"eta": (NUM, REQUIRED), "t_end": (NUM, REQUIRED), "cfl": (NUM, 0.4),
-               "scheme": (WORD, "heun"), "snapshots": (INT, 10)},
+               "snapshots": (INT, 10)},
     "diagnostics": {"battery_seed": (INT, 0), "battery_count": (INT, 5),
                     "psi": (EXPRS, ("1", "xi"))},
     "audit": {"xi_samples": (NUMS, (0.0, 0.5, 1.0)), "tol_factor": (NUM, 10.0)},
@@ -244,7 +244,7 @@ class Pipeline:
             self.xi = xi = XiGrid(cfg["xi"]["n"])
         with _building("solver"):
             self.solver_cfg = SolverConfig(eta=sv["eta"], t_end=sv["t_end"], cfl=sv["cfl"],
-                                           scheme=sv["scheme"], n_snapshots=sv["snapshots"])
+                                           n_snapshots=sv["snapshots"])
         self.battery_seed, self.battery_count = diag["battery_seed"], diag["battery_count"]
         if self.battery_count < 1:
             raise ConfigError(f"[diagnostics] battery_count must be >= 1, got {self.battery_count}")
@@ -357,6 +357,14 @@ def cmd_run(cfg, out_dir):
     if np.any(traj.ledger.bins_m < 0) or np.any(traj.ledger.bins_n < 0):
         violations.append("ledger_negative")
 
+    if out_dir:
+        # the trajectory is on disk before the kinetic diagnostics, which can fail
+        fieldio.ensure_dir(out_dir)
+        _write_monitors(traj, f"{out_dir}/monitors.csv")
+        _write_ledger(traj, nu_check["nu"], f"{out_dir}/ledger.csv")
+        fieldio.write_csv(traj.u_final, pipe.grid, f"{out_dir}/u_final.csv")
+        fieldio.write_raw(traj.u_final, pipe.grid, f"{out_dir}/u_final.f64")
+
     kin_battery = kinetic.kinetic_battery(pipe.grid, pipe.xi, seed=pipe.battery_seed,
                                           count=pipe.battery_count,
                                           t_scale=pipe.solver_cfg.t_end)
@@ -365,11 +373,6 @@ def cmd_run(cfg, out_dir):
     report["violations"] = violations
 
     if out_dir:
-        fieldio.ensure_dir(out_dir)
-        _write_monitors(traj, f"{out_dir}/monitors.csv")
-        _write_ledger(traj, nu_check["nu"], f"{out_dir}/ledger.csv")
-        fieldio.write_csv(traj.u_final, pipe.grid, f"{out_dir}/u_final.csv")
-        fieldio.write_raw(traj.u_final, pipe.grid, f"{out_dir}/u_final.f64")
         _json_dump(report, f"{out_dir}/report.json")
         xs = pipe.grid.coords()[0]
         jump = ((xs >= 0.25) & (xs < 0.75)).astype(float)

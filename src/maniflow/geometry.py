@@ -12,6 +12,11 @@ Array shape conventions:
     OneFormField  : (d,) + grid          components w_i
     Tensor11Field : (d, d) + grid        components T[k, i] = T^k_i
 
+Axes after the grid axes are batch axes: `div_vector`, `div_tensor11`,
+`divdiv_tensor11`, `transpose11`, `sharp` and `integrate` treat each column
+along them as an independent field (see `_batched`), and `integrate` returns
+one value per column.
+
 All first derivatives are second-order central differences with periodic
 wrap; the Laplace-Beltrami operator alone uses a conservative face-flux
 form so that its integral against the volume density telescopes to zero
@@ -211,12 +216,13 @@ def gradient(v, M):
 
 
 def div_vector(X, M):
-    """div X = d_k X^k + Gamma^j_{kj} X^k."""
+    """div X = d_k X^k + Gamma^j_{kj} X^k; X may carry batch axes."""
     grid = M.grid
-    out = np.zeros(grid.shape)
+    t, = _batched(M, X, 1, M.gamma_trace)
+    out = np.zeros(X.shape[1:])
     for k in range(grid.d):
         out += ddx(X[k], k, grid.h)
-    out += np.einsum("k...,k...->...", M.gamma_trace, X)
+    out += np.einsum("k...,k...->...", t, X)
     return out
 
 
@@ -249,18 +255,19 @@ def divdiv_tensor11(T, M):
 
     The principal part g^{ij} d_i d_k T^k_j uses the compact 3-point stencil
     when i = k and central-of-central otherwise; the lower-order terms use the
-    metric-only coefficients of `MetricField.divdiv_coef`.
+    metric-only coefficients of `MetricField.divdiv_coef`.  T may carry batch
+    axes.
     """
     grid = M.grid
     d, h = grid.d, grid.h
-    P, Q = M.divdiv_coef
+    P, Q, ginv = _batched(M, T, 2, *M.divdiv_coef, M.ginv)
     dT = np.stack([ddx(T, 2 + a, h) for a in range(d)])  # dT[a, b, c] = d_a T^b_c
     out = np.einsum("abc...,abc...->...", P, dT) + np.einsum("ab...,ab...->...", Q, T)
     for i in range(d):
         for k in range(d):
             # d_i d_k T^k_j; a cross derivative always differences the lower axis first
             ddT = d2dx(T[k], 1 + min(i, k), 1 + max(i, k), h)
-            out += np.einsum("j...,j...->...", M.ginv[i], ddT)
+            out += np.einsum("j...,j...->...", ginv[i], ddT)
     return out
 
 
@@ -321,8 +328,10 @@ def oneform_norm_sq(w, M):
 
 
 def integrate(v, M):
-    """Integral against the volume density: sum of v * sqrt|g| * h^d."""
-    return float(np.sum(v * M.sqrt_det) * M.grid.h ** M.grid.d)
+    """Sum of v * sqrt|g| * h^d over the grid: a float, or one per column of the batch axes."""
+    s, = _batched(M, v, 0, M.sqrt_det)
+    out = np.sum(v * s, axis=tuple(range(M.grid.d))) * M.grid.h ** M.grid.d
+    return float(out) if out.ndim == 0 else out
 
 
 def norm_l1(v, M):

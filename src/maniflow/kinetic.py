@@ -70,43 +70,41 @@ def _convolve_periodic(F, offsets, weights, axis):
 # --- kinetic test battery ------------------------------------------------------
 
 class KineticTestFn:
-    """Separable test function psi(t, x, xi) = tau(t) phi(x) theta(xi).
+    """Battery of separable test functions psi_j(t, x, xi) = tau_j(t) phi_j(x) theta_j(xi).
 
-    tau(t) = a + b cos(omega t), and theta is the bump (1 - s^2)^2 with
-    s = (xi - center) / radius, sampled on the bin centers; `dtheta` is its
-    exact derivative at off-lattice state values.
+    The last axis of every array runs over the battery j.  tau_j(t) =
+    a_j + b_j cos(omega_j t); phi is grid + (count,); theta_j is the bump
+    (1 - s^2)^2 with s = (xi - center_j) / radius_j, sampled on the bin
+    centers as bins x count; `dtheta` is its exact derivative at off-lattice
+    state values, grid + (count,).
     """
 
     def __init__(self, xi, phi, t_coeffs, xi_center, xi_radius):
-        self.phi = phi  # ScalarField
+        self.phi = phi
         a, b, omega = t_coeffs
         self.tau = lambda t: a + b * np.cos(omega * t)
         self.dtau = lambda t: -b * omega * np.sin(omega * t)
-        s = (xi.centers - xi_center) / xi_radius
-        inside = np.abs(s) < 1.0
-        theta = np.zeros_like(s)
-        theta[inside] = (1.0 - s[inside] ** 2) ** 2
-        self.theta = theta
+        s = (xi.centers[:, None] - xi_center) / xi_radius
+        self.theta = np.where(np.abs(s) < 1.0, (1.0 - s ** 2) ** 2, 0.0)
         self.xi_center = xi_center
         self.xi_radius = xi_radius
 
     def dtheta(self, values):
-        s = (np.asarray(values) - self.xi_center) / self.xi_radius
+        s = (np.asarray(values)[..., None] - self.xi_center) / self.xi_radius
         return np.where(np.abs(s) < 1.0, -4.0 * s * (1.0 - s ** 2) / self.xi_radius, 0.0)
 
 
 def kinetic_battery(grid, xi, seed=0, count=5, t_scale=1.0):
     """Deterministic battery of smooth test functions, compact in state."""
     rng = np.random.default_rng(seed)
-    battery = []
+    phis, coeffs = [], []
     for _ in range(count):
-        phi = battery_profile(rng, grid, 0.8)
-        t_coeffs = (rng.uniform(0.6, 1.2), rng.uniform(0.2, 0.6),
-                    rng.uniform(0.5, 2.0) * np.pi / max(t_scale, 1e-12))
-        center = rng.uniform(0.4, 0.6)
-        radius = rng.uniform(0.25, 0.34)
-        battery.append(KineticTestFn(xi, phi, t_coeffs, center, radius))
-    return battery
+        phis.append(battery_profile(rng, grid, 0.8))
+        coeffs.append((rng.uniform(0.6, 1.2), rng.uniform(0.2, 0.6),
+                       rng.uniform(0.5, 2.0) * np.pi / max(t_scale, 1e-12),
+                       rng.uniform(0.4, 0.6), rng.uniform(0.25, 0.34)))
+    a, b, omega, center, radius = np.array(coeffs).T
+    return KineticTestFn(xi, np.stack(phis, axis=-1), (a, b, omega), center, radius)
 
 
 # --- weak residual of the kinetic equation -------------------------------------
@@ -117,10 +115,11 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
     Each test function is separable, psi = tau(t) phi(x) theta(xi), so the
     state integrals come first: Theta = sum_b theta_b chi_b dxi, and the same
     theta-weighted sums of chi f' and chi a' at the bin centers.  The space
-    operators then act once per test function and snapshot, and every term
-    is paired with phi through `geometry.integrate`.  Time integrals use the
-    trapezoid rule on the stored snapshots; the measure term pairs per-node
-    dissipation densities with the exact state derivative of theta at u(x).
+    operators then act once per snapshot on the whole battery, carried as a
+    batch axis, and every term is paired with phi through `geometry.integrate`.
+    Time integrals use the trapezoid rule on the stored snapshots; the
+    measure term pairs per-node dissipation densities with the exact state
+    derivative of theta at u(x).
     """
     eta = traj.eta
     times = np.asarray(traj.times)
@@ -131,12 +130,11 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
     fprime_centers = 0.5 * (fm.fprime[..., 1:] + fm.fprime[..., :-1])
     aprime_centers = 0.5 * (dm.aprime[..., 1:] + dm.aprime[..., :-1])
 
-    thetas = np.stack([psi.theta for psi in battery], axis=-1) * xi.dxi  # bins x battery
+    thetas = battery.theta * xi.dxi  # bins x battery
     theta0 = chi_from_u(traj.snapshots[0], xi) @ thetas
     thetaT = chi_from_u(traj.u_final, xi) @ thetas
-    residuals = np.array([psi.tau(times[-1]) * geo.integrate(psi.phi * thetaT[..., i], M)
-                          - psi.tau(times[0]) * geo.integrate(psi.phi * theta0[..., i], M)
-                          for i, psi in enumerate(battery)])
+    residuals = (battery.tau(times[-1]) * geo.integrate(battery.phi * thetaT, M)
+                 - battery.tau(times[0]) * geo.integrate(battery.phi * theta0, M))
 
     for k, (t, u) in enumerate(zip(times, traj.snapshots)):
         chi = chi_from_u(u, xi)
@@ -146,13 +144,11 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
         theta_diff = (chi * aprime_centers) @ thetas
         m_density, n_density = dissipation_densities(u, dm, M, eta)
         total_density = m_density + n_density
-        for i, psi in enumerate(battery):
-            strong = (geo.div_vector(theta_flux[..., i], M)
-                      - geo.divdiv_tensor11(theta_diff[..., i], M)
-                      + total_density * psi.dtheta(u))
-            term = (psi.tau(t) * geo.integrate(psi.phi * strong, M)
-                    - psi.dtau(t) * geo.integrate(psi.phi * theta_chi[..., i], M))
-            residuals[i] += w_t[k] * term
+        strong = (geo.div_vector(theta_flux, M)
+                  - geo.divdiv_tensor11(theta_diff, M)
+                  + total_density[..., None] * battery.dtheta(u))
+        residuals += w_t[k] * (battery.tau(t) * geo.integrate(battery.phi * strong, M)
+                               - battery.dtau(t) * geo.integrate(battery.phi * theta_chi, M))
 
     return float(np.max(np.abs(residuals)))
 

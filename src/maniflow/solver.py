@@ -2,10 +2,9 @@
 
 du/dt = -div f(x,u) + divdiv A(x,u) + eta * laplace(u)
 
-Heun (default) or forward Euler stepping at a fixed dt chosen from the
-convective and parabolic stability bounds.  Every accepted step appends
-monitor values and deposits viscous / degenerate dissipation weights into
-the xi-binned ledger.
+Heun stepping at a fixed dt chosen from the convective and parabolic
+stability bounds.  Every accepted step appends monitor values and deposits
+viscous / degenerate dissipation weights into the xi-binned ledger.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class SolverConfig:
     eta: float
     t_end: float
     cfl: float = 0.4
-    scheme: str = "heun"
     n_snapshots: int = 10  # snapshot count after t=0; cadence = t_end / n_snapshots
 
     def __post_init__(self):
@@ -39,8 +37,6 @@ class SolverConfig:
             raise SolverError(f"viscosity must be positive, got {self.eta}")
         if not 0.0 < self.cfl <= 1.0:
             raise SolverError(f"CFL number must be in (0,1], got {self.cfl}")
-        if self.scheme not in ("euler", "heun"):
-            raise SolverError(f"unknown time scheme {self.scheme!r}")
         if self.t_end <= 0:
             raise SolverError(f"t_end must be positive, got {self.t_end}")
 
@@ -134,12 +130,9 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
             if record_dissipation:
                 deposit(u, dm, M, cfg.eta, dt, ledger)
             k1 = rhs(u, fm, dm, M, cfg.eta)
-            if cfg.scheme == "euler":
-                u = u + dt * k1
-            else:
-                u_star = u + dt * k1
-                k2 = rhs(u_star, fm, dm, M, cfg.eta)
-                u = u + 0.5 * dt * (k1 + k2)
+            u_star = u + dt * k1
+            k2 = rhs(u_star, fm, dm, M, cfg.eta)
+            u = u + 0.5 * dt * (k1 + k2)
         except SolverError as exc:
             raise SolverError(f"step {step} (t={step * dt:.6g}): {exc}") from exc
         if not np.all(np.isfinite(u)):

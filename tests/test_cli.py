@@ -58,10 +58,10 @@ def test_override_reaches_the_run(tmp_path, capsys):
 
 
 def test_range_violation_exits_1(tmp_path, capsys):
-    # steep convection, forward Euler at cfl = 1 and almost no viscosity
+    # steep convection at cfl = 1 and almost no viscosity
     path = write_config(tmp_path, [("scenario.sigma11", '"0"'), ("scenario.flux1", '"20*xi^2"'),
-                                   ("solver.scheme", "euler"), ("solver.cfl", "1"),
-                                   ("solver.eta", "1e-4"), ("solver.t_end", "0.5")])
+                                   ("solver.cfl", "1"), ("solver.eta", "1e-4"),
+                                   ("solver.t_end", "0.5")])
     rc, err = run_cli(capsys, path)
     assert rc == 1
     assert err.startswith("runtime failure:") and "outside" in err
@@ -75,10 +75,15 @@ def test_kinetic_error_is_a_runtime_failure(tmp_path, capsys):
                                    ("scenario.flux1", '"xi"'), ("scenario.flux_prime1", '"1"'),
                                    ("scenario.u0", '"0.5*max(0, sin(2*pi*x1))^8"'),
                                    ("solver.eta", "5e-4"), ("solver.t_end", "0.05")])
-    rc, err = run_cli(capsys, path)
+    out = tmp_path / "out"
+    rc, err = run_cli(capsys, path, "--out", str(out))
     assert rc == 1
     assert err.startswith("runtime failure:") and err.count("\n") == 1
     assert "Traceback" not in err
+    # the trajectory is on disk; the report, which needs the kinetic residual, is not
+    for name in ("monitors.csv", "ledger.csv", "u_final.csv", "u_final.f64"):
+        assert (out / name).is_file(), name
+    assert not (out / "report.json").exists()
 
 BAD = {
     "malformed_u0": ([("scenario.u0", '"sin(2*pi*x1"')], []),
@@ -89,6 +94,7 @@ BAD = {
     "non_integer": ([("diagnostics.battery_count", "abc")], []),
     "empty_battery": ([("diagnostics.battery_count", "0")], []),
     "removed_key": ([("diagnostics.eps", "0.1")], []),
+    "removed_scheme": ([("solver.scheme", "heun")], []),
     "flux_with_compatible": ([("scenario.flux1", '"xi"'), ("scenario.compatible", "true")], []),
     "stream_without_compatible": ([("scenario.stream", '"sin(2*pi*x1)"')], []),
     "g_with_name": ([("metric.g11", '"2"')], []),
@@ -119,8 +125,7 @@ def test_validate_fills_defaults_and_converts():
     minimal = {"grid": {"d": 1, "n": 16}, "scenario": {"u0": "0.5"},
                "solver": {"eta": 1, "t_end": 0.1}}
     cfg = cli.validate(minimal)
-    assert cfg["solver"] == {"eta": 1.0, "t_end": 0.1, "cfl": 0.4, "scheme": "heun",
-                             "snapshots": 10}
+    assert cfg["solver"] == {"eta": 1.0, "t_end": 0.1, "cfl": 0.4, "snapshots": 10}
     assert cfg["diagnostics"]["psi"] == ("1", "xi")
     assert cfg["study"]["eta_list"] == (0.04, 0.02, 0.01)
     given = cli.validate(dict(minimal, study={"eta_list": "0.1, 1"},

@@ -162,7 +162,7 @@ class TestEntropyResidual:
         plain = max(abs(integrate(phi * (
             (ub - ua) / dt + div_vector(fm.at(um), M)
             - divdiv_tensor11(dm.A_at(um), M) - eta * laplace_beltrami(um, M)), M))
-            for phi in battery)
+            for phi in np.moveaxis(battery, -1, 0))
         kinetic_form = entropy_residual(ua, ub, dt, identity_entropy(),
                                         fm, dm, M, eta, battery)
         assert abs(kinetic_form - plain) <= 1e-10
@@ -191,7 +191,7 @@ class TestEntropyResidual:
             strong = ((S.on(ub) - S.on(ua)) / dt + div_vector(ff, M)
                       - divdiv_tensor11(df, M) - eta * laplace_beltrami(S.on(um), M)
                       + _binned_s2_dissipation(um, S, dm, M, eta, xi))
-            return integrate(phi[0] * strong, M)
+            return integrate(phi[..., 0] * strong, M)
 
         assert abs(signed(S_sum) - signed(S1) - signed(S2)) <= 1e-10
 

@@ -34,14 +34,16 @@ def per_bin_residual(traj, fm, dm, M, xi, battery):
     aprime_c = 0.5 * (dm.aprime[..., 1:] + dm.aprime[..., :-1])
     cell = (M.sqrt_det * grid.h ** grid.d)[..., None]
 
-    def value(psi, t):
-        return psi.tau(t) * psi.phi[..., None] * psi.theta
+    phi, theta = battery.phi, battery.theta  # the last axis runs over the battery
 
-    res = np.zeros(len(battery))
+    def value(i, t):
+        return battery.tau(t)[i] * phi[..., i, None] * theta[:, i]
+
+    res = np.zeros(phi.shape[-1])
     chi0, chiT = chi_from_u(traj.snapshots[0], xi), chi_from_u(traj.u_final, xi)
-    for i, psi in enumerate(battery):
-        res[i] = (np.sum(chiT * value(psi, times[-1]) * cell)
-                  - np.sum(chi0 * value(psi, times[0]) * cell)) * xi.dxi
+    for i in range(len(res)):
+        res[i] = (np.sum(chiT * value(i, times[-1]) * cell)
+                  - np.sum(chi0 * value(i, times[0]) * cell)) * xi.dxi
     for k, (t, u) in enumerate(zip(times, traj.snapshots)):
         chi = chi_from_u(u, xi)
         transport = np.stack([div_vector(chi[..., b] * fprime_c[..., b], M)
@@ -49,10 +51,11 @@ def per_bin_residual(traj, fm, dm, M, xi, battery):
         diffusion = np.stack([divdiv_tensor11(chi[..., b] * aprime_c[..., b], M)
                               for b in range(xi.n)], axis=-1)
         density = sum(dissipation_densities(u, dm, M, traj.eta))
-        for i, psi in enumerate(battery):
-            dt_psi = psi.dtau(t) * psi.phi[..., None] * psi.theta
-            term = np.sum((-chi * dt_psi + (transport - diffusion) * value(psi, t)) * cell) * xi.dxi
-            term += np.sum(density * psi.tau(t) * psi.phi * psi.dtheta(u) * cell[..., 0])
+        for i in range(len(res)):
+            dt_psi = battery.dtau(t)[i] * phi[..., i, None] * theta[:, i]
+            term = np.sum((-chi * dt_psi + (transport - diffusion) * value(i, t)) * cell) * xi.dxi
+            term += np.sum(density * battery.tau(t)[i] * phi[..., i] * battery.dtheta(u)[..., i]
+                           * cell[..., 0])
             res[i] += w_t[k] * term
     return float(np.max(np.abs(res)))
 
