@@ -368,7 +368,13 @@ def cmd_run(cfg, out_dir):
     kin_battery = kinetic.kinetic_battery(pipe.grid, pipe.xi, seed=pipe.battery_seed,
                                           count=pipe.battery_count,
                                           t_scale=pipe.solver_cfg.t_end)
-    kin_res = kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, kin_battery)
+    try:
+        kin_res = kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, kin_battery)
+    except kinetic.KineticError as exc:
+        # keep the report: every other diagnostic is already computed
+        kin_res = None
+        report["kinetic_error"] = str(exc)
+        violations.append("kinetic")
     report["kinetic_residual"] = kin_res
     report["violations"] = violations
 

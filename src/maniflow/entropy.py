@@ -53,6 +53,17 @@ def quartic_entropy():
                      name="quarter-quartic")
 
 
+def hat_weights(values, xi):
+    """Two-bin linear deposition indices/weights for an array of states."""
+    pos = np.asarray(values) / xi.dxi - 0.5
+    i0 = np.floor(pos).astype(int)
+    w1 = pos - i0
+    # edge bins absorb out-of-range deposits so total mass is conserved
+    j0 = np.minimum(np.maximum(i0, 0), xi.n - 1)
+    j1 = np.minimum(np.maximum(i0 + 1, 0), xi.n - 1)
+    return j0, j1, w1
+
+
 class DissipationLedger:
     """xi-binned accumulators for the viscous and degenerate dissipation."""
 
@@ -61,19 +72,8 @@ class DissipationLedger:
         self.bins_m = np.zeros(xi.n)
         self.bins_n = np.zeros(xi.n)
 
-    def hat_weights(self, values):
-        """Two-bin linear deposition indices/weights for an array of states."""
-        xi = self.xi
-        pos = np.asarray(values) / xi.dxi - 0.5
-        i0 = np.floor(pos).astype(int)
-        w1 = pos - i0
-        # edge bins absorb out-of-range deposits so total mass is conserved
-        j0 = np.clip(i0, 0, xi.n - 1)
-        j1 = np.clip(i0 + 1, 0, xi.n - 1)
-        return j0, j1, w1
-
     def add(self, values, weights_m, weights_n):
-        j0, j1, w1 = self.hat_weights(values)
+        j0, j1, w1 = hat_weights(values, self.xi)
         np.add.at(self.bins_m, j0.ravel(), ((1.0 - w1) * weights_m).ravel())
         np.add.at(self.bins_m, j1.ravel(), (w1 * weights_m).ravel())
         np.add.at(self.bins_n, j0.ravel(), ((1.0 - w1) * weights_n).ravel())
@@ -127,8 +127,7 @@ def _binned_s2_dissipation(u, S, dm, M, eta, xi):
     """integral of S''(xi) (n+m)(., xi) dxi realized through the hat bins."""
     m_density, n_density = dissipation_densities(u, dm, M, eta)
     total = m_density + n_density
-    ledger = DissipationLedger(xi)
-    j0, j1, w1 = ledger.hat_weights(u)
+    j0, j1, w1 = hat_weights(u, xi)
     s2 = np.asarray(S.d2s(xi.centers), dtype=float)
     return total * ((1.0 - w1) * s2[j0] + w1 * s2[j1])
 

@@ -20,7 +20,10 @@ one value per column.
 All first derivatives are second-order central differences with periodic
 wrap; the Laplace-Beltrami operator alone uses a conservative face-flux
 form so that its integral against the volume density telescopes to zero
-exactly.
+exactly.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
+`_neighbours`, two views of one padded copy.  The Laplace-Beltrami face and
+cross coefficients depend on the metric only and are cached on it, like the
+tensor-divergence coefficients.
 """
 
 from __future__ import annotations
@@ -76,15 +79,28 @@ class ChartGrid:
 
 # --- stencils ---------------------------------------------------------------
 
+def _neighbours(f, axis):
+    """(f[i-1], f[i+1]) along a non-negative `axis`, periodic wrap.
+
+    Both are views of one copy of f padded with its last and first slabs.
+    """
+    n = f.shape[axis]
+    lead = (slice(None),) * axis
+    padded = np.concatenate((f[lead + (slice(n - 1, n),)], f, f[lead + (slice(0, 1),)]), axis)
+    return padded[lead + (slice(0, n),)], padded[lead + (slice(2, n + 2),)]
+
+
 def ddx(f, axis, h):
     """Central first derivative along an array axis, periodic wrap."""
-    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+    fm, fp = _neighbours(f, axis)
+    return (fp - fm) / (2.0 * h)
 
 
 def d2dx(f, ax1, ax2, h):
     """Second derivative: 3-point stencil if repeated, central cross otherwise."""
     if ax1 == ax2:
-        return (np.roll(f, -1, ax1) - 2.0 * f + np.roll(f, 1, ax1)) / (h * h)
+        fm, fp = _neighbours(f, ax1)
+        return (fp - 2.0 * f + fm) / (h * h)
     return ddx(ddx(f, ax1, h), ax2, h)
 
 
@@ -184,6 +200,17 @@ class MetricField:
              - np.einsum("a...,b...->ab...", t, c) + np.einsum("k...,bka...->ab...", c, G))
         return P, Q
 
+    @cached_property
+    def laplace_coef(self):
+        """(face, cross) of `laplace_beltrami`, built on first use.
+
+        face[a] = sqrt|g| g^{aa} averaged onto the faces i + 1/2 along axis a;
+        cross = sqrt|g| g^{ab}, read only where a != b.
+        """
+        kappa = self.sqrt_det * np.einsum("aa...->a...", self.ginv)
+        face = np.stack([0.5 * (kappa[a] + np.roll(kappa[a], -1, a)) for a in range(self.grid.d)])
+        return face, self.sqrt_det * self.ginv
+
     def volume(self):
         return float(np.sum(self.sqrt_det) * self.grid.h ** self.grid.d)
 
@@ -280,17 +307,15 @@ def laplace_beltrami(v, M):
     """
     grid = M.grid
     d, h = grid.d, grid.h
-    s = M.sqrt_det
+    face, cross = M.laplace_coef
     acc = np.zeros(grid.shape)
     for a in range(d):
-        kappa = s * M.ginv[a, a]
-        face_kappa = 0.5 * (kappa + np.roll(kappa, -1, a))
-        flux = face_kappa * (np.roll(v, -1, a) - v) / h
-        acc += (flux - np.roll(flux, 1, a)) / h
+        flux = face[a] * (_neighbours(v, a)[1] - v) / h
+        acc += (flux - _neighbours(flux, a)[0]) / h
         for b in range(d):
             if b != a:
-                acc += ddx(s * M.ginv[a, b] * ddx(v, b, h), a, h)
-    return acc / s
+                acc += ddx(cross[a, b] * ddx(v, b, h), a, h)
+    return acc / M.sqrt_det
 
 
 # --- algebraic operators ----------------------------------------------------

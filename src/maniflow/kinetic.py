@@ -131,13 +131,14 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
     aprime_centers = 0.5 * (dm.aprime[..., 1:] + dm.aprime[..., :-1])
 
     thetas = battery.theta * xi.dxi  # bins x battery
-    theta0 = chi_from_u(traj.snapshots[0], xi) @ thetas
-    thetaT = chi_from_u(traj.u_final, xi) @ thetas
-    residuals = (battery.tau(times[-1]) * geo.integrate(battery.phi * thetaT, M)
-                 - battery.tau(times[0]) * geo.integrate(battery.phi * theta0, M))
+    # the end snapshots enter both the boundary terms and the time integral
+    last = len(times) - 1
+    chi0, chiT = chi_from_u(traj.snapshots[0], xi), chi_from_u(traj.u_final, xi)
+    residuals = (battery.tau(times[-1]) * geo.integrate(battery.phi * (chiT @ thetas), M)
+                 - battery.tau(times[0]) * geo.integrate(battery.phi * (chi0 @ thetas), M))
 
     for k, (t, u) in enumerate(zip(times, traj.snapshots)):
-        chi = chi_from_u(u, xi)
+        chi = chi0 if k == 0 else chiT if k == last else chi_from_u(u, xi)
         # theta-weighted state integrals; the last axis runs over the battery
         theta_chi = chi @ thetas
         theta_flux = (chi * fprime_centers) @ thetas

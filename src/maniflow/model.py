@@ -55,7 +55,7 @@ def cumtrapz_edges(table, dxi):
 def _locate(u, xi):
     """Flat row index k = node*(n_xi+1) + i0 of the xi-cell holding u, and the weight in it."""
     pos = np.asarray(u) / xi.dxi
-    i0 = np.clip(np.floor(pos).astype(int), 0, xi.n - 1)
+    i0 = np.minimum(np.maximum(np.floor(pos).astype(int), 0), xi.n - 1)
     k = i0 + (xi.n + 1) * np.arange(i0.size).reshape(i0.shape)
     return k, pos - i0
 

@@ -73,9 +73,10 @@ def stable_dt(cfg, fm, dm, M):
 
 def rhs(u, fm, dm, M, eta):
     """Semi-discrete right-hand side at state u."""
-    if not np.all(np.isfinite(u)):
-        raise SolverError("non-finite state")
-    if np.any(u < RANGE_LO) or np.any(u > RANGE_HI):
+    # one pass: NaN fails both comparisons, +-inf one of them
+    if not np.all((u >= RANGE_LO) & (u <= RANGE_HI)):
+        if not np.all(np.isfinite(u)):
+            raise SolverError("non-finite state")
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(u - 0.5))), u.shape))
         raise RangeViolation(
             f"state {float(u[idx]):.6f} at node {idx} outside [{RANGE_LO}, {RANGE_HI}]; "

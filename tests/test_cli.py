@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -78,12 +79,15 @@ def test_kinetic_error_is_a_runtime_failure(tmp_path, capsys):
     out = tmp_path / "out"
     rc, err = run_cli(capsys, path, "--out", str(out))
     assert rc == 1
-    assert err.startswith("runtime failure:") and err.count("\n") == 1
     assert "Traceback" not in err
-    # the trajectory is on disk; the report, which needs the kinetic residual, is not
     for name in ("monitors.csv", "ledger.csv", "u_final.csv", "u_final.f64"):
         assert (out / name).is_file(), name
-    assert not (out / "report.json").exists()
+    # the report keeps every other diagnostic and names the failed kinetic check
+    report = json.loads((out / "report.json").read_text())
+    assert "residual" in report["energy_balance"]
+    assert "kinetic" in report["violations"]
+    assert report["kinetic_residual"] is None
+    assert "nonnegative" in report["kinetic_error"]
 
 BAD = {
     "malformed_u0": ([("scenario.u0", '"sin(2*pi*x1"')], []),

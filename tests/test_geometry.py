@@ -345,6 +345,72 @@ class TestMetricCoefficientsMatchBracketForm:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def roll_ddx(f, axis, h):
+    """Reference: the former np.roll body of `ddx`."""
+    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+
+
+def roll_d2dx(f, ax1, ax2, h):
+    """Reference: the former np.roll body of `d2dx`."""
+    if ax1 == ax2:
+        return (np.roll(f, -1, ax1) - 2.0 * f + np.roll(f, 1, ax1)) / (h * h)
+    return roll_ddx(roll_ddx(f, ax1, h), ax2, h)
+
+
+def roll_laplace_beltrami(v, M):
+    """Reference: the former np.roll body of `laplace_beltrami`, coefficients built per call."""
+    grid = M.grid
+    d, h = grid.d, grid.h
+    s = M.sqrt_det
+    acc = np.zeros(grid.shape)
+    for a in range(d):
+        kappa = s * M.ginv[a, a]
+        face_kappa = 0.5 * (kappa + np.roll(kappa, -1, a))
+        flux = face_kappa * (np.roll(v, -1, a) - v) / h
+        acc += (flux - np.roll(flux, 1, a)) / h
+        for b in range(d):
+            if b != a:
+                acc += roll_ddx(s * M.ginv[a, b] * roll_ddx(v, b, h), a, h)
+    return acc / s
+
+
+class TestPeriodicStencils:
+    """The padded-copy stencils equal their np.roll forms bit for bit."""
+
+    H = 1.0 / 64
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        # (2, 2) components, a 64^2 grid and 33 xi-edges, as a coefficient table
+        return np.random.default_rng(5).normal(size=(2, 2, 64, 64, 33))
+
+    def test_ddx_1d(self):
+        f = np.random.default_rng(4).normal(size=128)
+        assert np.array_equal(ddx(f, 0, 1.0 / 128), roll_ddx(f, 0, 1.0 / 128))
+
+    # the grid axes and the xi axis; on a length-2 index axis both neighbours are one entry
+    @pytest.mark.parametrize("axis", [2, 3, 4])
+    def test_ddx_batched_table(self, table, axis):
+        assert np.array_equal(ddx(table, axis, self.H), roll_ddx(table, axis, self.H))
+
+    @pytest.mark.parametrize("ax1, ax2", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    def test_d2dx(self, table, ax1, ax2):
+        assert np.array_equal(d2dx(table, ax1, ax2, self.H), roll_d2dx(table, ax1, ax2, self.H))
+
+    @pytest.mark.parametrize("name, n", [("flat1d", 128), ("wavy1d", 128), ("curved2d", 64)])
+    def test_laplace_beltrami(self, name, n):
+        metric = METRICS[name]
+        grid = ChartGrid(metric["d"], n)
+        M = build_metric(metric["entries"], grid)
+        rng = np.random.default_rng(6)
+        v, w = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+        assert "laplace_coef" not in vars(M)
+        assert np.array_equal(laplace_beltrami(v, M), roll_laplace_beltrami(v, M))
+        coef = vars(M)["laplace_coef"]  # built by the first call
+        assert np.array_equal(laplace_beltrami(w, M), roll_laplace_beltrami(w, M))
+        assert vars(M)["laplace_coef"] is coef  # and reused by the second
+
+
 class TestConservationAndConsistency:
     def setup_method(self):
         self.grid = ChartGrid(2, 64)

@@ -109,6 +109,18 @@ class TestRhs:
         with pytest.raises(RangeViolation, match=r"\(13,\)"):
             rhs(u, fm, dm, M, 1e-2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_is_not_a_range_violation(self, flat_1d, bad):
+        grid, M, xi = flat_1d
+        dm = DiffusionModel.zero(grid, xi, M)
+        fm = FluxModel.zero(grid, xi)
+        u = np.full(grid.shape, 0.5)
+        u[13] = bad
+        u[20] = 1.2  # also out of range: the non-finite value still decides the error
+        with pytest.raises(SolverError, match="non-finite state") as info:
+            rhs(u, fm, dm, M, 1e-2)
+        assert not isinstance(info.value, RangeViolation)
+
 
 class TestRun:
     def test_heat_matches_spectral_solution(self):
