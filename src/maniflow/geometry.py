@@ -13,9 +13,9 @@ Array shape conventions:
     Tensor11Field : (d, d) + grid        components T[k, i] = T^k_i
 
 Axes after the grid axes are batch axes: `div_vector`, `div_tensor11`,
-`divdiv_tensor11`, `transpose11`, `sharp` and `integrate` treat each column
-along them as an independent field (see `_batched`), and `integrate` returns
-one value per column.
+`divdiv_tensor11`, `laplace_beltrami`, `transpose11`, `sharp` and `integrate`
+treat each column along them as an independent field (see `_batched`), and
+`integrate` returns one value per column.
 
 All first derivatives are second-order central differences with periodic
 wrap; the Laplace-Beltrami operator alone uses a conservative face-flux
@@ -24,6 +24,17 @@ exactly.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
 `_neighbours`, two views of one padded copy.  The Laplace-Beltrami face and
 cross coefficients depend on the metric only and are cached on it, like the
 tensor-divergence coefficients.
+
+The step loop applies these operators in assembled form.  Every one of them
+reads at most one node away along each axis, so a linear combination of them
+is a `Stencil`: per-node weights on the 3^d - 1 off-centre neighbours plus its
+value on constant fields.  `assemble_stencil` derives the weights by probing
+the operator functions with period-4 combs and raises GeometryError when an
+operator reaches further; the functions above stay the one definition of each
+operator.  A stencil is applied in difference form, so weights of order 1/h^2
+multiply neighbour differences rather than cancel after rounding.
+`transport_stencil` assembles -div F + divdiv T + eta * Laplace-Beltrami(u)
+once per (metric, eta), on first use, and keeps it on the metric.
 """
 
 from __future__ import annotations
@@ -79,6 +90,13 @@ class ChartGrid:
 
 # --- stencils ---------------------------------------------------------------
 
+def _wrap_pad(f, axis):
+    """f with its last slab prepended and its first slab appended along `axis` (periodic)."""
+    n = f.shape[axis]
+    lead = (slice(None),) * axis
+    return np.concatenate((f[lead + (slice(n - 1, n),)], f, f[lead + (slice(0, 1),)]), axis)
+
+
 def _neighbours(f, axis):
     """(f[i-1], f[i+1]) along a non-negative `axis`, periodic wrap.
 
@@ -86,7 +104,7 @@ def _neighbours(f, axis):
     """
     n = f.shape[axis]
     lead = (slice(None),) * axis
-    padded = np.concatenate((f[lead + (slice(n - 1, n),)], f, f[lead + (slice(0, 1),)]), axis)
+    padded = _wrap_pad(f, axis)
     return padded[lead + (slice(0, n),)], padded[lead + (slice(2, n + 2),)]
 
 
@@ -124,6 +142,7 @@ class MetricField:
         self.gamma = self._christoffel()
         # Gamma^j_{kj} contracted over the repeated slot, indexed by k
         self.gamma_trace = np.einsum("jkj...->k...", self.gamma)
+        self.transport_stencils = {}  # eta -> Stencil, filled by `transport_stencil`
 
     def _check_spd(self, lam_min):
         if self.grid.d == 1:
@@ -299,7 +318,7 @@ def divdiv_tensor11(T, M):
 
 
 def laplace_beltrami(v, M):
-    """Conservative-form Laplace-Beltrami operator.
+    """Conservative-form Laplace-Beltrami operator; v may carry batch axes.
 
     Diagonal terms use compact face fluxes, off-diagonal terms central
     differences of central differences; every term telescopes under the
@@ -307,15 +326,105 @@ def laplace_beltrami(v, M):
     """
     grid = M.grid
     d, h = grid.d, grid.h
-    face, cross = M.laplace_coef
-    acc = np.zeros(grid.shape)
+    face, cross, sqrt_det = _batched(M, v, 0, *M.laplace_coef, M.sqrt_det)
+    acc = np.zeros(v.shape)
     for a in range(d):
         flux = face[a] * (_neighbours(v, a)[1] - v) / h
         acc += (flux - _neighbours(flux, a)[0]) / h
         for b in range(d):
             if b != a:
                 acc += ddx(cross[a, b] * ddx(v, b, h), a, h)
-    return acc / M.sqrt_det
+    return acc / sqrt_det
+
+
+# --- assembled operators ----------------------------------------------------
+
+class Stencil:
+    """Per-node weights of a linear periodic operator of reach one.
+
+    `weights[j, q]` multiplies component q at offset `offsets[j]` (the 3^d - 1
+    off-centre neighbours) and `zeroth[q]` is the operator applied to the unit
+    constant field of component q.  Applied in difference form,
+    zeroth . Y + sum_j weights[j] . (Y(x + offsets[j]) - Y(x)), so weights of
+    order 1/h^2 act on differences and do not cancel after rounding.
+    """
+
+    def __init__(self, offsets, weights, zeroth):
+        self.offsets, self.weights, self.zeroth = offsets, weights, zeroth
+        n = zeroth.shape[1]
+        # Y(x + s) as a view of Y padded by one node on each side of every grid axis
+        self._shifted = [(slice(None),) + tuple(slice(1 + a, 1 + a + n) for a in s)
+                         for s in offsets]
+
+    def __call__(self, Y):
+        """Y: (n_comp,) + grid, one state; returns a scalar field."""
+        padded = Y
+        for axis in range(1, Y.ndim):
+            padded = _wrap_pad(padded, axis)
+        acc = self.zeroth * Y
+        diff = np.empty_like(Y)
+        for shifted, W in zip(self._shifted, self.weights):
+            np.subtract(padded[shifted], Y, out=diff)
+            diff *= W
+            acc += diff
+        return acc.sum(axis=0)
+
+
+def assemble_stencil(blocks, grid):
+    """Probe a sum of linear periodic operators into one `Stencil`.
+
+    Each block (k, op) acts on the next k components of the stacked state:
+    op maps (k,) + grid + batch to grid + batch.  The grid size is a power of
+    two >= 16, so period-4 combs separate the three neighbours of a node along
+    each axis; each block is called once per comb phase, with its components
+    on the batch axis.  A check on one random field raises GeometryError if an
+    operator reaches beyond one node.
+    """
+    d, shape = grid.d, grid.shape
+    offsets = [tuple(a - 1 for a in s) for s in np.ndindex((3,) * d) if s != (1,) * d]
+    n_comp = sum(k for k, _ in blocks)
+    weights = np.empty((len(offsets), n_comp) + shape)
+    zeroth = np.empty((n_comp,) + shape)
+    q0 = 0
+    for k, op in blocks:
+        eye, comps = np.arange(k), slice(q0, q0 + k)
+        probe = np.zeros((k,) + shape + (k,))
+        probe[eye, ..., eye] = 1.0
+        zeroth[comps] = np.moveaxis(op(probe), -1, 0)
+        for phase in np.ndindex((4,) * d):
+            probe[...] = 0.0
+            probe[(eye,) + tuple(slice(p, None, 4) for p in phase) + (eye,)] = 1.0
+            out = np.moveaxis(op(probe), -1, 0)
+            for j, s in enumerate(offsets):
+                # the nodes x with x + s on this phase's comb
+                nodes = tuple(slice((p - a) % 4, None, 4) for p, a in zip(phase, s))
+                weights[(j, comps) + nodes] = out[(slice(None),) + nodes]
+        q0 += k
+    st = Stencil(offsets, weights, zeroth)
+    Y = np.random.default_rng(0).standard_normal((n_comp,) + shape)
+    ref, q0 = 0.0, 0
+    for k, op in blocks:
+        ref, q0 = ref + op(Y[q0:q0 + k]), q0 + k
+    err = float(np.max(np.abs(st(Y) - ref)))
+    if err > 1e-12 * float(np.max(np.abs(ref))):
+        raise GeometryError(f"operator reaches beyond one node: stencil differs by {err:.3e}")
+    return st
+
+
+def transport_stencil(M, eta):
+    """`Stencil` of Y = (F, T, u) -> -div F + divdiv T + eta * laplace_beltrami(u).
+
+    Y stacks the d components of F, the d*d of T (row-major) and u on axis 0.
+    Assembled from the three operators on first use and kept on M per eta.
+    """
+    st = M.transport_stencils.get(eta)
+    if st is None:
+        d = M.grid.d
+        blocks = [(d, lambda F: -div_vector(F, M)),
+                  (d * d, lambda T: divdiv_tensor11(T.reshape((d, d) + T.shape[1:]), M)),
+                  (1, lambda u: eta * laplace_beltrami(u[0], M))]
+        st = M.transport_stencils[eta] = assemble_stencil(blocks, M.grid)
+    return st
 
 
 # --- algebraic operators ----------------------------------------------------

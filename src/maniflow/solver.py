@@ -3,8 +3,12 @@
 du/dt = -div f(x,u) + divdiv A(x,u) + eta * laplace(u)
 
 Heun stepping at a fixed dt chosen from the convective and parabolic
-stability bounds.  Every accepted step appends monitor values and deposits
-viscous / degenerate dissipation weights into the xi-binned ledger.
+stability bounds.  `rhs` looks up F = f(x,u) and T = A(x,u), stacks
+(F, T, u) and applies the transport stencil of the metric at this eta
+(`geometry.transport_stencil`) in one pass: the three operators probed into
+per-node weights on the first call.  Every accepted step appends monitor
+values and deposits viscous / degenerate dissipation weights into the
+xi-binned ledger.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ class SolverConfig:
             raise SolverError(f"CFL number must be in (0,1], got {self.cfl}")
         if self.t_end <= 0:
             raise SolverError(f"t_end must be positive, got {self.t_end}")
+        if self.n_snapshots < 1:
+            raise SolverError(f"snapshots must be >= 1, got {self.n_snapshots}")
 
 
 @dataclass
@@ -83,9 +89,8 @@ def rhs(u, fm, dm, M, eta):
             "coefficients are tabulated on [0,1]")
     F = fm.at(u)
     T = dm.A_at(u)
-    out = -geo.div_vector(F, M) + geo.divdiv_tensor11(T, M)
-    out += eta * geo.laplace_beltrami(u, M)
-    return out
+    Y = np.concatenate((F, T.reshape((-1,) + u.shape), u[None]))
+    return geo.transport_stencil(M, eta)(Y)
 
 
 def check_initial_state(u0, grid):
@@ -108,7 +113,7 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
 
     # snapshot at (approximately) evenly spaced target times so that runs
     # with different dt produce comparable series
-    n_snap = max(1, min(cfg.n_snapshots, n_steps))
+    n_snap = min(cfg.n_snapshots, n_steps)
     targets = [i * cfg.t_end / n_snap for i in range(1, n_snap + 1)]
     next_target = 0
     ledger = DissipationLedger(xi)

@@ -107,6 +107,8 @@ BAD = {
     "eval_error": ([("scenario.sigma11", '"sqrt(xi - 0.5)"')], []),
     "negative_psi": ([("diagnostics.psi", '"xi - 1"')], []),
     "small_n": ([("grid.n", "8")], []),
+    "zero_snapshots": ([], ["--override", "solver.snapshots=0"]),
+    "negative_snapshots": ([], ["--override", "solver.snapshots=-3"]),
 }
 
 

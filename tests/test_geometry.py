@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from maniflow.catalog import METRICS
-from maniflow.geometry import (ChartGrid, GeometryError, MetricField, build_metric,
-                               d2dx, ddx, div_oneform, div_tensor11, div_vector,
-                               divdiv_tensor11, euclidean_metric, flat, gradient,
-                               integrate, laplace_beltrami, oneform_norm_sq,
-                               sharp, transpose11)
+from maniflow import cli
+from maniflow.catalog import METRICS, SCENARIOS
+from maniflow.geometry import (ChartGrid, GeometryError, MetricField, assemble_stencil,
+                               build_metric, d2dx, ddx, div_oneform, div_tensor11,
+                               div_vector, divdiv_tensor11, euclidean_metric, flat,
+                               gradient, integrate, laplace_beltrami, oneform_norm_sq,
+                               sharp, transport_stencil, transpose11)
+from maniflow.solver import rhs
 
 from sym_oracles import CURVED2D, MetricOracle, sample_tensor, sample_vector
 
@@ -278,6 +280,12 @@ class TestBatchAxes:
         per_edge = np.stack([div_vector(X[..., b], M) for b in range(X.shape[-1])], axis=-1)
         assert np.array_equal(div_vector(X, M), per_edge)
 
+    def test_laplace_beltrami(self, table):
+        M, T = table
+        v = T[0, 0]
+        per_edge = np.stack([laplace_beltrami(v[..., b], M) for b in range(v.shape[-1])], axis=-1)
+        assert np.array_equal(laplace_beltrami(v, M), per_edge)
+
     def test_integrate(self, table):
         # the batched sum runs over the grid in another order, so equal to round-off only
         M, T = table
@@ -409,6 +417,43 @@ class TestPeriodicStencils:
         coef = vars(M)["laplace_coef"]  # built by the first call
         assert np.array_equal(laplace_beltrami(w, M), roll_laplace_beltrami(w, M))
         assert vars(M)["laplace_coef"] is coef  # and reused by the second
+
+
+class TestTransportStencil:
+    """The assembled transport operator equals the three operators it is probed from."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("name", ["flat1d", "wavy1d", "flat2d", "diag2d", "curved2d"])
+    def test_equals_the_operators(self, name, n):
+        grid = ChartGrid(METRICS[name]["d"], n)
+        M = build_metric(METRICS[name]["entries"], grid)
+        d, eta = grid.d, 3e-3
+        Y = np.random.default_rng(n).normal(size=(d + d * d + 1,) + grid.shape)
+        ref = (-div_vector(Y[:d], M) + divdiv_tensor11(Y[d:-1].reshape((d, d) + grid.shape), M)
+               + eta * laplace_beltrami(Y[-1], M))
+        err = np.max(np.abs(transport_stencil(M, eta)(Y) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reach_two_is_rejected(self, d):
+        grid = ChartGrid(d, 32)
+
+        def op(v):
+            return ddx(ddx(v[0], 0, grid.h), 0, grid.h)
+
+        with pytest.raises(GeometryError, match="beyond one node"):
+            assemble_stencil([(1, op)], grid)
+
+    def test_built_on_first_rhs_and_kept_per_eta(self):
+        pipe = cli.build_pipeline({s: dict(kv) for s, kv in SCENARIOS["porous"].items()})
+        M, eta = pipe.M, pipe.solver_cfg.eta
+        assert M.transport_stencils == {}
+        rhs(pipe.u0, pipe.fm, pipe.dm, M, eta)
+        st = M.transport_stencils[eta]
+        rhs(pipe.u0, pipe.fm, pipe.dm, M, eta)
+        assert M.transport_stencils == {eta: st} and M.transport_stencils[eta] is st
+        rhs(pipe.u0, pipe.fm, pipe.dm, M, 2 * eta)
+        assert len(M.transport_stencils) == 2 and M.transport_stencils[2 * eta] is not st
 
 
 class TestConservationAndConsistency:
