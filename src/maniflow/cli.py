@@ -28,6 +28,7 @@ Exit codes: 0 success, 1 runtime failure or flagged invariant violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -37,8 +38,8 @@ import numpy as np
 from . import __version__, catalog, entropy, fieldio, kinetic
 from .exprparse import ExprError, compile_expr
 from .geometry import ChartGrid, GeometryError, build_metric, norm_l1
-from .model import (BetaFamily, DiffusionModel, FluxModel, ModelError, XiGrid,
-                    compat_norms, make_compatible_flux, psd_audit, root_weight)
+from .model import (DiffusionModel, FluxModel, ModelError, XiGrid, compat_norms,
+                    make_compatible_flux, psd_audit, root_weight)
 from .solver import SolverConfig, SolverError, check_initial_state, run, total_variation
 
 
@@ -276,9 +277,8 @@ class Pipeline:
             for psi in self.psi_list:
                 root_weight(psi, xi)
 
-    def run(self, record_dissipation=True):
-        return run(self.solver_cfg, self.fm, self.dm, self.M, self.u0, self.xi,
-                   record_dissipation=record_dissipation)
+    def run(self):
+        return run(self.solver_cfg, self.fm, self.dm, self.M, self.u0, self.xi)
 
 
 def build_pipeline(cfg):
@@ -339,10 +339,8 @@ def cmd_run(cfg, out_dir):
             pipe.fm, pipe.dm, pipe.M, traj.eta, battery)
     report["entropy_residuals"] = ent_res
 
-    bf = BetaFamily(pipe.dm)
     report["chain_rule_residuals"] = {
-        p: entropy.chain_rule_residual(traj.u_final, p, pipe.dm, pipe.M, bf=bf)
-        for p in pipe.psi_list}
+        p: entropy.chain_rule_residual(traj.u_final, p, pipe.dm, pipe.M) for p in pipe.psi_list}
 
     nu_check = entropy.nu_bound_check(traj.ledger, pipe.u0, pipe.M)
     report["nu_bound"] = {k: nu_check[k] for k in ("pass", "worst_bin", "worst_excess")}
@@ -418,27 +416,32 @@ def cmd_audit_compat(cfg, out_dir):
     return 0 if ok else 1
 
 
+def _sweep(cfg, section, key, field):
+    """Build once, then run with solver `field` set to each value of [section] key.
+
+    Returns the pipeline, the values and one trajectory per value, without
+    dissipation ledgers.  Every value is checked before the first run.
+    """
+    pipe = build_pipeline(cfg)
+    values = pipe.cfg[section][key]
+    with _building(section, [key]):
+        configs = [dataclasses.replace(pipe.solver_cfg, **{field: v}) for v in values]
+    return pipe, values, [run(c, pipe.fm, pipe.dm, pipe.M, pipe.u0, pipe.xi,
+                              record_dissipation=False) for c in configs]
+
+
 def cmd_study_eta(cfg, out_dir):
-    etas = validate(cfg)["study"]["eta_list"]
-    finals = []
+    pipe, etas, trajectories = _sweep(cfg, "study", "eta_list", "eta")
     monitors = {}
-    M = None
-    for eta in etas:
-        sub = {k: dict(v) for k, v in cfg.items()}
-        sub.setdefault("solver", {})["eta"] = eta
-        pipe = build_pipeline(sub)
-        traj = pipe.run(record_dissipation=False)
-        finals.append(traj.u_final)
+    for eta, traj in zip(etas, trajectories):
         monitors[f"eta={eta:g}"] = {
             "tv_final": total_variation(traj.u_final),
             "mass_drift": float(traj.mass[-1] - traj.mass[0]),
             "min": float(np.min(traj.u_min)), "max": float(np.max(traj.u_max)),
         }
-        M = pipe.M
-    diffs = []
-    for a in range(len(etas) - 1):
-        diffs.append({"eta_hi": etas[a], "eta_lo": etas[a + 1],
-                      "l1_diff": norm_l1(finals[a] - finals[a + 1], M)})
+    diffs = [{"eta_hi": etas[a], "eta_lo": etas[a + 1],
+              "l1_diff": norm_l1(trajectories[a].u_final - trajectories[a + 1].u_final, pipe.M)}
+             for a in range(len(etas) - 1)]
     for row in diffs:
         print(f"|u({row['eta_hi']:g}) - u({row['eta_lo']:g})|_L1 = {row['l1_diff']:.6e}")
     report = {"version": __version__, "command": "study-eta",
@@ -450,16 +453,9 @@ def cmd_study_eta(cfg, out_dir):
 
 
 def cmd_uniqueness(cfg, out_dir):
-    cfls = validate(cfg)["uniqueness"]["cfl_list"]
-    if len(cfls) < 2:
+    if len(validate(cfg)["uniqueness"]["cfl_list"]) < 2:
         raise ConfigError("[uniqueness] cfl_list needs at least two entries")
-    trajectories = []
-    pipe = None
-    for c in cfls:
-        sub = {k: dict(v) for k, v in cfg.items()}
-        sub.setdefault("solver", {})["cfl"] = c
-        pipe = build_pipeline(sub)
-        trajectories.append(pipe.run(record_dissipation=False))
+    pipe, cfls, trajectories = _sweep(cfg, "uniqueness", "cfl_list", "cfl")
     series = []
     base = trajectories[0]
     for other_idx in range(1, len(trajectories)):

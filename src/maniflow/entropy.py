@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .model import cumtrapz_edges, xi_interp
+from .model import beta_at, cumtrapz_edges, xi_interp
 from .exprparse import compile_expr
 
 
@@ -196,25 +196,24 @@ def energy_balance(traj, M):
 
 # --- chain rule ---------------------------------------------------------------
 
-def chain_rule_residual(u, psi, dm, M, bf=None):
+def chain_rule_residual(u, psi, dm, M):
     """L2 norm of the chain-rule defect for a weight psi >= 0.
 
     lhs = div(B^psi(., u)) - [div B^psi(., xi)] evaluated at xi = u
     rhs = sqrt(psi(u)) * (same construction with the unweighted table)
 
     Both beta tables and their frozen divergences are evaluated at u by
-    cubic Hermite interpolation in xi (`BetaFamily.at`, `BetaFamily.div_at`),
-    so each defect carries the xi-slope sqrt(psi) sigma^t to second order and
-    the residual is O(h^2 + dxi^2) for psi smooth on the range of u.  It
-    vanishes exactly for psi = 1 and psi = 0.
+    cubic Hermite interpolation in xi (`model.beta_at`), so each defect
+    carries the xi-slope sqrt(psi) sigma^t to second order and the residual
+    is O(h^2 + dxi^2) for psi smooth on the range of u.  It vanishes exactly
+    for psi = 1 and psi = 0.
     """
-    from .model import BetaFamily
-
-    if bf is None:
-        bf = BetaFamily(dm)
+    xi = dm.xi
+    div_slope = geo.div_tensor11(dm.sigmaT, M)
 
     def defect(weight):
-        return geo.div_tensor11(bf.at(u, weight), M) - bf.div_at(u, M, weight)
+        return (geo.div_tensor11(beta_at(dm.sigmaT, u, xi, weight), M)
+                - beta_at(div_slope, u, xi, weight))
 
     lhs = defect(psi)
     root = np.sqrt(np.maximum(np.asarray(compile_expr(psi)(xi=u), dtype=float), 0.0))
@@ -231,18 +230,22 @@ def nu_profile(u0, M, xi):
     return geo.integrate(np.maximum(u0[..., None] - xi.centers, 0.0), M)
 
 
-def nu_bound_check(ledger, u0, M, safety=1.1, margin_bins=2.0):
+NU_SAFETY = 1.1  # multiplicative slack on nu
+NU_MARGIN_BINS = 2.0  # additive slack, in bin widths times the chart volume
+
+
+def nu_bound_check(ledger, u0, M):
     """Per-bin check of binned deposits against the initial-data profile.
 
-    Passes when (M_b + N_b)/dxi <= safety * nu(xi_b) + margin, where the
-    additive margin margin_bins * dxi * Vol(M) absorbs the hat-deposition
+    Passes when (M_b + N_b)/dxi <= NU_SAFETY * nu(xi_b) + margin, where the
+    additive margin NU_MARGIN_BINS * dxi * Vol(M) absorbs the hat-deposition
     smearing of at most one bin width.
     """
     xi = ledger.xi
     nu = nu_profile(u0, M, xi)
     density = (ledger.bins_m + ledger.bins_n) / xi.dxi
-    margin = margin_bins * xi.dxi * M.volume()
-    bound = safety * nu + margin
+    margin = NU_MARGIN_BINS * xi.dxi * M.volume()
+    bound = NU_SAFETY * nu + margin
     ok = density <= bound
     return {
         "nu": nu,

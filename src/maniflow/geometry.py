@@ -3,8 +3,7 @@
 A chart is the unit torus [0,1)^d (d = 1 or 2) sampled on n points per
 axis.  A metric is an SPD matrix field g_ij sampled on the nodes; its
 inverse, volume density sqrt|g| and Christoffel symbols are derived once
-and reused by every differential operator, and so are the metric-only
-coefficients of the tensor divergences, on first use.
+and reused by every differential operator.
 
 Array shape conventions:
     ScalarField   : grid
@@ -21,9 +20,15 @@ All first derivatives are second-order central differences with periodic
 wrap; the Laplace-Beltrami operator alone uses a conservative face-flux
 form so that its integral against the volume density telescopes to zero
 exactly.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
-`_neighbours`, two views of one padded copy.  The Laplace-Beltrami face and
-cross coefficients depend on the metric only and are cached on it, like the
-tensor-divergence coefficients.
+`_neighbours`, two views of one padded copy.
+
+Beyond those, a metric caches two things, because measured runs read them
+over and over: the lower-order coefficients of `divdiv_tensor11`
+(`MetricField.divdiv_coef`), which the kinetic residual reads about a hundred
+times a run, and the transport stencils (`MetricField.transport_stencils`),
+which the step loop applies thousands of times.  `div_tensor11` and
+`laplace_beltrami` are called a few times per run, so they form their
+metric coefficients on each call.
 
 The step loop applies these operators in assembled form.  Every one of them
 reads at most one node away along each axis, so a linear combination of them
@@ -124,10 +129,13 @@ def d2dx(f, ax1, ax2, h):
 
 # --- metric -----------------------------------------------------------------
 
+LAM_MIN = 1e-6  # the smallest metric eigenvalue accepted as positive
+
+
 class MetricField:
     """Sampled metric with derived inverse, density and Christoffel symbols."""
 
-    def __init__(self, grid, g, lam_min=1e-6):
+    def __init__(self, grid, g):
         self.grid = grid
         d, shape = grid.d, grid.shape
         g = np.asarray(g, dtype=float)
@@ -136,7 +144,7 @@ class MetricField:
         if not np.array_equal(g, np.swapaxes(g, 0, 1)):
             raise GeometryError("metric entries are not symmetric")
         self.g = g
-        self._check_spd(lam_min)
+        self._check_spd()
         self.ginv, self.det = self._invert()
         self.sqrt_det = np.sqrt(self.det)
         self.gamma = self._christoffel()
@@ -144,7 +152,7 @@ class MetricField:
         self.gamma_trace = np.einsum("jkj...->k...", self.gamma)
         self.transport_stencils = {}  # eta -> Stencil, filled by `transport_stencil`
 
-    def _check_spd(self, lam_min):
+    def _check_spd(self):
         if self.grid.d == 1:
             lam = self.g[0, 0]
         else:
@@ -152,11 +160,11 @@ class MetricField:
             det = self.g[0, 0] * self.g[1, 1] - self.g[0, 1] * self.g[1, 0]
             disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
             lam = 0.5 * (tr - disc)
-        if np.any(lam < lam_min):
+        if np.any(lam < LAM_MIN):
             idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(lam)), self.grid.shape))
             raise GeometryError(
                 f"metric not SPD at node {idx}: min eigenvalue "
-                f"{float(lam[idx]):.3e} < {lam_min:.1e}")
+                f"{float(lam[idx]):.3e} < {LAM_MIN:.1e}")
 
     def _invert(self):
         if self.grid.d == 1:
@@ -190,17 +198,6 @@ class MetricField:
         return gamma
 
     @cached_property
-    def div11_coef(self):
-        """R[i, a, b] = Gamma^j_{ja} delta^b_i - Gamma^b_{ai}.
-
-        So (div T)_i = d_j T^j_i + R[i, a, b] T^a_b; built on first use.
-        """
-        R = -np.einsum("bai...->iab...", self.gamma)
-        for i in range(self.grid.d):
-            R[i, :, i] += self.gamma_trace
-        return R
-
-    @cached_property
     def divdiv_coef(self):
         """(P, Q) with divdiv T = g^{ij} d_i d_k T^k_j + P[a, b, c] d_a T^b_c + Q[a, b] T^a_b.
 
@@ -219,22 +216,11 @@ class MetricField:
              - np.einsum("a...,b...->ab...", t, c) + np.einsum("k...,bka...->ab...", c, G))
         return P, Q
 
-    @cached_property
-    def laplace_coef(self):
-        """(face, cross) of `laplace_beltrami`, built on first use.
-
-        face[a] = sqrt|g| g^{aa} averaged onto the faces i + 1/2 along axis a;
-        cross = sqrt|g| g^{ab}, read only where a != b.
-        """
-        kappa = self.sqrt_det * np.einsum("aa...->a...", self.ginv)
-        face = np.stack([0.5 * (kappa[a] + np.roll(kappa[a], -1, a)) for a in range(self.grid.d)])
-        return face, self.sqrt_det * self.ginv
-
     def volume(self):
         return float(np.sum(self.sqrt_det) * self.grid.h ** self.grid.d)
 
 
-def build_metric(entries, grid, lam_min=1e-6):
+def build_metric(entries, grid):
     """Sample a symmetric d x d expression table into a MetricField."""
     d = grid.d
     g = np.empty((d, d) + grid.shape)
@@ -242,7 +228,7 @@ def build_metric(entries, grid, lam_min=1e-6):
         for j in range(d):
             g[i, j] = grid.eval_expr(entries[i][j])
     g = 0.5 * (g + np.swapaxes(g, 0, 1))  # kill roundoff asymmetry from eval
-    return MetricField(grid, g, lam_min=lam_min)
+    return MetricField(grid, g)
 
 
 def euclidean_metric(grid):
@@ -285,11 +271,15 @@ def div_oneform(w, M):
 def div_tensor11(T, M):
     """(div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l.
 
-    The Christoffel terms are one metric-only contraction, `MetricField.div11_coef`.
-    T may carry trailing batch axes after the grid axes (see `_batched`).
+    The Christoffel terms are one contraction R[i, a, b] T^a_b with
+    R[i, a, b] = Gamma^j_{ja} delta^b_i - Gamma^b_{ai}.  T may carry trailing
+    batch axes after the grid axes (see `_batched`).
     """
     grid = M.grid
-    R, = _batched(M, T, 2, M.div11_coef)
+    R = -np.einsum("bai...->iab...", M.gamma)
+    for i in range(grid.d):
+        R[i, :, i] += M.gamma_trace
+    R, = _batched(M, T, 2, R)
     out = np.einsum("iab...,ab...->i...", R, T)
     for j in range(grid.d):
         out += ddx(T[j], 1 + j, grid.h)
@@ -320,13 +310,16 @@ def divdiv_tensor11(T, M):
 def laplace_beltrami(v, M):
     """Conservative-form Laplace-Beltrami operator; v may carry batch axes.
 
-    Diagonal terms use compact face fluxes, off-diagonal terms central
-    differences of central differences; every term telescopes under the
+    Diagonal terms use compact face fluxes, with sqrt|g| g^{aa} averaged onto
+    the faces i + 1/2 along axis a; off-diagonal terms central differences of
+    central differences with sqrt|g| g^{ab}.  Every term telescopes under the
     full-grid sum and the associated quadratic form is symmetric.
     """
     grid = M.grid
     d, h = grid.d, grid.h
-    face, cross, sqrt_det = _batched(M, v, 0, *M.laplace_coef, M.sqrt_det)
+    kappa = M.sqrt_det * np.einsum("aa...->a...", M.ginv)
+    face = np.stack([0.5 * (kappa[a] + np.roll(kappa[a], -1, a)) for a in range(d)])
+    face, cross, sqrt_det = _batched(M, v, 0, face, M.sqrt_det * M.ginv, M.sqrt_det)
     acc = np.zeros(v.shape)
     for a in range(d):
         flux = face[a] * (_neighbours(v, a)[1] - v) / h

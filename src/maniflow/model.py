@@ -5,9 +5,10 @@ evaluated afterwards by linear interpolation in xi.  The same tabulate /
 cumulative-trapezoid / interpolate path is shared by the solver, the
 entropy integrals and the measure deposits, so quantities that coincide
 analytically coincide here up to one quadrature convention.  The one
-exception is the beta family of the chain rule: its antiderivative tables
-carry their integrand as an exact xi-slope, so they are evaluated by cubic
-Hermite interpolation (`xi_hermite`), whose xi-derivative is second order.
+exception is `beta_at`, the psi-weighted antiderivatives of the chain rule:
+their tables carry the integrand as an exact xi-slope, so they are evaluated
+by cubic Hermite interpolation (`xi_hermite`), whose xi-derivative is second
+order.
 Both read tables through one path: `_locate` maps u to the flat row index
 k = node*(n_xi+1) + i0 and an in-cell weight; `_gather` reads rows k, k+1.
 """
@@ -216,40 +217,19 @@ def root_weight(psi, xi):
     return np.sqrt(w)
 
 
-class BetaFamily:
-    """Antiderivatives of the transposed square root, plain and psi-weighted.
+def beta_at(slope, u, xi, psi=None):
+    """x -> integral_0^u(x) sqrt(psi(z)) slope(x, z) dz, for an edge table `slope`.
 
-    beta^psi(x, xi) = integral_0^xi sqrt(psi(z)) sigma^t(x, z) dz is tabulated
-    on the xi-edges by the cumulative trapezoid (psi = None: plain, psi = 1)
-    and evaluated at a state u by cubic Hermite interpolation in xi, with the
-    integrand table sqrt(psi) sigma^t as the slopes.  The frozen divergence
-    (div_x beta^psi)(x, u) is evaluated the same way from per-edge
-    divergences of the integrand, which are computed once per family and
-    shared by every psi, since div_x commutes with the xi-quadrature.
+    The sqrt(psi)-weighted integrand is tabulated on the xi-edges (psi = None:
+    unweighted), its antiderivative by the cumulative trapezoid, and the pair
+    is evaluated at u by cubic Hermite interpolation with the integrand as the
+    slopes.  With slope = sigma^t this is beta^psi(x, u(x)); with slope =
+    div_x sigma^t it is the frozen divergence (div_x beta^psi)(x, u(x)), since
+    div_x commutes with the xi-quadrature.
     """
-
-    def __init__(self, dm):
-        self.dm = dm
-        self.xi = dm.xi
-        self._div_slope = None
-        self._div_metric = None
-
-    def _tables(self, slope, psi):
-        """(values, slopes) edge tables of the sqrt(psi)-weighted antiderivative of slope."""
-        if psi is not None:
-            slope = slope * root_weight(psi, self.xi)
-        return cumtrapz_edges(slope, self.xi.dxi), slope
-
-    def at(self, u, psi=None):
-        """Tensor field x -> beta^psi(x, u(x))."""
-        return xi_hermite(*self._tables(self.dm.sigmaT, psi), u, self.xi)
-
-    def div_at(self, u, M, psi=None):
-        """One-form field x -> (div_x beta^psi)(x, xi) evaluated at xi = u(x)."""
-        if self._div_metric is not M:
-            self._div_slope = geo.div_tensor11(self.dm.sigmaT, M)
-            self._div_metric = M
-        return xi_hermite(*self._tables(self._div_slope, psi), u, self.xi)
+    if psi is not None:
+        slope = slope * root_weight(psi, xi)
+    return xi_hermite(cumtrapz_edges(slope, xi.dxi), slope, u, xi)
 
 
 # --- geometry compatibility -------------------------------------------------

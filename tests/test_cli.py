@@ -154,3 +154,45 @@ def test_cli_import_loads_no_scipy():
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"
 
+
+
+# command -> (list key, three values, report file)
+SWEEPS = {"study-eta": ("study.eta_list", "0.02, 0.01, 0.005", "report.json"),
+          "uniqueness": ("uniqueness.cfl_list", "0.4, 0.2, 0.1", "kinetic_report.json")}
+
+
+def per_value_builds(monkeypatch, path):
+    """Make every sweep run use a pipeline built afresh with its solver value."""
+    cfg, solver_run = cli.load_config(path), cli.run
+
+    def fresh(solver_cfg, *_, **kwargs):
+        sub = {s: dict(kv) for s, kv in cfg.items()}
+        sub["solver"].update(eta=solver_cfg.eta, cfl=solver_cfg.cfl)
+        pipe = cli.Pipeline(sub)
+        return solver_run(pipe.solver_cfg, pipe.fm, pipe.dm, pipe.M, pipe.u0, pipe.xi, **kwargs)
+
+    monkeypatch.setattr(cli, "run", fresh)
+
+
+@pytest.mark.parametrize("command", list(SWEEPS))
+def test_sweep_builds_once_and_matches_per_value_builds(tmp_path, capsys, monkeypatch, command):
+    key, values, report = SWEEPS[command]
+    path = write_config(tmp_path, [("grid.n", "32"), (key, values)])
+    builds, build = [], cli.build_pipeline
+    monkeypatch.setattr(cli, "build_pipeline", lambda cfg: builds.append(cfg) or build(cfg))
+    assert cli.main([command, str(path), "--out", str(tmp_path / "once")]) == 0
+    assert len(builds) == 1
+    once = capsys.readouterr().out
+    per_value_builds(monkeypatch, path)
+    assert cli.main([command, str(path), "--out", str(tmp_path / "each")]) == 0
+    assert capsys.readouterr().out == once
+    assert (tmp_path / "once" / report).read_bytes() == (tmp_path / "each" / report).read_bytes()
+
+
+@pytest.mark.parametrize("command", list(SWEEPS))
+def test_bad_sweep_value_exits_2(tmp_path, capsys, command):
+    key = SWEEPS[command][0]
+    rc = cli.main([command, str(write_config(tmp_path, [(key, "0.01, -1")]))])
+    assert rc == 2
+    section, name = key.split(".")
+    assert capsys.readouterr().err.startswith(f"config error: [{section}] {name}: ")

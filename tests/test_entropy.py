@@ -9,7 +9,7 @@ from maniflow.entropy import (DissipationLedger, EntropyFn, chain_rule_residual,
 from maniflow.geometry import (ChartGrid, build_metric, div_vector,
                                divdiv_tensor11, euclidean_metric, integrate,
                                laplace_beltrami)
-from maniflow.model import BetaFamily, DiffusionModel, FluxModel, XiGrid
+from maniflow.model import DiffusionModel, FluxModel, XiGrid
 from maniflow.solver import SolverConfig, run
 from maniflow import catalog
 

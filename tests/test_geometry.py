@@ -411,12 +411,8 @@ class TestPeriodicStencils:
         grid = ChartGrid(metric["d"], n)
         M = build_metric(metric["entries"], grid)
         rng = np.random.default_rng(6)
-        v, w = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
-        assert "laplace_coef" not in vars(M)
+        v = rng.normal(size=grid.shape)
         assert np.array_equal(laplace_beltrami(v, M), roll_laplace_beltrami(v, M))
-        coef = vars(M)["laplace_coef"]  # built by the first call
-        assert np.array_equal(laplace_beltrami(w, M), roll_laplace_beltrami(w, M))
-        assert vars(M)["laplace_coef"] is coef  # and reused by the second
 
 
 class TestTransportStencil:

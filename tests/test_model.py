@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from maniflow.geometry import ChartGrid, build_metric, euclidean_metric
-from maniflow.model import (BetaFamily, DiffusionModel, FluxModel, ModelError,
-                            XiGrid, compat_norms, compat_residual, cumtrapz_edges,
+from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, beta_at,
+                            compat_norms, compat_residual, cumtrapz_edges,
                             make_compatible_flux, psd_audit, root_weight, stream_vector,
                             xi_hermite, xi_interp)
 from maniflow import catalog
@@ -227,42 +227,43 @@ class TestDiffusionModel:
 
 
 class TestBetaFamily:
+    """beta^psi(x, u) = integral_0^u sqrt(psi) sigma^t dz, evaluated by `beta_at`."""
+
     def test_zero_at_origin(self, wavy_1d):
         grid, M, xi = wavy_1d
         dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
-        bf = BetaFamily(dm)
         zero = np.zeros(grid.shape)
-        assert np.max(np.abs(bf.at(zero))) == 0.0
-        assert np.max(np.abs(bf.at(zero, "xi"))) == 0.0
+        assert np.max(np.abs(beta_at(dm.sigmaT, zero, xi))) == 0.0
+        assert np.max(np.abs(beta_at(dm.sigmaT, zero, xi, "xi"))) == 0.0
 
     def test_psi_one_bit_identical_to_plain(self, wavy_1d):
         grid, M, xi = wavy_1d
         dm = DiffusionModel.from_exprs([["1 + 0.5*xi"]], grid, xi, M)
-        bf = BetaFamily(dm)
         plain = cumtrapz_edges(dm.sigmaT, xi.dxi)
         # xi_hermite returns the table itself at the edges
         for b, z in enumerate(xi.edges):
-            assert np.array_equal(bf.at(np.full(grid.shape, z), "1"), plain[..., b])
+            assert np.array_equal(beta_at(dm.sigmaT, np.full(grid.shape, z), xi, "1"),
+                                  plain[..., b])
         u = 0.5 + 0.4 * np.sin(TWO_PI * grid.coords()[0])
-        assert np.array_equal(bf.at(u, "1"), bf.at(u))
+        assert np.array_equal(beta_at(dm.sigmaT, u, xi, "1"), beta_at(dm.sigmaT, u, xi))
 
     def test_at_is_hermite_in_xi(self, wavy_1d):
         # sigma = 1 + xi: the trapezoid table of xi + xi^2/2 is exact, and the
         # Hermite evaluation with slope sigma^t reproduces the quadratic
         grid, M, xi = wavy_1d
         dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
-        bf = BetaFamily(dm)
         u = 0.5 + 0.3 * np.sin(TWO_PI * grid.coords()[0])
-        assert np.max(np.abs(bf.at(u)[0, 0] - (u + 0.5 * u * u))) <= 1e-14
-        assert np.max(np.abs(bf.at(u, "4")[0, 0] - 2.0 * (u + 0.5 * u * u))) <= 1e-14
+        assert np.max(np.abs(beta_at(dm.sigmaT, u, xi)[0, 0] - (u + 0.5 * u * u))) <= 1e-14
+        assert np.max(np.abs(beta_at(dm.sigmaT, u, xi, "4")[0, 0]
+                             - 2.0 * (u + 0.5 * u * u))) <= 1e-14
 
     def test_sqrt_weight_closed_form(self, one_d):
         # sigma = 1, psi(z) = z: antiderivative of sqrt(z) is (2/3) z^{3/2}
         grid, M, xi = one_d
         dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
-        bf = BetaFamily(dm)
         # the weighted table, read back at the edges where xi_hermite returns it
-        table = np.stack([bf.at(np.full(grid.shape, z), "xi") for z in xi.edges], axis=-1)
+        table = np.stack([beta_at(dm.sigmaT, np.full(grid.shape, z), xi, "xi")
+                          for z in xi.edges], axis=-1)
         exact = (2.0 / 3.0) * xi.edges ** 1.5
         err = np.max(np.abs(table[0, 0] - exact))
         # sqrt singularity at 0 costs half an order: O(dxi^{3/2})
@@ -271,7 +272,6 @@ class TestBetaFamily:
     def test_derivative_recovers_sigmaT(self, wavy_1d):
         grid, M, xi = wavy_1d
         dm = DiffusionModel.from_exprs([["1 + xi^2"]], grid, xi, M)
-        bf = BetaFamily(dm)
         plain = cumtrapz_edges(dm.sigmaT, xi.dxi)
         db = (plain[..., 2:] - plain[..., :-2]) / (2.0 * xi.dxi)
         assert np.max(np.abs(db - dm.sigmaT[..., 1:-1])) <= 2.0 * xi.dxi ** 2
