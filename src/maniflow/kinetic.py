@@ -112,6 +112,8 @@ def kinetic_battery(grid, xi, seed=0, count=5, t_scale=1.0):
 def kinetic_residual(traj, fm, dm, M, xi, battery):
     """Max weak residual of the kinetic equation over a test battery.
 
+    The equation is d_t chi + div(f' chi) - divdiv(a' chi) - eta Lap_g chi =
+    d_xi(m + n), with m and n the viscous and degenerate dissipation measures.
     Each test function is separable, psi = tau(t) phi(x) theta(xi), so the
     state integrals come first: Theta = sum_b theta_b chi_b dxi, and the same
     theta-weighted sums of chi f' and chi a' at the bin centers.  The space
@@ -147,6 +149,7 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
         total_density = m_density + n_density
         strong = (geo.div_vector(theta_flux, M)
                   - geo.divdiv_tensor11(theta_diff, M)
+                  - eta * geo.laplace_beltrami(theta_chi, M)
                   + total_density[..., None] * battery.dtheta(u))
         residuals += w_t[k] * (battery.tau(t) * geo.integrate(battery.phi * strong, M)
                                - battery.dtau(t) * geo.integrate(battery.phi * theta_chi, M))
