@@ -22,13 +22,14 @@ form so that its integral against the volume density telescopes to zero
 exactly.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
 `_neighbours`, two views of one padded copy.
 
-Beyond those, a metric caches two things, because measured runs read them
-over and over: the lower-order coefficients of `divdiv_tensor11`
-(`MetricField.divdiv_coef`), which the kinetic residual reads about a hundred
-times a run, and the transport stencils (`MetricField.transport_stencils`),
-which the step loop applies thousands of times.  `div_tensor11` and
-`laplace_beltrami` are called a few times per run, so they form their
-metric coefficients on each call.
+Beyond those, a metric caches only what a run reads over and over: the
+lower-order coefficients of `divdiv_tensor11` (`MetricField.divdiv_coef`),
+read once per snapshot by the kinetic residual, and the transport stencils
+(`MetricField.transport_stencils`), applied twice per step.  The metric
+coefficients of `div_tensor11` and `laplace_beltrami` are one contraction or
+average of arrays the metric already holds, cheap beside the operators, and
+the operators are called at most about once per snapshot, so they form them
+on each call.
 
 The step loop applies these operators in assembled form.  Every one of them
 reads at most one node away along each axis, so a linear combination of them
