@@ -419,8 +419,9 @@ def cmd_audit_compat(cfg, out_dir):
 def _sweep(cfg, section, key, field):
     """Build once, then run with solver `field` set to each value of [section] key.
 
-    Returns the pipeline, the values and one trajectory per value, without
-    dissipation ledgers.  Every value is checked before the first run.
+    Returns the pipeline, the values and one trajectory per value; the runs
+    leave their dissipation ledgers empty.  Every value is checked before the
+    first run.
     """
     pipe = build_pipeline(cfg)
     values = pipe.cfg[section][key]

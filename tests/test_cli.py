@@ -155,7 +155,6 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-
 # command -> (list key, three values, report file)
 SWEEPS = {"study-eta": ("study.eta_list", "0.02, 0.01, 0.005", "report.json"),
           "uniqueness": ("uniqueness.cfl_list", "0.4, 0.2, 0.1", "kinetic_report.json")}
