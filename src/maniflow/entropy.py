@@ -73,11 +73,17 @@ class DissipationLedger:
         self.bins_n = np.zeros(xi.n)
 
     def add(self, values, weights_m, weights_n):
+        """Deposit the rows of (states, nodes) arrays, one state after another.
+
+        Within a state the lower-bin shares of all nodes go in before the
+        upper-bin shares, so the bins sum in the same order whether states
+        arrive one at a time or in a block.
+        """
         j0, j1, w1 = hat_weights(values, self.xi)
-        np.add.at(self.bins_m, j0.ravel(), ((1.0 - w1) * weights_m).ravel())
-        np.add.at(self.bins_m, j1.ravel(), (w1 * weights_m).ravel())
-        np.add.at(self.bins_n, j0.ravel(), ((1.0 - w1) * weights_n).ravel())
-        np.add.at(self.bins_n, j1.ravel(), (w1 * weights_n).ravel())
+        j = np.concatenate((j0, j1), axis=-1).ravel()
+        for bins, weights in ((self.bins_m, weights_m), (self.bins_n, weights_n)):
+            shares = np.concatenate(((1.0 - w1) * weights, w1 * weights), axis=-1)
+            np.add.at(bins, j, shares.ravel())
 
     @property
     def total_m(self):
@@ -89,7 +95,7 @@ class DissipationLedger:
 
 
 def dissipation_densities(u, dm, M, eta):
-    """Per-node viscous and degenerate dissipation densities at state u."""
+    """Per-node viscous and degenerate dissipation densities at state u; u may carry batch axes."""
     grid = M.grid
     du = np.stack([geo.ddx(u, i, grid.h) for i in range(grid.d)])
     m_density = eta * geo.oneform_norm_sq(du, M)
@@ -100,11 +106,19 @@ def dissipation_densities(u, dm, M, eta):
 
 
 def deposit(u, dm, M, eta, dt, ledger):
-    """One accepted step: bin the dissipation weights at the state values."""
+    """Bin the dissipation weights of accepted steps of length dt at their state values.
+
+    u is the state before one step, or grid + batch axes: one column per
+    step, deposited in the C order of the batch axes.
+    """
     grid = M.grid
     m_density, n_density = dissipation_densities(u, dm, M, eta)
-    cell = M.sqrt_det * grid.h ** grid.d * dt
-    ledger.add(u, m_density * cell, n_density * cell)
+    cell = M.sqrt_det.reshape(grid.shape + (1,) * (u.ndim - grid.d)) * grid.h ** grid.d * dt
+
+    def rows(a):  # (states, nodes)
+        return a.reshape(M.sqrt_det.size, -1).T
+
+    ledger.add(rows(u), rows(m_density * cell), rows(n_density * cell))
 
 
 # --- entropy flux fields and the weak residual ------------------------------

@@ -12,9 +12,10 @@ Array shape conventions:
     Tensor11Field : (d, d) + grid        components T[k, i] = T^k_i
 
 Axes after the grid axes are batch axes: `div_vector`, `div_tensor11`,
-`divdiv_tensor11`, `laplace_beltrami`, `transpose11`, `sharp` and `integrate`
-treat each column along them as an independent field (see `_batched`), and
-`integrate` returns one value per column.
+`divdiv_tensor11`, `laplace_beltrami`, `transpose11`, `sharp`,
+`oneform_norm_sq` and `integrate` treat each column along them as an
+independent field (see `_batched`), and `integrate` returns one value per
+column.
 
 All first derivatives are second-order central differences with periodic
 wrap; the Laplace-Beltrami operator alone uses a conservative face-flux
@@ -40,7 +41,8 @@ operator reaches further; the functions above stay the one definition of each
 operator.  A stencil is applied in difference form, so weights of order 1/h^2
 multiply neighbour differences rather than cancel after rounding.
 `transport_stencil` assembles -div F + divdiv T + eta * Laplace-Beltrami(u)
-once per (metric, eta), on first use, and keeps it on the metric.
+on first use at an eta and keeps it on the metric until another eta is asked
+for, so a sweep over eta holds one stencil at a time.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class MetricField:
         self.gamma = self._christoffel()
         # Gamma^j_{kj} contracted over the repeated slot, indexed by k
         self.gamma_trace = np.einsum("jkj...->k...", self.gamma)
-        self.transport_stencils = {}  # eta -> Stencil, filled by `transport_stencil`
+        self.transport_stencils = {}  # {eta: Stencil} of the latest eta, set by `transport_stencil`
 
     def _check_spd(self):
         if self.grid.d == 1:
@@ -409,7 +411,8 @@ def transport_stencil(M, eta):
     """`Stencil` of Y = (F, T, u) -> -div F + divdiv T + eta * laplace_beltrami(u).
 
     Y stacks the d components of F, the d*d of T (row-major) and u on axis 0.
-    Assembled from the three operators on first use and kept on M per eta.
+    Assembled from the three operators on first use and kept on M; a new eta
+    replaces the stencil of the previous one.
     """
     st = M.transport_stencils.get(eta)
     if st is None:
@@ -417,7 +420,8 @@ def transport_stencil(M, eta):
         blocks = [(d, lambda F: -div_vector(F, M)),
                   (d * d, lambda T: divdiv_tensor11(T.reshape((d, d) + T.shape[1:]), M)),
                   (1, lambda u: eta * laplace_beltrami(u[0], M))]
-        st = M.transport_stencils[eta] = assemble_stencil(blocks, M.grid)
+        st = assemble_stencil(blocks, M.grid)
+        M.transport_stencils = {eta: st}
     return st
 
 
@@ -451,8 +455,9 @@ def flat(X, M):
 
 
 def oneform_norm_sq(w, M):
-    """|w|_g^2 = g^{ij} w_i w_j (nonnegative)."""
-    return np.einsum("ij...,i...,j...->...", M.ginv, w, w)
+    """|w|_g^2 = g^{ij} w_i w_j (nonnegative); w may carry batch axes."""
+    ginv, = _batched(M, w, 1, M.ginv)
+    return np.einsum("ij...,i...,j...->...", ginv, w, w)
 
 
 def integrate(v, M):

@@ -11,9 +11,13 @@ by cubic Hermite interpolation (`xi_hermite`), whose xi-derivative is second
 order.
 Both read tables through one path: `_locate` maps u to the flat row index
 k = node*(n_xi+1) + i0 and an in-cell weight; `_gather` reads rows k, k+1.
+A node is numbered by its grid position only: axes of u after the grid axes
+are batch columns, and every column reads the rows of the same nodes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,30 +57,39 @@ def cumtrapz_edges(table, dxi):
     return out
 
 
-def _locate(u, xi):
-    """Flat row index k = node*(n_xi+1) + i0 of the xi-cell holding u, and the weight in it."""
+def _locate(u, xi, grid_ndim):
+    """Flat row index k = node*(n_xi+1) + i0 of the xi-cell holding u, and the weight in it.
+
+    The first `grid_ndim` axes of u are the grid; the node number counts only
+    those, so batch axes after them share the node's rows.
+    """
     pos = np.asarray(u) / xi.dxi
     i0 = np.minimum(np.maximum(np.floor(pos).astype(int), 0), xi.n - 1)
-    k = i0 + (xi.n + 1) * np.arange(i0.size).reshape(i0.shape)
-    return k, pos - i0
+    grid = i0.shape[:grid_ndim]
+    node = np.arange(math.prod(grid)).reshape(grid + (1,) * (i0.ndim - grid_ndim))
+    return i0 + (xi.n + 1) * node, pos - i0
 
 
-def _gather(table, k):
+def _gather(table, k, grid_ndim):
     """Rows k of a comps + grid + (n_edges,) table, read in its stored layout.
 
+    k has the grid axes then any batch axes; the result is comps + k.shape.
     For a C-contiguous table the reshape is a view, so nothing is copied.
     """
-    return np.take(table.reshape(table.shape[:table.ndim - 1 - k.ndim] + (-1,)), k, axis=-1)
+    return np.take(table.reshape(table.shape[:table.ndim - 1 - grid_ndim] + (-1,)), k, axis=-1)
 
 
-def xi_interp(table, u, xi):
+def xi_interp(table, u, xi, grid_ndim=None):
     """Linear interpolation of an edge table at state values u.
 
-    `table` has shape comps + grid + (n_edges,), `u` has the grid shape.
-    Values outside [0,1] are extrapolated linearly from the end cells.
+    `table` has shape comps + grid + (n_edges,); `u` has the grid shape, or
+    the grid shape followed by batch axes when `grid_ndim` (the number of
+    grid axes) is given.  The result is comps + u.shape.  Values outside
+    [0,1] are extrapolated linearly from the end cells.
     """
-    k, w = _locate(u, xi)
-    return _gather(table, k) * (1.0 - w) + _gather(table, k + 1) * w
+    g = np.ndim(u) if grid_ndim is None else grid_ndim
+    k, w = _locate(u, xi, g)
+    return _gather(table, k, g) * (1.0 - w) + _gather(table, k + 1, g) * w
 
 
 def xi_hermite(values, slopes, u, xi):
@@ -89,15 +102,16 @@ def xi_hermite(values, slopes, u, xi):
     end cells, as in `xi_interp`.
     """
     dxi = xi.dxi
-    k, t = _locate(u, xi)
+    g = np.ndim(u)
+    k, t = _locate(u, xi, g)
     t2 = t * t
     t3 = t2 * t
     h00 = 2.0 * t3 - 3.0 * t2 + 1.0
     h10 = (t3 - 2.0 * t2 + t) * dxi
     h01 = 3.0 * t2 - 2.0 * t3
     h11 = (t3 - t2) * dxi
-    return (h00 * _gather(values, k) + h10 * _gather(slopes, k)
-            + h01 * _gather(values, k + 1) + h11 * _gather(slopes, k + 1))
+    return (h00 * _gather(values, k, g) + h10 * _gather(slopes, k, g)
+            + h01 * _gather(values, k + 1, g) + h11 * _gather(slopes, k + 1, g))
 
 
 def _tabulate(expr, grid, edges):
@@ -150,8 +164,8 @@ class FluxModel:
         return cls(grid, xi, np.zeros((grid.d,) + grid.shape + (xi.n + 1,)))
 
     def at(self, u):
-        """Vector field x -> f(x, u(x))."""
-        return xi_interp(self.f, u, self.xi)
+        """Vector field x -> f(x, u(x)); u may carry batch axes."""
+        return xi_interp(self.f, u, self.xi, self.grid.d)
 
     def max_prime_gnorm(self, M):
         norms = np.einsum("ij...,i...b,j...b->...b", M.g, self.fprime, self.fprime)
@@ -193,11 +207,12 @@ class DiffusionModel:
         return cls(grid, xi, M, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
 
     def A_at(self, u):
-        """Tensor field x -> A(x, u(x)), the discrete antiderivative of a'."""
-        return xi_interp(self.A, u, self.xi)
+        """Tensor field x -> A(x, u(x)), the discrete antiderivative of a'; u may be batched."""
+        return xi_interp(self.A, u, self.xi, self.grid.d)
 
     def sigmaT_at(self, u):
-        return xi_interp(self.sigmaT, u, self.xi)
+        """Tensor field x -> sigma^t(x, u(x)); u may carry batch axes."""
+        return xi_interp(self.sigmaT, u, self.xi, self.grid.d)
 
     def max_aprime_opnorm(self):
         a = self.aprime

@@ -6,9 +6,12 @@ Heun stepping at a fixed dt chosen from the convective and parabolic
 stability bounds.  `rhs` looks up F = f(x,u) and T = A(x,u), stacks
 (F, T, u) and applies the transport stencil of the metric at this eta
 (`geometry.transport_stencil`) in one pass: the three operators probed into
-per-node weights on the first call.  Every accepted step appends monitor
-values and deposits viscous / degenerate dissipation weights into the
-xi-binned ledger.
+per-node weights on the first call.  Every accepted state is copied into a
+block of up to B states, grid + (B,), with B = BLOCK_NODE_STEPS // nodes.
+When the block is full, and after the last step, one pass over it records
+the monitors (mass, energy, min, max) of each state and deposits the viscous
+/ degenerate dissipation weights of each state a step started from (all but
+the run's final state) into the xi-binned ledger.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ class Trajectory:
 
 
 RANGE_LO, RANGE_HI = -0.1, 1.1
+BLOCK_NODE_STEPS = 2 ** 14  # node-steps buffered between monitor/deposit passes
 
 
 def stable_dt(cfg, fm, dm, M):
@@ -121,20 +125,28 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     u = u0.copy()
     times = [0.0]
     snapshots = [u0.copy()]
-    mon_t, mass, umin, umax, energy = [], [], [], [], []
+    mass, umin, umax, energy = (np.empty(n_steps + 1) for _ in range(4))
+    # stored state after state, so every column is contiguous and a sum over
+    # the grid adds each state's nodes in the order a lone state's sum does
+    block = np.moveaxis(np.empty((max(1, BLOCK_NODE_STEPS // u.size),) + grid.shape), 0, -1)
+    axes = tuple(range(grid.d))
 
-    def monitor(t, v):
-        mon_t.append(t)
-        mass.append(geo.integrate(v, M))
-        umin.append(float(np.min(v)))
-        umax.append(float(np.max(v)))
-        energy.append(geo.integrate(0.5 * v * v, M))
+    def record(first, count, final):
+        """Monitor block states first .. first + count - 1; deposit each one a step starts from."""
+        U = block[..., :count]
+        span = slice(first, first + count)
+        mass[span] = geo.integrate(U, M)
+        energy[span] = geo.integrate(0.5 * U * U, M)
+        umin[span] = np.min(U, axis=axes)
+        umax[span] = np.max(U, axis=axes)
+        n_dep = count - 1 if final else count
+        if record_dissipation and n_dep:
+            deposit(U[..., :n_dep], dm, M, cfg.eta, dt, ledger)
 
-    monitor(0.0, u)
+    block[..., 0] = u
+    first, filled = 0, 1
     for step in range(1, n_steps + 1):
         try:
-            if record_dissipation:
-                deposit(u, dm, M, cfg.eta, dt, ledger)
             k1 = rhs(u, fm, dm, M, cfg.eta)
             u_star = u + dt * k1
             k2 = rhs(u_star, fm, dm, M, cfg.eta)
@@ -143,17 +155,21 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
             raise SolverError(f"step {step} (t={step * dt:.6g}): {exc}") from exc
         if not np.all(np.isfinite(u)):
             raise SolverError(f"non-finite state after step {step} (t={step * dt:.6g})")
+        if filled == block.shape[-1]:
+            record(first, filled, final=False)
+            first, filled = step, 0
+        block[..., filled] = u
+        filled += 1
         t = step * dt
-        monitor(t, u)
         if next_target < len(targets) and t >= targets[next_target] - 1e-12:
             times.append(t)
             snapshots.append(u.copy())
             next_target += 1
+    record(first, filled, final=True)
 
     return Trajectory(times=times, snapshots=snapshots,
-                      monitor_t=np.asarray(mon_t), mass=np.asarray(mass),
-                      u_min=np.asarray(umin), u_max=np.asarray(umax),
-                      energy=np.asarray(energy), ledger=ledger, dt=dt,
+                      monitor_t=np.arange(n_steps + 1) * dt, mass=mass,
+                      u_min=umin, u_max=umax, energy=energy, ledger=ledger, dt=dt,
                       eta=cfg.eta)
 
 

@@ -286,6 +286,12 @@ class TestBatchAxes:
         per_edge = np.stack([laplace_beltrami(v[..., b], M) for b in range(v.shape[-1])], axis=-1)
         assert np.array_equal(laplace_beltrami(v, M), per_edge)
 
+    def test_oneform_norm_sq(self, table):
+        M, T = table
+        w = T[0]
+        per_edge = np.stack([oneform_norm_sq(w[..., b], M) for b in range(w.shape[-1])], axis=-1)
+        assert np.array_equal(oneform_norm_sq(w, M), per_edge)
+
     def test_integrate(self, table):
         # the batched sum runs over the grid in another order, so equal to round-off only
         M, T = table
@@ -440,7 +446,7 @@ class TestTransportStencil:
         with pytest.raises(GeometryError, match="beyond one node"):
             assemble_stencil([(1, op)], grid)
 
-    def test_built_on_first_rhs_and_kept_per_eta(self):
+    def test_built_on_first_rhs_and_kept_for_the_latest_eta(self):
         pipe = cli.build_pipeline({s: dict(kv) for s, kv in SCENARIOS["porous"].items()})
         M, eta = pipe.M, pipe.solver_cfg.eta
         assert M.transport_stencils == {}
@@ -449,7 +455,7 @@ class TestTransportStencil:
         rhs(pipe.u0, pipe.fm, pipe.dm, M, eta)
         assert M.transport_stencils == {eta: st} and M.transport_stencils[eta] is st
         rhs(pipe.u0, pipe.fm, pipe.dm, M, 2 * eta)
-        assert len(M.transport_stencils) == 2 and M.transport_stencils[2 * eta] is not st
+        assert len(M.transport_stencils) == 1 and M.transport_stencils[2 * eta] is not st
 
 
 class TestConservationAndConsistency:

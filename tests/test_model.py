@@ -95,6 +95,23 @@ class TestGather:
             assert np.array_equal(xi_hermite(v, s, u, xi), ref), name
 
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_columns_read_their_nodes_rows(self, d):
+        # B = n columns: a batch axis as long as a grid axis must not be numbered as nodes
+        n = 32
+        grid = ChartGrid(d, n)
+        M = build_metric(CURVED2D if d == 2 else [["(1 + 0.5*sin(2*pi*x1))^2"]], grid)
+        xi = XiGrid(16)
+        entries = [["0.3 + 0.3*xi", "0.1*xi"], ["0.05", "0.2 + 0.4*xi^2"]]
+        dm = DiffusionModel.from_exprs([row[:d] for row in entries[:d]], grid, xi, M)
+        U = np.random.default_rng(7).uniform(-0.05, 1.05, size=grid.shape + (n,))
+        for name, got, column in (
+                ("xi_interp", xi_interp(dm.A, U, xi, d), lambda u: xi_interp(dm.A, u, xi)),
+                ("sigmaT_at", dm.sigmaT_at(U), dm.sigmaT_at)):
+            per_column = np.stack([column(U[..., b]) for b in range(n)], axis=-1)
+            assert np.array_equal(got, per_column), name
+
+
 class TestXiHermite:
     @staticmethod
     def random_tables(xi, seed=3):

@@ -4,9 +4,10 @@ import pytest
 from maniflow.geometry import ChartGrid, build_metric, euclidean_metric, integrate, norm_l1
 from maniflow.model import (DiffusionModel, FluxModel, XiGrid,
                             make_compatible_flux)
-from maniflow.solver import (RangeViolation, SolverConfig, SolverError,
+from maniflow.entropy import DissipationLedger, deposit
+from maniflow.solver import (BLOCK_NODE_STEPS, RangeViolation, SolverConfig, SolverError,
                              Trajectory, rhs, run, stable_dt, total_variation)
-from maniflow import catalog
+from maniflow import catalog, solver
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,6 +123,64 @@ class TestRhs:
         assert not isinstance(info.value, RangeViolation)
 
 
+def per_step_run(cfg, fm, dm, M, u0, xi):
+    """Reference: the step loop with a monitor and a deposit on every step."""
+    dt_raw = stable_dt(cfg, fm, dm, M)
+    n_steps = max(1, int(np.ceil(cfg.t_end / dt_raw)))
+    dt = cfg.t_end / n_steps
+    n_snap = min(cfg.n_snapshots, n_steps)
+    targets = [i * cfg.t_end / n_snap for i in range(1, n_snap + 1)]
+    next_target = 0
+    ledger = DissipationLedger(xi)
+    u = np.asarray(u0, dtype=float).copy()
+    times, snapshots = [0.0], [u.copy()]
+    mon = {"monitor_t": [], "mass": [], "u_min": [], "u_max": [], "energy": []}
+
+    def monitor(t, v):
+        mon["monitor_t"].append(t)
+        mon["mass"].append(integrate(v, M))
+        mon["u_min"].append(float(np.min(v)))
+        mon["u_max"].append(float(np.max(v)))
+        mon["energy"].append(integrate(0.5 * v * v, M))
+
+    monitor(0.0, u)
+    for step in range(1, n_steps + 1):
+        deposit(u, dm, M, cfg.eta, dt, ledger)
+        k1 = rhs(u, fm, dm, M, cfg.eta)
+        k2 = rhs(u + dt * k1, fm, dm, M, cfg.eta)
+        u = u + 0.5 * dt * (k1 + k2)
+        t = step * dt
+        monitor(t, u)
+        if next_target < len(targets) and t >= targets[next_target] - 1e-12:
+            times.append(t)
+            snapshots.append(u.copy())
+            next_target += 1
+    return Trajectory(times=times, snapshots=snapshots, ledger=ledger, dt=dt, eta=cfg.eta,
+                      **{k: np.asarray(v) for k, v in mon.items()})
+
+
+def bookkeeping_case(name):
+    """(fm, dm, M, u0, xi, eta) of a porous-type flat 1D or a compatible curved 2D problem."""
+    if name == "flat1d":
+        grid = ChartGrid(1, 128)
+        M = euclidean_metric(grid)
+        xi = XiGrid(64)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        fm = FluxModel.from_exprs(["0.3*xi^2"], grid, xi)
+        u0 = 0.5 + 0.4 * np.sin(TWO_PI * grid.coords()[0])
+        return fm, dm, M, u0, xi, 1e-3
+    grid = ChartGrid(2, 32)
+    M = build_metric(catalog.METRICS["curved2d"]["entries"], grid)
+    xi = XiGrid(32)
+    sc = catalog.SCENARIOS["curved_const"]["scenario"]
+    dm = DiffusionModel.from_exprs([[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)],
+                                   grid, xi, M)
+    fm = make_compatible_flux(dm, M, stream=sc["stream"])
+    x1, x2 = grid.coords()
+    u0 = 0.5 + 0.3 * np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2)
+    return fm, dm, M, u0, xi, 5e-3
+
+
 class TestRun:
     def test_heat_matches_spectral_solution(self):
         grid, M, xi, dm, fm, u0 = heat_setup(128, 1e-2)
@@ -217,3 +276,42 @@ class TestRun:
         e1 = norm_l1(finals[0] - finals[1], M)
         e2 = norm_l1(finals[1] - finals[2], M)
         assert e2 <= 0.9 * e1
+
+    @pytest.mark.parametrize("name", ["flat1d", "curved2d"])
+    @pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["1", "B-1", "B", "B+1", "2B+1"])
+    def test_block_bookkeeping_matches_per_step(self, name, blocks, monkeypatch):
+        fm, dm, M, u0, xi, eta = bookkeeping_case(name)
+        B = BLOCK_NODE_STEPS // u0.size
+        n_steps = blocks[0] * B + blocks[1]
+        cfg0 = SolverConfig(eta=eta, t_end=1.0, n_snapshots=3)
+        cfg = SolverConfig(eta=eta, t_end=(n_steps - 0.5) * stable_dt(cfg0, fm, dm, M),
+                           n_snapshots=3)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return deposit(*args)
+
+        monkeypatch.setattr(solver, "deposit", counted)
+        got = run(cfg, fm, dm, M, u0, xi)
+        ref = per_step_run(cfg, fm, dm, M, u0, xi)
+        assert len(got.monitor_t) == n_steps + 1
+        assert len(calls) == -(-n_steps // B)  # one deposit per block, not per step
+        assert sum(shape[-1] for shape in calls) == n_steps
+        assert np.array_equal(got.u_final, ref.u_final)
+        assert got.times == ref.times
+        assert all(np.array_equal(a, b) for a, b in zip(got.snapshots, ref.snapshots))
+        assert len(got.snapshots) == len(ref.snapshots)
+        # each block column is summed, and deposited, in the order of a lone state
+        for key in ("monitor_t", "u_min", "u_max", "mass", "energy"):
+            assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+        for key in ("bins_m", "bins_n"):
+            a, b = getattr(got.ledger, key), getattr(ref.ledger, key)
+            assert np.any(b > 0.0) and np.array_equal(a, b), key
+
+        calls.clear()
+        quiet = run(cfg, fm, dm, M, u0, xi, record_dissipation=False)
+        assert not calls
+        assert not np.any(quiet.ledger.bins_m) and not np.any(quiet.ledger.bins_n)
+        assert np.array_equal(quiet.u_final, ref.u_final)
