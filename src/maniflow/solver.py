@@ -7,10 +7,11 @@ stability bounds.  `rhs` looks up F = f(x,u) and T = A(x,u), stacks
 (F, T, u) and applies the transport stencil of the metric at this eta
 (`geometry.transport_stencil`) in one pass: the three operators probed into
 per-node weights on the first call.  Every accepted state is copied into a
-block of up to B states, grid + (B,), with B = BLOCK_NODE_STEPS // nodes.
-When the block is full, and after the last step, one pass over it records
-the monitors (mass, energy, min, max) of each state and deposits the viscous
-/ degenerate dissipation weights of each state a step started from (all but
+block of up to B states, grid + (B,), with B = BLOCK_NODE_STEPS // nodes
+(at least 1), so the block's memory is bounded on every grid.  When the
+block is full, and after the last step, one pass over it records the
+monitors (mass, energy, min, max) of each state and deposits the viscous /
+degenerate dissipation weights of each state a step started from (all but
 the run's final state) into the xi-binned ledger.
 """
 
@@ -141,7 +142,8 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
         umax[span] = np.max(U, axis=axes)
         n_dep = count - 1 if final else count
         if record_dissipation and n_dep:
-            deposit(U[..., :n_dep], dm, M, cfg.eta, dt, ledger)
+            # node-major copy: the lookups and products then read each node's states together
+            deposit(np.ascontiguousarray(U[..., :n_dep]), dm, M, cfg.eta, dt, ledger)
 
     block[..., 0] = u
     first, filled = 0, 1
