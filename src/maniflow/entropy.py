@@ -73,7 +73,7 @@ class DissipationLedger:
         self.bins_n = np.zeros(xi.n)
 
     def add(self, values, weights_m, weights_n):
-        """Deposit the rows of (states, nodes) arrays, one state after another.
+        """Deposit the rows of (states, nodes) arrays, or one state's (nodes,) arrays.
 
         Within a state the lower-bin shares of all nodes go in before the
         upper-bin shares, so the bins sum in the same order whether states

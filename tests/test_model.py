@@ -94,7 +94,6 @@ class TestGather:
                    + (3.0 * t2 - 2.0 * t3) * v1 + (t3 - t2) * xi.dxi * s1)
             assert np.array_equal(xi_hermite(v, s, u, xi), ref), name
 
-
     @pytest.mark.parametrize("d", [1, 2])
     def test_batch_columns_read_their_nodes_rows(self, d):
         # B = n columns: a batch axis as long as a grid axis must not be numbered as nodes
