@@ -301,20 +301,16 @@ def _json_dump(obj, path):
 
 
 def _write_monitors(traj, path):
-    with open(path, "w") as fh:
-        fh.write("t,mass,min,max,energy\n")
-        for k in range(len(traj.monitor_t)):
-            fh.write(",".join(format(v, ".17g") for v in (
-                traj.monitor_t[k], traj.mass[k], traj.u_min[k],
-                traj.u_max[k], traj.energy[k])) + "\n")
+    cols = (traj.monitor_t, traj.mass, traj.u_min, traj.u_max, traj.energy)
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header="t,mass,min,max,energy", comments="")
 
 
 def _write_ledger(traj, nu, path):
-    with open(path, "w") as fh:
-        fh.write("xi_bin_center,M_b,N_b,nu\n")
-        for b, c in enumerate(traj.ledger.xi.centers):
-            fh.write(",".join(format(v, ".17g") for v in (
-                c, traj.ledger.bins_m[b], traj.ledger.bins_n[b], nu[b])) + "\n")
+    led = traj.ledger
+    cols = (led.xi.centers, led.bins_m, led.bins_n, nu)
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header="xi_bin_center,M_b,N_b,nu", comments="")
 
 
 # --- commands --------------------------------------------------------------------

@@ -22,15 +22,9 @@ def write_csv(field, grid, path):
     count, lead = _component_count(field, grid)
     flat = field.reshape(lead + (-1,)).reshape(count, -1)  # comps x nodes
     headers = ["i"] + (["j"] if grid.d == 2 else []) + [f"c{k}" for k in range(count)]
-    with open(path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for node in range(flat.shape[1]):
-            if grid.d == 1:
-                idx = [str(node)]
-            else:
-                idx = [str(node // grid.n), str(node % grid.n)]
-            vals = [format(flat[k, node], ".17g") for k in range(count)]
-            fh.write(",".join(idx + vals) + "\n")
+    nodes = np.indices(grid.shape).reshape(grid.d, -1)
+    np.savetxt(path, np.vstack((nodes, flat)).T, fmt=["%d"] * grid.d + ["%.17g"] * count,
+               delimiter=",", header=",".join(headers), comments="")
 
 
 def write_raw(field, grid, path):

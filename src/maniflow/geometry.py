@@ -23,14 +23,13 @@ form so that its integral against the volume density telescopes to zero
 exactly.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
 `_neighbours`, two views of one padded copy.
 
-Beyond those, a metric caches only what a run reads over and over: the
-lower-order coefficients of `divdiv_tensor11` (`MetricField.divdiv_coef`),
-read once per snapshot by the kinetic residual, and the transport stencils
-(`MetricField.transport_stencils`), applied twice per step.  The metric
-coefficients of `div_tensor11` and `laplace_beltrami` are one contraction or
-average of arrays the metric already holds, cheap beside the operators, and
-the operators are called at most about once per snapshot, so they form them
-on each call.
+Beyond those, a metric caches only the lower-order coefficients of
+`divdiv_tensor11` (`MetricField.divdiv_coef`), read once per snapshot by the
+kinetic residual and by every stencil assembly.  The metric coefficients of
+`div_tensor11` and `laplace_beltrami` are one contraction or average of
+arrays the metric already holds, cheap beside the operators, and the
+operators are called at most about once per snapshot, so they form them on
+each call.
 
 The step loop applies these operators in assembled form.  Every one of them
 reads at most one node away along each axis, so a linear combination of them
@@ -41,8 +40,7 @@ operator reaches further; the functions above stay the one definition of each
 operator.  A stencil is applied in difference form, so weights of order 1/h^2
 multiply neighbour differences rather than cancel after rounding.
 `transport_stencil` assembles -div F + divdiv T + eta * Laplace-Beltrami(u)
-on first use at an eta and keeps it on the metric until another eta is asked
-for, so a sweep over eta holds one stencil at a time.
+and returns it; its caller owns it.
 """
 
 from __future__ import annotations
@@ -153,7 +151,6 @@ class MetricField:
         self.gamma = self._christoffel()
         # Gamma^j_{kj} contracted over the repeated slot, indexed by k
         self.gamma_trace = np.einsum("jkj...->k...", self.gamma)
-        self.transport_stencils = {}  # {eta: Stencil} of the latest eta, set by `transport_stencil`
 
     def _check_spd(self):
         if self.grid.d == 1:
@@ -187,18 +184,12 @@ class MetricField:
     def _christoffel(self):
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), FD of g
         d, h, shape = self.grid.d, self.grid.h, self.grid.shape
-        dg = np.empty((d, d, d) + shape)  # dg[l, i, j] = d_l g_ij
-        for l in range(d):
-            dg[l] = ddx(self.g, 2 + l, h)
-        gamma = np.zeros((d, d, d) + shape)
-        for k in range(d):
-            for i in range(d):
-                for j in range(d):
-                    acc = np.zeros(shape)
-                    for l in range(d):
-                        acc += self.ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                    gamma[k, i, j] = 0.5 * acc
-        return gamma
+        dg = np.empty((d, d, d) + shape)  # dg[i, j, l] = d_i g_jl
+        for i in range(d):
+            dg[i] = ddx(self.g, 2 + i, h)
+        # bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+        bracket = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2)
+        return 0.5 * np.einsum("kl...,ijl...->kij...", self.ginv, bracket)
 
     @cached_property
     def divdiv_coef(self):
@@ -321,7 +312,7 @@ def laplace_beltrami(v, M):
     grid = M.grid
     d, h = grid.d, grid.h
     kappa = M.sqrt_det * np.einsum("aa...->a...", M.ginv)
-    face = np.stack([0.5 * (kappa[a] + np.roll(kappa[a], -1, a)) for a in range(d)])
+    face = np.stack([0.5 * (kappa[a] + _neighbours(kappa[a], a)[1]) for a in range(d)])
     face, cross, sqrt_det = _batched(M, v, 0, face, M.sqrt_det * M.ginv, M.sqrt_det)
     acc = np.zeros(v.shape)
     for a in range(d):
@@ -411,18 +402,13 @@ def transport_stencil(M, eta):
     """`Stencil` of Y = (F, T, u) -> -div F + divdiv T + eta * laplace_beltrami(u).
 
     Y stacks the d components of F, the d*d of T (row-major) and u on axis 0.
-    Assembled from the three operators on first use and kept on M; a new eta
-    replaces the stencil of the previous one.
+    Assembled from the three operators on every call.
     """
-    st = M.transport_stencils.get(eta)
-    if st is None:
-        d = M.grid.d
-        blocks = [(d, lambda F: -div_vector(F, M)),
-                  (d * d, lambda T: divdiv_tensor11(T.reshape((d, d) + T.shape[1:]), M)),
-                  (1, lambda u: eta * laplace_beltrami(u[0], M))]
-        st = assemble_stencil(blocks, M.grid)
-        M.transport_stencils = {eta: st}
-    return st
+    d = M.grid.d
+    blocks = [(d, lambda F: -div_vector(F, M)),
+              (d * d, lambda T: divdiv_tensor11(T.reshape((d, d) + T.shape[1:]), M)),
+              (1, lambda u: eta * laplace_beltrami(u[0], M))]
+    return assemble_stencil(blocks, M.grid)
 
 
 # --- algebraic operators ----------------------------------------------------

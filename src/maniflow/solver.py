@@ -3,16 +3,17 @@
 du/dt = -div f(x,u) + divdiv A(x,u) + eta * laplace(u)
 
 Heun stepping at a fixed dt chosen from the convective and parabolic
-stability bounds.  `rhs` looks up F = f(x,u) and T = A(x,u), stacks
-(F, T, u) and applies the transport stencil of the metric at this eta
-(`geometry.transport_stencil`) in one pass: the three operators probed into
-per-node weights on the first call.  Every accepted state is copied into a
-block of up to B states, grid + (B,), with B = BLOCK_NODE_STEPS // nodes
-(at least 1), so the block's memory is bounded on every grid.  When the
-block is full, and after the last step, one pass over it records the
-monitors (mass, energy, min, max) of each state and deposits the viscous /
-degenerate dissipation weights of each state a step started from (all but
-the run's final state) into the xi-binned ledger.
+stability bounds.  `run` assembles the transport stencil of the metric at
+its eta (`geometry.transport_stencil`: the three operators probed into
+per-node weights) once, before the first step; `rhs` looks up F = f(x,u)
+and T = A(x,u), stacks (F, T, u) and applies that stencil in one pass.
+Snapshots are taken after steps ceil(i * n_steps / n_snap), i = 1 .. n_snap.
+Every accepted state is copied into a block of up to B states, grid + (B,),
+with B = BLOCK_NODE_STEPS // nodes (at least 1), so the block's memory is
+bounded on every grid.  When the block is full, and after the last step,
+one pass over it records the monitors (mass, energy, min, max) of each state
+and deposits the viscous / degenerate dissipation weights of each state a
+step started from (all but the run's final state) into the xi-binned ledger.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def stable_dt(cfg, fm, dm, M):
     return cfg.cfl * min(conv, para)
 
 
-def rhs(u, fm, dm, M, eta):
-    """Semi-discrete right-hand side at state u."""
+def rhs(u, fm, dm, stencil):
+    """Semi-discrete right-hand side at state u, with the run's `geometry.transport_stencil`."""
     # one pass: NaN fails both comparisons, +-inf one of them
     if not np.all((u >= RANGE_LO) & (u <= RANGE_HI)):
         if not np.all(np.isfinite(u)):
@@ -95,7 +96,7 @@ def rhs(u, fm, dm, M, eta):
     F = fm.at(u)
     T = dm.A_at(u)
     Y = np.concatenate((F, T.reshape((-1,) + u.shape), u[None]))
-    return geo.transport_stencil(M, eta)(Y)
+    return stencil(Y)
 
 
 def check_initial_state(u0, grid):
@@ -116,11 +117,11 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_raw)))
     dt = cfg.t_end / n_steps
 
-    # snapshot at (approximately) evenly spaced target times so that runs
-    # with different dt produce comparable series
+    # the first step at or after each of n_snap evenly spaced times, so that
+    # runs with different dt produce comparable series
     n_snap = min(cfg.n_snapshots, n_steps)
-    targets = [i * cfg.t_end / n_snap for i in range(1, n_snap + 1)]
-    next_target = 0
+    snap_steps = {-(-i * n_steps // n_snap) for i in range(1, n_snap + 1)}
+    stencil = geo.transport_stencil(M, cfg.eta)
     ledger = DissipationLedger(xi)
 
     u = u0.copy()
@@ -129,7 +130,8 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     mass, umin, umax, energy = (np.empty(n_steps + 1) for _ in range(4))
     # stored state after state, so every column is contiguous and a sum over
     # the grid adds each state's nodes in the order a lone state's sum does
-    block = np.moveaxis(np.empty((max(1, BLOCK_NODE_STEPS // u.size),) + grid.shape), 0, -1)
+    B = max(1, BLOCK_NODE_STEPS // u.size)
+    block = np.moveaxis(np.empty((B,) + grid.shape), 0, -1)
     axes = tuple(range(grid.d))
 
     def record(first, count, final):
@@ -146,28 +148,23 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
             deposit(np.ascontiguousarray(U[..., :n_dep]), dm, M, cfg.eta, dt, ledger)
 
     block[..., 0] = u
-    first, filled = 0, 1
     for step in range(1, n_steps + 1):
         try:
-            k1 = rhs(u, fm, dm, M, cfg.eta)
+            k1 = rhs(u, fm, dm, stencil)
             u_star = u + dt * k1
-            k2 = rhs(u_star, fm, dm, M, cfg.eta)
+            k2 = rhs(u_star, fm, dm, stencil)
             u = u + 0.5 * dt * (k1 + k2)
         except SolverError as exc:
-            raise SolverError(f"step {step} (t={step * dt:.6g}): {exc}") from exc
+            raise type(exc)(f"step {step} (t={step * dt:.6g}): {exc}") from exc
         if not np.all(np.isfinite(u)):
             raise SolverError(f"non-finite state after step {step} (t={step * dt:.6g})")
-        if filled == block.shape[-1]:
-            record(first, filled, final=False)
-            first, filled = step, 0
-        block[..., filled] = u
-        filled += 1
-        t = step * dt
-        if next_target < len(targets) and t >= targets[next_target] - 1e-12:
-            times.append(t)
+        if step % B == 0:
+            record(step - B, B, final=False)
+        block[..., step % B] = u
+        if step in snap_steps:
+            times.append(step * dt)
             snapshots.append(u.copy())
-            next_target += 1
-    record(first, filled, final=True)
+    record(n_steps - n_steps % B, n_steps % B + 1, final=True)
 
     return Trajectory(times=times, snapshots=snapshots,
                       monitor_t=np.arange(n_steps + 1) * dt, mass=mass,

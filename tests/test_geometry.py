@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from maniflow import cli
+from maniflow import cli, geometry
 from maniflow.catalog import METRICS, SCENARIOS
-from maniflow.geometry import (ChartGrid, GeometryError, MetricField, assemble_stencil,
-                               build_metric, d2dx, ddx, div_oneform, div_tensor11,
-                               div_vector, divdiv_tensor11, euclidean_metric, flat,
-                               gradient, integrate, laplace_beltrami, oneform_norm_sq,
+from maniflow.geometry import (ChartGrid, GeometryError, MetricField, Stencil,
+                               assemble_stencil, build_metric, d2dx, ddx, div_oneform,
+                               div_tensor11, div_vector, divdiv_tensor11, euclidean_metric,
+                               flat, gradient, integrate, laplace_beltrami, oneform_norm_sq,
                                sharp, transport_stencil, transpose11)
-from maniflow.solver import rhs
 
 from sym_oracles import CURVED2D, MetricOracle, sample_tensor, sample_vector
 
@@ -446,16 +445,21 @@ class TestTransportStencil:
         with pytest.raises(GeometryError, match="beyond one node"):
             assemble_stencil([(1, op)], grid)
 
-    def test_built_on_first_rhs_and_kept_for_the_latest_eta(self):
-        pipe = cli.build_pipeline({s: dict(kv) for s, kv in SCENARIOS["porous"].items()})
-        M, eta = pipe.M, pipe.solver_cfg.eta
-        assert M.transport_stencils == {}
-        rhs(pipe.u0, pipe.fm, pipe.dm, M, eta)
-        st = M.transport_stencils[eta]
-        rhs(pipe.u0, pipe.fm, pipe.dm, M, eta)
-        assert M.transport_stencils == {eta: st} and M.transport_stencils[eta] is st
-        rhs(pipe.u0, pipe.fm, pipe.dm, M, 2 * eta)
-        assert len(M.transport_stencils) == 1 and M.transport_stencils[2 * eta] is not st
+    def test_one_run_assembles_one_stencil_and_keeps_none_on_the_metric(self, monkeypatch):
+        pipe = cli.build_pipeline({s: dict(kv) for s, kv in SCENARIOS["curved_evo"].items()})
+        pipe.solver_cfg.t_end = 1e-3  # a few steps
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return assemble_stencil(*args)
+
+        monkeypatch.setattr(geometry, "assemble_stencil", counted)
+        pipe.run()
+        assert len(calls) == 1
+        held = [w for v in vars(pipe.M).values()
+                for w in (v.values() if isinstance(v, dict) else (v,))]
+        assert not any(isinstance(w, Stencil) for w in held)
 
 
 class TestConservationAndConsistency:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from maniflow.geometry import ChartGrid, build_metric, euclidean_metric, integrate, norm_l1
+from maniflow.geometry import (ChartGrid, build_metric, euclidean_metric, integrate, norm_l1,
+                               transport_stencil)
 from maniflow.model import (DiffusionModel, FluxModel, XiGrid,
                             make_compatible_flux)
 from maniflow.entropy import DissipationLedger, deposit
@@ -68,7 +69,7 @@ class TestRhs:
         u = 0.5 + 0.3 * np.sin(TWO_PI * x)
         eta = 2e-2
         lap = (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / grid.h ** 2
-        assert np.max(np.abs(rhs(u, fm, dm, M, eta) - eta * lap)) <= 1e-14
+        assert np.max(np.abs(rhs(u, fm, dm, transport_stencil(M, eta)) - eta * lap)) <= 1e-14
 
     def test_porous_matches_hand_stencil(self, flat_1d):
         # flat, f=0, a' = 2 xi: rhs must equal D2(u^2) + eta D2(u) where the
@@ -87,7 +88,7 @@ class TestRhs:
         # quantization into the oracle stencil
         A_vals = np.interp(u, xi.edges, xi.edges ** 2)
         oracle = d2(A_vals) + eta * d2(u)
-        assert np.max(np.abs(rhs(u, fm, dm, M, eta) - oracle)) <= 1e-10
+        assert np.max(np.abs(rhs(u, fm, dm, transport_stencil(M, eta)) - oracle)) <= 1e-10
 
     def test_compatible_constant_state_small(self):
         grid = ChartGrid(2, 32)
@@ -98,7 +99,7 @@ class TestRhs:
         dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
         fm = make_compatible_flux(dm, M, stream=sc["stream"])
         u = np.full(grid.shape, 0.5)
-        r = rhs(u, fm, dm, M, 5e-3)
+        r = rhs(u, fm, dm, transport_stencil(M, 5e-3))
         assert np.max(np.abs(r)) <= 10.0 * grid.h ** 2
 
     def test_range_violation_diagnostic(self, flat_1d):
@@ -108,7 +109,7 @@ class TestRhs:
         u = np.full(grid.shape, 0.5)
         u[13] = 1.2
         with pytest.raises(RangeViolation, match=r"\(13,\)"):
-            rhs(u, fm, dm, M, 1e-2)
+            rhs(u, fm, dm, transport_stencil(M, 1e-2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_is_not_a_range_violation(self, flat_1d, bad):
@@ -119,7 +120,7 @@ class TestRhs:
         u[13] = bad
         u[20] = 1.2  # also out of range: the non-finite value still decides the error
         with pytest.raises(SolverError, match="non-finite state") as info:
-            rhs(u, fm, dm, M, 1e-2)
+            rhs(u, fm, dm, transport_stencil(M, 1e-2))
         assert not isinstance(info.value, RangeViolation)
 
 
@@ -131,6 +132,7 @@ def per_step_run(cfg, fm, dm, M, u0, xi):
     n_snap = min(cfg.n_snapshots, n_steps)
     targets = [i * cfg.t_end / n_snap for i in range(1, n_snap + 1)]
     next_target = 0
+    stencil = transport_stencil(M, cfg.eta)
     ledger = DissipationLedger(xi)
     u = np.asarray(u0, dtype=float).copy()
     times, snapshots = [0.0], [u.copy()]
@@ -146,8 +148,8 @@ def per_step_run(cfg, fm, dm, M, u0, xi):
     monitor(0.0, u)
     for step in range(1, n_steps + 1):
         deposit(u, dm, M, cfg.eta, dt, ledger)
-        k1 = rhs(u, fm, dm, M, cfg.eta)
-        k2 = rhs(u + dt * k1, fm, dm, M, cfg.eta)
+        k1 = rhs(u, fm, dm, stencil)
+        k2 = rhs(u + dt * k1, fm, dm, stencil)
         u = u + 0.5 * dt * (k1 + k2)
         t = step * dt
         monitor(t, u)
@@ -179,6 +181,15 @@ def bookkeeping_case(name):
     x1, x2 = grid.coords()
     u0 = 0.5 + 0.3 * np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2)
     return fm, dm, M, u0, xi, 5e-3
+
+
+# (block count, remainder) of n_steps = count * B + remainder, with n_snapshots;
+# a case at 3 snapshots is named by its step count alone
+BOOKKEEPING_STEPS = {"1": (0, 1), "B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B+1": (2, 1)}
+BOOKKEEPING_CASES = [(blocks, snaps) for snaps in ("3", "1", "n_steps")
+                     for blocks in BOOKKEEPING_STEPS.values()]
+BOOKKEEPING_IDS = [step_id if snaps == "3" else f"{step_id},snaps={snaps}"
+                   for snaps in ("3", "1", "n_steps") for step_id in BOOKKEEPING_STEPS]
 
 
 class TestRun:
@@ -249,6 +260,17 @@ class TestRun:
             run(SolverConfig(eta=1e-2, t_end=0.01), fm, dm, M,
                 np.full(grid.shape, 1.5), xi)
 
+    def test_range_violation_keeps_its_type(self):
+        # the data of tests/test_cli.py::test_range_violation_exits_1
+        grid = ChartGrid(1, 16)
+        M = euclidean_metric(grid)
+        xi = XiGrid(16)
+        dm = DiffusionModel.zero(grid, xi, M)
+        fm = FluxModel.from_exprs(["20*xi^2"], grid, xi)
+        u0 = 0.5 + 0.25 * np.sin(TWO_PI * grid.coords()[0])
+        with pytest.raises(RangeViolation, match=r"^step 32 \(t=.*node \(7,\) outside"):
+            run(SolverConfig(eta=1e-4, t_end=0.5, cfl=1.0), fm, dm, M, u0, xi)
+
     def test_blowup_aborts_with_step_index(self, flat_1d):
         grid, M, xi = flat_1d
         # anti-diffusive flux via a fake diffusion table: negate A by flipping
@@ -278,15 +300,16 @@ class TestRun:
         assert e2 <= 0.9 * e1
 
     @pytest.mark.parametrize("name", ["flat1d", "curved2d"])
-    @pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
-                             ids=["1", "B-1", "B", "B+1", "2B+1"])
-    def test_block_bookkeeping_matches_per_step(self, name, blocks, monkeypatch):
+    @pytest.mark.parametrize("blocks, snaps", BOOKKEEPING_CASES, ids=BOOKKEEPING_IDS)
+    def test_block_bookkeeping_matches_per_step(self, name, blocks, snaps, monkeypatch):
+        # the integer snapshot steps against the float-target rule of `per_step_run`
         fm, dm, M, u0, xi, eta = bookkeeping_case(name)
         B = BLOCK_NODE_STEPS // u0.size
         n_steps = blocks[0] * B + blocks[1]
+        n_snap = n_steps if snaps == "n_steps" else int(snaps)
         cfg0 = SolverConfig(eta=eta, t_end=1.0, n_snapshots=3)
         cfg = SolverConfig(eta=eta, t_end=(n_steps - 0.5) * stable_dt(cfg0, fm, dm, M),
-                           n_snapshots=3)
+                           n_snapshots=n_snap)
         calls = []
 
         def counted(*args):
@@ -297,6 +320,7 @@ class TestRun:
         got = run(cfg, fm, dm, M, u0, xi)
         ref = per_step_run(cfg, fm, dm, M, u0, xi)
         assert len(got.monitor_t) == n_steps + 1
+        assert len(got.snapshots) == min(n_snap, n_steps) + 1
         assert len(calls) == -(-n_steps // B)  # one deposit per block, not per step
         assert sum(shape[-1] for shape in calls) == n_steps
         assert np.array_equal(got.u_final, ref.u_final)
@@ -310,6 +334,8 @@ class TestRun:
             a, b = getattr(got.ledger, key), getattr(ref.ledger, key)
             assert np.any(b > 0.0) and np.array_equal(a, b), key
 
+        if snaps != "3":
+            return  # the snapshot count does not reach the ledger
         calls.clear()
         quiet = run(cfg, fm, dm, M, u0, xi, record_dissipation=False)
         assert not calls
