@@ -80,8 +80,12 @@ def _parse_value(text):
 
 
 def parse_config(text):
-    """Parse INI-like text into {section: {key: value}}."""
-    sections = {}
+    """Parse INI-like text into {section: {key: value}}.
+
+    As in configparser's strict mode, a section or a key in it may appear
+    only once (`--override` replaces a key).
+    """
+    sections, first = {}, {}  # (section,) or (section, key) -> line it first appears on
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -91,14 +95,19 @@ def parse_config(text):
             if not line.endswith("]"):
                 raise ConfigError(f"line {lineno}: malformed section header {raw!r}")
             current = line[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        sections[current][key.strip()] = _parse_value(value)
+            name, where = (current,), f"[{current}] section"
+            sections[current] = {}
+        else:
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            if current is None:
+                raise ConfigError(f"line {lineno}: key outside any [section]")
+            key, value = (part.strip() for part in line.split("=", 1))
+            name, where = (current, key), f"[{current}] {key}: key"
+            sections[current][key] = _parse_value(value)
+        if name in first:
+            raise ConfigError(f"{where} repeated on line {lineno}, first on line {first[name]}")
+        first[name] = lineno
     return sections
 
 
@@ -148,8 +157,11 @@ KEYS = {
 def _convert(kind, value):
     """`value` in the form the pipeline uses for `kind`; ValueError if it is not one."""
     if kind in (NUMS, EXPRS):
-        return tuple(_convert(NUM, _parse_value(part)) if kind == NUMS else
-                     _convert(EXPR, part.strip()) for part in str(value).split(",") if part.strip())
+        parts = [part.strip() for part in str(value).split(",") if part.strip()]
+        if not parts:
+            raise ValueError(f"must be {kind}, got {value!r}")
+        return tuple(_convert(NUM, _parse_value(p)) if kind == NUMS else _convert(EXPR, p)
+                     for p in parts)
     if isinstance(value, bool) != (kind == BOOL) or not isinstance(value, _TYPES[kind]):
         raise ValueError(f"must be {kind}, got {value!r}")
     return float(value) if kind == NUM else value
@@ -322,7 +334,7 @@ def cmd_run(cfg, out_dir):
     report = {"version": __version__, "command": "run"}
     violations = []
 
-    balance = entropy.energy_balance(traj, pipe.M)
+    balance = entropy.energy_balance(traj)
     report["energy_balance"] = balance
 
     battery = entropy.spatial_battery(pipe.grid, seed=pipe.battery_seed,

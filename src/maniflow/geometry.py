@@ -31,16 +31,17 @@ arrays the metric already holds, cheap beside the operators, and the
 operators are called at most about once per snapshot, so they form them on
 each call.
 
-The step loop applies these operators in assembled form.  Every one of them
-reads at most one node away along each axis, so a linear combination of them
-is a `Stencil`: per-node weights on the 3^d - 1 off-centre neighbours plus its
-value on constant fields.  `assemble_stencil` derives the weights by probing
-the operator functions with period-4 combs and raises GeometryError when an
-operator reaches further; the functions above stay the one definition of each
-operator.  A stencil is applied in difference form, so weights of order 1/h^2
-multiply neighbour differences rather than cancel after rounding.
-`transport_stencil` assembles -div F + divdiv T + eta * Laplace-Beltrami(u)
-and returns it; its caller owns it.
+The equation's spatial operator, L(F, T, u) = -div F + divdiv T +
+eta * Laplace-Beltrami(u), is defined once, as `transport`.  The diagnostics
+call it, the compatibility audit applies it to constant states (where the
+Laplace-Beltrami term is exactly zero) and the step loop applies it
+assembled: every operator reads at most one node away along each axis, so L
+is a `Stencil`, per-node weights on the 3^d - 1 off-centre neighbours plus
+its value on constant fields.  `assemble_stencil` derives the weights by
+probing an operator with period-4 combs and raises GeometryError when it
+reaches further.  A stencil is applied in difference form, so weights of
+order 1/h^2 multiply neighbour differences rather than cancel after rounding.
+`transport_stencil` assembles `transport` at one eta; its caller owns it.
 """
 
 from __future__ import annotations
@@ -326,6 +327,11 @@ def laplace_beltrami(v, M):
 
 # --- assembled operators ----------------------------------------------------
 
+def transport(F, T, u, M, eta):
+    """-div F + divdiv T + eta * laplace_beltrami(u); F, T and u share their batch axes."""
+    return -div_vector(F, M) + divdiv_tensor11(T, M) + eta * laplace_beltrami(u, M)
+
+
 class Stencil:
     """Per-node weights of a linear periodic operator of reach one.
 
@@ -343,8 +349,9 @@ class Stencil:
         self._shifted = [(slice(None),) + tuple(slice(1 + a, 1 + a + n) for a in s)
                          for s in offsets]
 
-    def __call__(self, Y):
-        """Y: (n_comp,) + grid, one state; returns a scalar field."""
+    def __call__(self, *parts):
+        """One state's parts, each index axes + grid, stacked on axis 0; returns a scalar field."""
+        Y = np.concatenate([p.reshape((-1,) + self.zeroth.shape[1:]) for p in parts])
         padded = Y
         for axis in range(1, Y.ndim):
             padded = _wrap_pad(padded, axis)
@@ -357,41 +364,33 @@ class Stencil:
         return acc.sum(axis=0)
 
 
-def assemble_stencil(blocks, grid):
-    """Probe a sum of linear periodic operators into one `Stencil`.
+def assemble_stencil(op, n_comp, grid):
+    """Probe a linear periodic operator into a `Stencil`.
 
-    Each block (k, op) acts on the next k components of the stacked state:
-    op maps (k,) + grid + batch to grid + batch.  The grid size is a power of
-    two >= 16, so period-4 combs separate the three neighbours of a node along
-    each axis; each block is called once per comb phase, with its components
-    on the batch axis.  A check on one random field raises GeometryError if an
-    operator reaches beyond one node.
+    op maps (n_comp,) + grid + batch to grid + batch.  The grid size is a
+    power of two >= 16, so period-4 combs separate the three neighbours of a
+    node along each axis; op is called once per comb phase, with the unit
+    probe of each component on the batch axis.  A check on one random field
+    raises GeometryError if op reaches beyond one node.
     """
     d, shape = grid.d, grid.shape
     offsets = [tuple(a - 1 for a in s) for s in np.ndindex((3,) * d) if s != (1,) * d]
-    n_comp = sum(k for k, _ in blocks)
     weights = np.empty((len(offsets), n_comp) + shape)
-    zeroth = np.empty((n_comp,) + shape)
-    q0 = 0
-    for k, op in blocks:
-        eye, comps = np.arange(k), slice(q0, q0 + k)
-        probe = np.zeros((k,) + shape + (k,))
-        probe[eye, ..., eye] = 1.0
-        zeroth[comps] = np.moveaxis(op(probe), -1, 0)
-        for phase in np.ndindex((4,) * d):
-            probe[...] = 0.0
-            probe[(eye,) + tuple(slice(p, None, 4) for p in phase) + (eye,)] = 1.0
-            out = np.moveaxis(op(probe), -1, 0)
-            for j, s in enumerate(offsets):
-                # the nodes x with x + s on this phase's comb
-                nodes = tuple(slice((p - a) % 4, None, 4) for p, a in zip(phase, s))
-                weights[(j, comps) + nodes] = out[(slice(None),) + nodes]
-        q0 += k
+    eye = np.arange(n_comp)
+    probe = np.zeros((n_comp,) + shape + (n_comp,))
+    probe[eye, ..., eye] = 1.0
+    zeroth = np.ascontiguousarray(np.moveaxis(op(probe), -1, 0))
+    for phase in np.ndindex((4,) * d):
+        probe[...] = 0.0
+        probe[(eye,) + tuple(slice(p, None, 4) for p in phase) + (eye,)] = 1.0
+        out = np.moveaxis(op(probe), -1, 0)
+        for j, s in enumerate(offsets):
+            # the nodes x with x + s on this phase's comb
+            nodes = tuple(slice((p - a) % 4, None, 4) for p, a in zip(phase, s))
+            weights[(j, slice(None)) + nodes] = out[(slice(None),) + nodes]
     st = Stencil(offsets, weights, zeroth)
     Y = np.random.default_rng(0).standard_normal((n_comp,) + shape)
-    ref, q0 = 0.0, 0
-    for k, op in blocks:
-        ref, q0 = ref + op(Y[q0:q0 + k]), q0 + k
+    ref = op(Y)
     err = float(np.max(np.abs(st(Y) - ref)))
     if err > 1e-12 * float(np.max(np.abs(ref))):
         raise GeometryError(f"operator reaches beyond one node: stencil differs by {err:.3e}")
@@ -399,16 +398,11 @@ def assemble_stencil(blocks, grid):
 
 
 def transport_stencil(M, eta):
-    """`Stencil` of Y = (F, T, u) -> -div F + divdiv T + eta * laplace_beltrami(u).
-
-    Y stacks the d components of F, the d*d of T (row-major) and u on axis 0.
-    Assembled from the three operators on every call.
-    """
+    """`Stencil` of `transport` at eta, applied as stencil(F, T, u); assembled on every call."""
     d = M.grid.d
-    blocks = [(d, lambda F: -div_vector(F, M)),
-              (d * d, lambda T: divdiv_tensor11(T.reshape((d, d) + T.shape[1:]), M)),
-              (1, lambda u: eta * laplace_beltrami(u[0], M))]
-    return assemble_stencil(blocks, M.grid)
+    return assemble_stencil(
+        lambda Y: transport(Y[:d], Y[d:-1].reshape((d, d) + Y.shape[1:]), Y[-1], M, eta),
+        d + d * d + 1, M.grid)
 
 
 # --- algebraic operators ----------------------------------------------------

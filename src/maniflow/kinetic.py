@@ -117,8 +117,9 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
     Each test function is separable, psi = tau(t) phi(x) theta(xi), so the
     state integrals come first: Theta = sum_b theta_b chi_b dxi, and the same
     theta-weighted sums of chi f' and chi a' at the bin centers.  The space
-    operators then act once per snapshot on the whole battery, carried as a
-    batch axis, and every term is paired with phi through `geometry.integrate`.
+    terms are minus `geometry.transport` of those three sums, once per
+    snapshot on the whole battery, carried as a batch axis, and every term is
+    paired with phi through `geometry.integrate`.
     Time integrals use the trapezoid rule on the stored snapshots; the
     measure term pairs per-node dissipation densities with the exact state
     derivative of theta at u(x).
@@ -147,9 +148,7 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
         theta_diff = (chi * aprime_centers) @ thetas
         m_density, n_density = dissipation_densities(u, dm, M, eta)
         total_density = m_density + n_density
-        strong = (geo.div_vector(theta_flux, M)
-                  - geo.divdiv_tensor11(theta_diff, M)
-                  - eta * geo.laplace_beltrami(theta_chi, M)
+        strong = (-geo.transport(theta_flux, theta_diff, theta_chi, M, eta)
                   + total_density[..., None] * battery.dtheta(u))
         residuals += w_t[k] * (battery.tau(t) * geo.integrate(battery.phi * strong, M)
                                - battery.dtau(t) * geo.integrate(battery.phi * theta_chi, M))

@@ -250,11 +250,11 @@ def beta_at(slope, u, xi, psi=None):
 # --- geometry compatibility -------------------------------------------------
 
 def compat_residual(fm, dm, M, xi_value):
-    """Pointwise residual div f(., xi) - divdiv A(., xi) at one state value."""
+    """div f(., xi) - divdiv A(., xi): minus `geometry.transport` at the constant state xi."""
     const = np.full(fm.grid.shape, float(xi_value))
     f_slice = xi_interp(fm.f, const, fm.xi)
     A_slice = xi_interp(dm.A, const, dm.xi)
-    return geo.div_vector(f_slice, M) - geo.divdiv_tensor11(A_slice, M)
+    return -geo.transport(f_slice, A_slice, const, M, 0.0)
 
 
 def compat_norms(fm, dm, M, xi_value):

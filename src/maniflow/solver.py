@@ -3,10 +3,10 @@
 du/dt = -div f(x,u) + divdiv A(x,u) + eta * laplace(u)
 
 Heun stepping at a fixed dt chosen from the convective and parabolic
-stability bounds.  `run` assembles the transport stencil of the metric at
-its eta (`geometry.transport_stencil`: the three operators probed into
-per-node weights) once, before the first step; `rhs` looks up F = f(x,u)
-and T = A(x,u), stacks (F, T, u) and applies that stencil in one pass.
+stability bounds.  The right-hand side is `geometry.transport`(F, T, u) with
+F = f(x,u) and T = A(x,u).  `run` probes that operator at its eta into a
+stencil (`geometry.transport_stencil`) once, before the first step; `rhs`
+looks up F and T and applies the stencil to (F, T, u) in one pass.
 Snapshots are taken after steps ceil(i * n_steps / n_snap), i = 1 .. n_snap.
 Every accepted state is copied into a block of up to B states, grid + (B,),
 with B = BLOCK_NODE_STEPS // nodes (at least 1), so the block's memory is
@@ -93,10 +93,7 @@ def rhs(u, fm, dm, stencil):
         raise RangeViolation(
             f"state {float(u[idx]):.6f} at node {idx} outside [{RANGE_LO}, {RANGE_HI}]; "
             "coefficients are tabulated on [0,1]")
-    F = fm.at(u)
-    T = dm.A_at(u)
-    Y = np.concatenate((F, T.reshape((-1,) + u.shape), u[None]))
-    return stencil(Y)
+    return stencil(fm.at(u), dm.A_at(u), u)
 
 
 def check_initial_state(u0, grid):

@@ -42,3 +42,29 @@ def test_child_reads_the_coefficient_tables(monkeypatch):
     pipe = cli.build_pipeline(cfg)
     # f and f' are vector tables, sigma, sigma^t, a' and A tensor tables, on 16^2 x 17 edges
     assert child._table_bytes(pipe) == (2 * 2 + 4 * 4) * 16 * 16 * 17 * 8
+
+
+def test_operator_spans_see_the_assembly_and_the_kinetic_residual():
+    """The three operators sit behind `geometry.transport`; their traced spans still see every call.
+
+    Each assembly probe and each kinetic-residual snapshot applies `transport`
+    once, so each operator is called once per probe and once per snapshot.
+    """
+    tracer = load_tracer()
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS["curved_evo"].items()}
+    cfg["grid"]["n"], cfg["xi"]["n"] = 16, 16
+    cfg["solver"].update(t_end=1e-3, snapshots=2)
+    pipe = cli.build_pipeline(cfg)
+    ops = ("div_vector", "divdiv_tensor11", "laplace_beltrami")
+    rec = tracer.Recorder()
+    targets = [(geometry, name, name) for name in ops] + [
+        (geometry, "assemble_stencil", "assembly"), (kinetic, "kinetic_residual", "kinetic")]
+    with tracer.Patches(rec, targets):
+        traj = pipe.run()
+        kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi,
+                                 kinetic.kinetic_battery(pipe.grid, pipe.xi))
+    for name in ops:
+        parents = [rec.spans[parent][0] for span, _, _, parent in rec.spans if span == name]
+        # the zeroth probe, one probe per comb phase and the reach check
+        assert parents.count("assembly") == 2 + 4 ** pipe.grid.d, name
+        assert parents.count("kinetic") == len(traj.times), name

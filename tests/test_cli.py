@@ -109,6 +109,9 @@ BAD = {
     "small_n": ([("grid.n", "8")], []),
     "zero_snapshots": ([], ["--override", "solver.snapshots=0"]),
     "negative_snapshots": ([], ["--override", "solver.snapshots=-3"]),
+    "empty_xi_samples": ([("audit.xi_samples", '""')], []),
+    "empty_eta_list": ([("study.eta_list", '""')], []),
+    "empty_psi": ([("diagnostics.psi", '""')], []),
 }
 
 
@@ -118,6 +121,21 @@ def test_bad_input_exits_2(tmp_path, capsys, changes, extra):
     assert rc == 2
     assert err.startswith("config error: [") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# BASE's text: [grid] on line 1, its n on line 3, [xi] n on line 5, [solver] on line 11, 13 lines
+@pytest.mark.parametrize("at, lines, message", [
+    (3, ["n = 64"], "[grid] n: key repeated on line 4, first on line 3"),
+    (13, ["[solver]", "cfl = 0.2"], "[solver] section repeated on line 14, first on line 11"),
+], ids=["key", "section"])
+def test_repeated_key_or_section_exits_2(tmp_path, capsys, at, lines, message):
+    # `write_config` builds dicts, which cannot repeat a key, so the lines go in as text
+    path = write_config(tmp_path)
+    text = path.read_text().splitlines()
+    path.write_text("\n".join(text[:at] + lines + text[at:]) + "\n")
+    rc, err = run_cli(capsys, path)
+    assert rc == 2
+    assert err == f"config error: {message}\n"
 
 
 def test_expression_error_names_its_key(tmp_path, capsys):

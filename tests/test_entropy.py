@@ -214,7 +214,7 @@ class TestEnergyBalance:
         fm = FluxModel.zero(grid, xi)
         traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M,
                    np.full(grid.shape, 0.25), xi)
-        report = energy_balance(traj, M)
+        report = energy_balance(traj)
         assert abs(report["residual"]) <= 1e-14
 
     def test_heat_identity(self):
@@ -226,7 +226,7 @@ class TestEnergyBalance:
         x = grid.coords()[0]
         traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M,
                    0.5 + 0.4 * np.sin(TWO_PI * x), xi)
-        report = energy_balance(traj, M)
+        report = energy_balance(traj)
         assert report["relative_residual"] <= 0.02
         assert report["total_degenerate"] == 0.0
 
@@ -239,7 +239,7 @@ class TestEnergyBalance:
         x = grid.coords()[0]
         traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, M,
                    0.5 + 0.4 * np.sin(TWO_PI * x), xi)
-        report = energy_balance(traj, M)
+        report = energy_balance(traj)
         assert report["relative_residual"] <= 0.05
         assert report["total_degenerate"] > report["total_viscous"]
 

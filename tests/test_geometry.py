@@ -7,7 +7,7 @@ from maniflow.geometry import (ChartGrid, GeometryError, MetricField, Stencil,
                                assemble_stencil, build_metric, d2dx, ddx, div_oneform,
                                div_tensor11, div_vector, divdiv_tensor11, euclidean_metric,
                                flat, gradient, integrate, laplace_beltrami, oneform_norm_sq,
-                               sharp, transport_stencil, transpose11)
+                               sharp, transport, transport_stencil, transpose11)
 
 from sym_oracles import CURVED2D, MetricOracle, sample_tensor, sample_vector
 
@@ -285,6 +285,13 @@ class TestBatchAxes:
         per_edge = np.stack([laplace_beltrami(v[..., b], M) for b in range(v.shape[-1])], axis=-1)
         assert np.array_equal(laplace_beltrami(v, M), per_edge)
 
+    def test_transport(self, table):
+        M, T = table
+        F, u = T[1], T[1, 1]
+        per_edge = np.stack([transport(F[..., b], T[..., b], u[..., b], M, 3e-3)
+                             for b in range(T.shape[-1])], axis=-1)
+        assert np.array_equal(transport(F, T, u, M, 3e-3), per_edge)
+
     def test_oneform_norm_sq(self, table):
         M, T = table
         w = T[0]
@@ -421,7 +428,7 @@ class TestPeriodicStencils:
 
 
 class TestTransportStencil:
-    """The assembled transport operator equals the three operators it is probed from."""
+    """The assembled transport operator equals the sum of the three operators it combines."""
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("name", ["flat1d", "wavy1d", "flat2d", "diag2d", "curved2d"])
@@ -443,7 +450,7 @@ class TestTransportStencil:
             return ddx(ddx(v[0], 0, grid.h), 0, grid.h)
 
         with pytest.raises(GeometryError, match="beyond one node"):
-            assemble_stencil([(1, op)], grid)
+            assemble_stencil(op, 1, grid)
 
     def test_one_run_assembles_one_stencil_and_keeps_none_on_the_metric(self, monkeypatch):
         pipe = cli.build_pipeline({s: dict(kv) for s, kv in SCENARIOS["curved_evo"].items()})

@@ -7,7 +7,7 @@ from maniflow.geometry import (ChartGrid, div_vector, divdiv_tensor11, euclidean
                                laplace_beltrami)
 from maniflow.kinetic import (KineticError, bump_kernel, chi_from_u, contraction,
                               friedrichs_commutator, kinetic_battery, kinetic_residual)
-from maniflow.model import XiGrid
+from maniflow.model import XiGrid, compat_norms
 
 
 def pipeline(name, **overrides):
@@ -131,3 +131,55 @@ class TestKineticResidual:
         for seed in (0, 1):
             res = kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, battery_of(pipe, seed))
             assert res <= 1e-3, (seed, res)
+
+
+class TestCompatibilityControl:
+    """Negative control: the kinetic residual notices a flux that breaks div f = divdiv A.
+
+    `wavy1d` heat with sigma = 0, eta = 1e-2, u0 = 0.5 + 0.3 sin 2 pi x1, t_end =
+    0.1 and 40 snapshots, at cfl = 0.1 (0.4 exceeds the stable step on this
+    metric).  The compatible flux is f = 0; the incompatible one f = 0.2 xi sin
+    2 pi x1.  Measured kinetic residuals at seeds 0, 1, 2:
+        compatible,   n = 128: 1.30e-4, 1.79e-4, 1.59e-4
+        incompatible, n = 64:  4.90e-3, 6.61e-3, 1.08e-2
+        incompatible, n = 128: 4.56e-3, 6.46e-3, 1.02e-2
+    """
+
+    FLUX = {"compatible": "0", "incompatible": "0.2*xi*sin(2*pi*x1)"}
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = {}
+        for case, flux in self.FLUX.items():
+            for n in (64, 128):
+                pipe = cli.build_pipeline({
+                    "grid": {"d": 1, "n": n}, "metric": {"name": "wavy1d"},
+                    "scenario": {"flux1": flux, "u0": "0.5 + 0.3*sin(2*pi*x1)"},
+                    "solver": {"eta": 1e-2, "t_end": 0.1, "cfl": 0.1, "snapshots": 40}})
+                out[case, n] = pipe, pipe.run()
+        return out
+
+    def residuals(self, runs, case, n):
+        pipe, traj = runs[case, n]
+        return np.array([kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi,
+                                          battery_of(pipe, seed)) for seed in range(3)])
+
+    def test_incompatible_residual_is_ten_times_the_compatible_one(self, runs):
+        ratio = self.residuals(runs, "incompatible", 128) / self.residuals(runs, "compatible", 128)
+        assert np.all(ratio >= 10.0), ratio
+
+    def test_incompatible_residual_does_not_fall_under_refinement(self, runs):
+        ratio = self.residuals(runs, "incompatible", 64) / self.residuals(runs, "incompatible", 128)
+        assert np.all(ratio < 1.5), ratio
+
+    def test_audit_separates_the_fluxes(self, runs):
+        for n in (64, 128):
+            for case in self.FLUX:
+                pipe, _ = runs[case, n]
+                audit = pipe.cfg["audit"]
+                worst = max(compat_norms(pipe.fm, pipe.dm, pipe.M, s)["max"]
+                            for s in audit["xi_samples"])
+                if case == "compatible":
+                    assert worst == 0.0
+                else:
+                    assert worst > audit["tol_factor"] * pipe.grid.h ** 2, (n, worst)

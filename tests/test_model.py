@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from maniflow.geometry import ChartGrid, build_metric, euclidean_metric
+from maniflow.geometry import (ChartGrid, build_metric, div_vector, divdiv_tensor11,
+                               euclidean_metric)
 from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, beta_at,
                             compat_norms, compat_residual, cumtrapz_edges,
                             make_compatible_flux, psd_audit, root_weight, stream_vector,
                             xi_hermite, xi_interp)
-from maniflow import catalog
+from maniflow import catalog, cli
 
 TWO_PI = 2.0 * np.pi
 CURVED2D = catalog.METRICS["curved2d"]["entries"]
@@ -329,6 +330,17 @@ class TestCompatibility:
         dm = DiffusionModel.zero(grid, xi, M)
         r = compat_residual(fm, dm, M, 0.5)
         assert np.max(np.abs(r)) == 0.0
+
+    @pytest.mark.parametrize("name", ["curved_const", "curved_evo", "shock"])
+    def test_residual_is_the_divergence_difference(self, name):
+        # the residual is minus the transport operator at a constant state; the
+        # difference of the two divergences is the reference
+        pipe = cli.build_pipeline({s: dict(kv) for s, kv in catalog.SCENARIOS[name].items()})
+        for value in (0.0, 0.5, 1.0):
+            const = np.full(pipe.grid.shape, value)
+            ref = (div_vector(xi_interp(pipe.fm.f, const, pipe.xi), pipe.M)
+                   - divdiv_tensor11(xi_interp(pipe.dm.A, const, pipe.xi), pipe.M))
+            assert np.array_equal(compat_residual(pipe.fm, pipe.dm, pipe.M, value), ref)
 
     def test_stream_requires_2d(self, wavy_1d):
         grid, M, xi = wavy_1d
