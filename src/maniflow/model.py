@@ -13,6 +13,9 @@ Both read tables through one path: `_locate` maps u to the flat row index
 k = node*(n_xi+1) + i0 and an in-cell weight; `_gather` reads rows k, k+1.
 A node is numbered by its grid position only: axes of u after the grid axes
 are batch columns, and every column reads the rows of the same nodes.
+`transport_table` stacks f and A on one component axis, so the solver's
+right-hand side reads both with one lookup: one locate, one gather pair and
+one lerp per state.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ def _locate(u, xi, grid_ndim):
     pos = np.asarray(u) / xi.dxi
     i0 = np.minimum(np.maximum(np.floor(pos).astype(int), 0), xi.n - 1)
     grid = i0.shape[:grid_ndim]
-    node = np.arange(math.prod(grid)).reshape(grid + (1,) * (i0.ndim - grid_ndim))
-    return i0 + (xi.n + 1) * node, pos - i0
+    stride = xi.n + 1
+    node = np.arange(0, stride * math.prod(grid), stride)
+    return i0 + node.reshape(grid + (1,) * (i0.ndim - grid_ndim)), pos - i0
 
 
 def _gather(table, k, grid_ndim):
@@ -76,7 +80,7 @@ def _gather(table, k, grid_ndim):
     k has the grid axes then any batch axes; the result is comps + k.shape.
     For a C-contiguous table the reshape is a view, so nothing is copied.
     """
-    return np.take(table.reshape(table.shape[:table.ndim - 1 - grid_ndim] + (-1,)), k, axis=-1)
+    return table.reshape(table.shape[:table.ndim - 1 - grid_ndim] + (-1,)).take(k, axis=-1)
 
 
 def xi_interp(table, u, xi, grid_ndim=None):
@@ -163,10 +167,6 @@ class FluxModel:
     def zero(cls, grid, xi):
         return cls(grid, xi, np.zeros((grid.d,) + grid.shape + (xi.n + 1,)))
 
-    def at(self, u):
-        """Vector field x -> f(x, u(x)); u may carry batch axes."""
-        return xi_interp(self.f, u, self.xi, self.grid.d)
-
     def max_prime_gnorm(self, M):
         norms = np.einsum("ij...,i...b,j...b->...b", M.g, self.fprime, self.fprime)
         return float(np.sqrt(max(np.max(norms), 0.0)))
@@ -206,10 +206,6 @@ class DiffusionModel:
     def zero(cls, grid, xi, M):
         return cls(grid, xi, M, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
 
-    def A_at(self, u):
-        """Tensor field x -> A(x, u(x)), the discrete antiderivative of a'; u may be batched."""
-        return xi_interp(self.A, u, self.xi, self.grid.d)
-
     def sigmaT_at(self, u):
         """Tensor field x -> sigma^t(x, u(x)); u may carry batch axes."""
         return xi_interp(self.sigmaT, u, self.xi, self.grid.d)
@@ -221,6 +217,17 @@ class DiffusionModel:
         tr = a[0, 0] + a[1, 1]
         disc = np.sqrt(np.maximum((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] * a[1, 0], 0.0))
         return float(np.max(np.maximum(np.abs(0.5 * (tr + disc)), np.abs(0.5 * (tr - disc)))))
+
+
+def transport_table(fm, dm):
+    """F = f and T = A on one component axis: (d + d*d,) + grid + (n_edges,).
+
+    One C-contiguous edge table, stacked in the order `geometry.transport_stencil`
+    takes its parts: `xi_interp` of it at u gives f(x, u) and A(x, u) with one
+    locate, each component equal to a lookup of its own table.
+    """
+    d = fm.grid.d
+    return np.concatenate((fm.f, dm.A.reshape((d * d,) + dm.A.shape[2:])))
 
 
 def root_weight(psi, xi):

@@ -4,9 +4,11 @@ du/dt = -div f(x,u) + divdiv A(x,u) + eta * laplace(u)
 
 Heun stepping at a fixed dt chosen from the convective and parabolic
 stability bounds.  The right-hand side is `geometry.transport`(F, T, u) with
-F = f(x,u) and T = A(x,u).  `run` probes that operator at its eta into a
-stencil (`geometry.transport_stencil`) once, before the first step; `rhs`
-looks up F and T and applies the stencil to (F, T, u) in one pass.
+F = f(x,u) and T = A(x,u).  Before the first step `run` builds, and owns for
+the run, both the stencil of that operator at its eta
+(`geometry.transport_stencil`) and the table of F and T stacked on one
+component axis (`model.transport_table`); `rhs` reads F and T with one
+lookup of the table and applies the stencil to (F, T, u) in one pass.
 Snapshots are taken after steps ceil(i * n_steps / n_snap), i = 1 .. n_snap.
 Every accepted state is copied into a block of up to B states, grid + (B,),
 with B = BLOCK_NODE_STEPS // nodes (at least 1), so the block's memory is
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
+from . import model
 from .entropy import DissipationLedger, deposit
 
 
@@ -83,24 +86,30 @@ def stable_dt(cfg, fm, dm, M):
     return cfg.cfl * min(conv, para)
 
 
-def rhs(u, fm, dm, stencil):
-    """Semi-discrete right-hand side at state u, with the run's `geometry.transport_stencil`."""
+def rhs(u, table, xi, stencil):
+    """Semi-discrete right-hand side at state u.
+
+    `table` is the run's `model.transport_table` and `stencil` its
+    `geometry.transport_stencil`.
+    """
     # one pass: NaN fails both comparisons, +-inf one of them
-    if not np.all((u >= RANGE_LO) & (u <= RANGE_HI)):
+    if not ((u >= RANGE_LO) & (u <= RANGE_HI)).all():
         if not np.all(np.isfinite(u)):
             raise SolverError("non-finite state")
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(u - 0.5))), u.shape))
         raise RangeViolation(
             f"state {float(u[idx]):.6f} at node {idx} outside [{RANGE_LO}, {RANGE_HI}]; "
             "coefficients are tabulated on [0,1]")
-    return stencil(fm.at(u), dm.A_at(u), u)
+    # looked up on the module, where the traced benchmark run wraps it
+    return stencil(model.xi_interp(table, u, xi, u.ndim), u)
 
 
 def check_initial_state(u0, grid):
     """An initial state is a scalar field on the grid with values in [0,1]."""
     if u0.shape != grid.shape:
         raise SolverError(f"initial state shape {u0.shape} != {grid.shape}")
-    if np.any(u0 < 0.0) or np.any(u0 > 1.0):
+    # NaN fails both comparisons, so a non-finite state is rejected too
+    if not ((u0 >= 0.0) & (u0 <= 1.0)).all():
         raise SolverError("initial state must take values in [0,1]")
 
 
@@ -119,6 +128,7 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     n_snap = min(cfg.n_snapshots, n_steps)
     snap_steps = {-(-i * n_steps // n_snap) for i in range(1, n_snap + 1)}
     stencil = geo.transport_stencil(M, cfg.eta)
+    table = model.transport_table(fm, dm)
     ledger = DissipationLedger(xi)
 
     u = u0.copy()
@@ -147,9 +157,9 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     block[..., 0] = u
     for step in range(1, n_steps + 1):
         try:
-            k1 = rhs(u, fm, dm, stencil)
+            k1 = rhs(u, table, xi, stencil)
             u_star = u + dt * k1
-            k2 = rhs(u_star, fm, dm, stencil)
+            k2 = rhs(u_star, table, xi, stencil)
             u = u + 0.5 * dt * (k1 + k2)
         except SolverError as exc:
             raise type(exc)(f"step {step} (t={step * dt:.6g}): {exc}") from exc

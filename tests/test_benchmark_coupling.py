@@ -68,3 +68,21 @@ def test_operator_spans_see_the_assembly_and_the_kinetic_residual():
         # the zeroth probe, one probe per comb phase and the reach check
         assert parents.count("assembly") == 2 + 4 ** pipe.grid.d, name
         assert parents.count("kinetic") == len(traj.times), name
+
+
+def test_each_rhs_makes_one_traced_lookup():
+    """`solver.rhs` reads F and T with one `xi_interp`, looked up where the tracer wraps it."""
+    tracer = load_tracer()
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS["curved_evo"].items()}
+    cfg["grid"]["n"], cfg["xi"]["n"] = 16, 16
+    cfg["solver"].update(t_end=1e-3, snapshots=2)
+    pipe = cli.build_pipeline(cfg)
+    mods = {"cli": cli, "entropy": entropy, "fieldio": fieldio, "geometry": geometry,
+            "kinetic": kinetic, "model": model, "solver": solver}
+    rec = tracer.Recorder()
+    with tracer.Patches(rec, tracer.layer_targets(mods)):
+        pipe.run()
+    rhs_spans = [i for i, (name, _, _, _) in enumerate(rec.spans) if name == "solver.rhs"]
+    lookups = [parent for name, _, _, parent in rec.spans if name == "model.xi_interp"]
+    assert rhs_spans
+    assert sorted(p for p in lookups if p in set(rhs_spans)) == rhs_spans

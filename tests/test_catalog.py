@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from maniflow import catalog, cli
+from maniflow.model import transport_table
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -40,7 +41,7 @@ def test_lookup_tables_are_read_without_a_copy(name):
     # the xi-lookup reads grid and edge axes as one flat axis of the stored table;
     # a strided table would be copied whole on every lookup
     pipe = cli.build_pipeline(catalog.SCENARIOS[name])
-    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT):
+    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT, transport_table(pipe.fm, pipe.dm)):
         assert table.flags.c_contiguous
         comps = table.shape[:table.ndim - 1 - pipe.grid.d]
         assert np.shares_memory(table.reshape(comps + (-1,)), table)

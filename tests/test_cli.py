@@ -104,6 +104,7 @@ BAD = {
     "g_with_name": ([("metric.g11", '"2"')], []),
     "second_axis_in_1d": ([("scenario.sigma12", '"0"')], []),
     "u0_out_of_range": ([("scenario.u0", '"1.5"')], []),
+    "u0_not_finite": ([("scenario.u0", '"1e308*10 - 1e308*10"')], []),
     "eval_error": ([("scenario.sigma11", '"sqrt(xi - 0.5)"')], []),
     "negative_psi": ([("diagnostics.psi", '"xi - 1"')], []),
     "small_n": ([("grid.n", "8")], []),

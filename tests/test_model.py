@@ -201,13 +201,13 @@ class TestDiffusionModel:
         assert np.max(np.abs(dm.A[0, 0] - xi.edges ** 2)) <= 1e-14
         # off-lattice evaluation: linear interp error O(dxi^2)
         u = np.full(grid.shape, 0.3721)
-        got = dm.A_at(u)[0, 0]
+        got = xi_interp(dm.A, u, xi)[0, 0]
         assert np.max(np.abs(got - 0.3721 ** 2)) <= xi.dxi ** 2
 
     def test_A_at_zero_is_zero(self, wavy_1d):
         grid, M, xi = wavy_1d
         dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
-        assert np.max(np.abs(dm.A_at(np.zeros(grid.shape)))) == 0.0
+        assert np.max(np.abs(xi_interp(dm.A, np.zeros(grid.shape), xi))) == 0.0
 
     def test_xi_derivative_of_A_matches_aprime(self, one_d):
         grid, M, xi = one_d
@@ -303,7 +303,7 @@ class TestFluxModel:
     def test_zero_flux(self, one_d):
         grid, M, xi = one_d
         fm = FluxModel.zero(grid, xi)
-        assert np.all(fm.at(np.full(grid.shape, 0.5)) == 0.0)
+        assert np.all(xi_interp(fm.f, np.full(grid.shape, 0.5), xi) == 0.0)
 
     def test_fd_prime_matches_analytic(self, one_d):
         grid, M, xi = one_d

@@ -3,8 +3,8 @@ import pytest
 
 from maniflow.geometry import (ChartGrid, build_metric, euclidean_metric, integrate, norm_l1,
                                transport_stencil)
-from maniflow.model import (DiffusionModel, FluxModel, XiGrid,
-                            make_compatible_flux)
+from maniflow.model import (DiffusionModel, FluxModel, XiGrid, make_compatible_flux,
+                            transport_table, xi_interp)
 from maniflow.entropy import DissipationLedger, deposit
 from maniflow.solver import (BLOCK_NODE_STEPS, RangeViolation, SolverConfig, SolverError,
                              Trajectory, rhs, run, stable_dt, total_variation)
@@ -69,7 +69,8 @@ class TestRhs:
         u = 0.5 + 0.3 * np.sin(TWO_PI * x)
         eta = 2e-2
         lap = (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / grid.h ** 2
-        assert np.max(np.abs(rhs(u, fm, dm, transport_stencil(M, eta)) - eta * lap)) <= 1e-14
+        r = rhs(u, transport_table(fm, dm), xi, transport_stencil(M, eta))
+        assert np.max(np.abs(r - eta * lap)) <= 1e-14
 
     def test_porous_matches_hand_stencil(self, flat_1d):
         # flat, f=0, a' = 2 xi: rhs must equal D2(u^2) + eta D2(u) where the
@@ -88,7 +89,8 @@ class TestRhs:
         # quantization into the oracle stencil
         A_vals = np.interp(u, xi.edges, xi.edges ** 2)
         oracle = d2(A_vals) + eta * d2(u)
-        assert np.max(np.abs(rhs(u, fm, dm, transport_stencil(M, eta)) - oracle)) <= 1e-10
+        r = rhs(u, transport_table(fm, dm), xi, transport_stencil(M, eta))
+        assert np.max(np.abs(r - oracle)) <= 1e-10
 
     def test_compatible_constant_state_small(self):
         grid = ChartGrid(2, 32)
@@ -99,8 +101,30 @@ class TestRhs:
         dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
         fm = make_compatible_flux(dm, M, stream=sc["stream"])
         u = np.full(grid.shape, 0.5)
-        r = rhs(u, fm, dm, transport_stencil(M, 5e-3))
+        r = rhs(u, transport_table(fm, dm), xi, transport_stencil(M, 5e-3))
         assert np.max(np.abs(r)) <= 10.0 * grid.h ** 2
+
+    @pytest.mark.parametrize("metric", ["flat1d", "wavy1d", "curved2d"])
+    def test_one_table_lookup_equals_two(self, metric):
+        # the former rhs looked f and A up in their own tables; the reference keeps that path
+        d = catalog.METRICS[metric]["d"]
+        grid = ChartGrid(d, 16)
+        M = build_metric(catalog.METRICS[metric]["entries"], grid)
+        xi = XiGrid(16)
+        axes = [1, 2][:d]
+        sigma = [[f"0.3 + 0.4*xi^2 + 0.05*sin(2*pi*x{k})" if i == k else "0.1*xi*cos(2*pi*x1)"
+                  for i in axes] for k in axes]
+        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
+        fm = FluxModel.from_exprs([f"xi^2*(1 + 0.2*cos(2*pi*x{k}))" for k in axes], grid, xi)
+        stencil = transport_stencil(M, 1e-2)
+        table = transport_table(fm, dm)
+        s = sum(grid.coords())
+        states = {"cells": 0.5 + 0.4 * np.sin(TWO_PI * s),
+                  "edges": np.floor((0.5 + 0.5 * np.sin(TWO_PI * s)) * xi.n) / xi.n,
+                  "zero": np.zeros(grid.shape), "one": np.ones(grid.shape)}
+        for name, u in states.items():
+            want = stencil(xi_interp(fm.f, u, xi), xi_interp(dm.A, u, xi), u)
+            assert np.array_equal(rhs(u, table, xi, stencil), want), name
 
     def test_range_violation_diagnostic(self, flat_1d):
         grid, M, xi = flat_1d
@@ -109,7 +133,7 @@ class TestRhs:
         u = np.full(grid.shape, 0.5)
         u[13] = 1.2
         with pytest.raises(RangeViolation, match=r"\(13,\)"):
-            rhs(u, fm, dm, transport_stencil(M, 1e-2))
+            rhs(u, transport_table(fm, dm), xi, transport_stencil(M, 1e-2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_is_not_a_range_violation(self, flat_1d, bad):
@@ -120,7 +144,7 @@ class TestRhs:
         u[13] = bad
         u[20] = 1.2  # also out of range: the non-finite value still decides the error
         with pytest.raises(SolverError, match="non-finite state") as info:
-            rhs(u, fm, dm, transport_stencil(M, 1e-2))
+            rhs(u, transport_table(fm, dm), xi, transport_stencil(M, 1e-2))
         assert not isinstance(info.value, RangeViolation)
 
 
@@ -133,6 +157,7 @@ def per_step_run(cfg, fm, dm, M, u0, xi):
     targets = [i * cfg.t_end / n_snap for i in range(1, n_snap + 1)]
     next_target = 0
     stencil = transport_stencil(M, cfg.eta)
+    table = transport_table(fm, dm)
     ledger = DissipationLedger(xi)
     u = np.asarray(u0, dtype=float).copy()
     times, snapshots = [0.0], [u.copy()]
@@ -148,8 +173,8 @@ def per_step_run(cfg, fm, dm, M, u0, xi):
     monitor(0.0, u)
     for step in range(1, n_steps + 1):
         deposit(u, dm, M, cfg.eta, dt, ledger)
-        k1 = rhs(u, fm, dm, stencil)
-        k2 = rhs(u + dt * k1, fm, dm, stencil)
+        k1 = rhs(u, table, xi, stencil)
+        k2 = rhs(u + dt * k1, table, xi, stencil)
         u = u + 0.5 * dt * (k1 + k2)
         t = step * dt
         monitor(t, u)
