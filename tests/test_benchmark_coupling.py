@@ -11,6 +11,8 @@ from pathlib import Path
 from maniflow import catalog, cli, entropy, fieldio, geometry, kinetic, model, solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODS = {"cli": cli, "entropy": entropy, "fieldio": fieldio, "geometry": geometry,
+        "kinetic": kinetic, "model": model, "solver": solver}
 
 
 def load(name, module_name):
@@ -26,9 +28,7 @@ def load_tracer():
 
 def test_every_traced_attribute_exists():
     tracer = load_tracer()
-    mods = {"cli": cli, "entropy": entropy, "fieldio": fieldio, "geometry": geometry,
-            "kinetic": kinetic, "model": model, "solver": solver}
-    targets = tracer.setup_targets(mods) + tracer.layer_targets(mods)
+    targets = tracer.setup_targets(MODS) + tracer.layer_targets(MODS)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in targets if attr not in vars(owner)]
     assert not missing
@@ -77,12 +77,11 @@ def test_each_rhs_makes_one_traced_lookup():
     cfg["grid"]["n"], cfg["xi"]["n"] = 16, 16
     cfg["solver"].update(t_end=1e-3, snapshots=2)
     pipe = cli.build_pipeline(cfg)
-    mods = {"cli": cli, "entropy": entropy, "fieldio": fieldio, "geometry": geometry,
-            "kinetic": kinetic, "model": model, "solver": solver}
     rec = tracer.Recorder()
-    with tracer.Patches(rec, tracer.layer_targets(mods)):
+    with tracer.Patches(rec, tracer.layer_targets(MODS)):
         pipe.run()
     rhs_spans = [i for i, (name, _, _, _) in enumerate(rec.spans) if name == "solver.rhs"]
-    lookups = [parent for name, _, _, parent in rec.spans if name == "model.xi_interp"]
+    parents = [parent for name, _, _, parent in rec.spans if name == "model.xi_interp"]
+    in_rhs = set(rhs_spans)
     assert rhs_spans
-    assert sorted(p for p in lookups if p in set(rhs_spans)) == rhs_spans
+    assert sorted(p for p in parents if p in in_rhs) == rhs_spans
