@@ -164,7 +164,12 @@ def _convert(kind, value):
                      for p in parts)
     if isinstance(value, bool) != (kind == BOOL) or not isinstance(value, _TYPES[kind]):
         raise ValueError(f"must be {kind}, got {value!r}")
-    return float(value) if kind == NUM else value
+    if kind != NUM:
+        return value
+    # false for NaN, infinities and integers beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
 
 
 def validate(cfg):
@@ -199,6 +204,12 @@ def validate(cfg):
                       "when d = 1" if out["grid"]["d"] == 1 and "2" in key else None)
             if reason:
                 raise ConfigError(f"[{section}] {key} is ignored {reason}")
+    audit = out["audit"]
+    # a sample outside [0,1] would audit the tables' linear extrapolation
+    if not all(0.0 <= s <= 1.0 for s in audit["xi_samples"]):
+        raise ConfigError(f"[audit] xi_samples: must lie in [0, 1], got {audit['xi_samples']}")
+    if not audit["tol_factor"] > 0.0:
+        raise ConfigError(f"[audit] tol_factor: must be positive, got {audit['tol_factor']}")
     return out
 
 

@@ -94,25 +94,29 @@ class DissipationLedger:
         return float(np.sum(self.bins_n))
 
 
-def dissipation_densities(u, dm, M, eta):
-    """Per-node viscous and degenerate dissipation densities at state u; u may carry batch axes."""
+def dissipation_densities(u, sigmaT, xi, M, eta):
+    """Per-node viscous and degenerate dissipation densities at state u; u may carry batch axes.
+
+    `sigmaT` is the edge table of sigma^t, in either storage order.
+    """
     grid = M.grid
     du = np.stack([geo.ddx(u, i, grid.h) for i in range(grid.d)])
     m_density = eta * geo.oneform_norm_sq(du, M)
-    sT = dm.sigmaT_at(u)
+    sT = xi_interp(sigmaT, u, xi, grid.d)
     w = np.einsum("ji...,j...->i...", sT, du)
     n_density = geo.oneform_norm_sq(w, M)
     return m_density, n_density
 
 
-def deposit(u, dm, M, eta, dt, ledger):
+def deposit(u, sigmaT, M, eta, dt, ledger):
     """Bin the dissipation weights of accepted steps of length dt at their state values.
 
     u is the state before one step, or grid + batch axes: one column per
-    step, deposited in the C order of the batch axes.
+    step, deposited in the C order of the batch axes.  `sigmaT` is the edge
+    table of sigma^t on the ledger's xi-grid, in either storage order.
     """
     grid = M.grid
-    m_density, n_density = dissipation_densities(u, dm, M, eta)
+    m_density, n_density = dissipation_densities(u, sigmaT, ledger.xi, M, eta)
     cell = M.sqrt_det.reshape(grid.shape + (1,) * (u.ndim - grid.d)) * grid.h ** grid.d * dt
 
     def rows(a):  # (states, nodes)
@@ -139,7 +143,7 @@ def entropy_flux_fields(u, S, fm, dm, M):
 
 def _binned_s2_dissipation(u, S, dm, M, eta, xi):
     """integral of S''(xi) (n+m)(., xi) dxi realized through the hat bins."""
-    m_density, n_density = dissipation_densities(u, dm, M, eta)
+    m_density, n_density = dissipation_densities(u, dm.sigmaT, xi, M, eta)
     total = m_density + n_density
     j0, j1, w1 = hat_weights(u, xi)
     s2 = np.asarray(S.d2s(xi.centers), dtype=float)

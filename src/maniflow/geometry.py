@@ -340,14 +340,25 @@ class Stencil:
     constant field of component q.  Applied in difference form,
     zeroth . Y + sum_j weights[j] . (Y(x + offsets[j]) - Y(x)), so weights of
     order 1/h^2 act on differences and do not cancel after rounding.
+    Each offset updates only the components lo:hi that hold its non-zero
+    weights (on a curved 2D chart the flux has none at the corners), so
+    exact-zero weight blocks at either end of the component axis are skipped.
     """
 
     def __init__(self, offsets, weights, zeroth):
         self.offsets, self.weights, self.zeroth = offsets, weights, zeroth
         n = zeroth.shape[1]
-        # Y(x + s) as a view of Y padded by one node on each side of every grid axis
-        self._shifted = [(slice(None),) + tuple(slice(1 + a, 1 + a + n) for a in s)
-                         for s in offsets]
+        # per offset: the components lo:hi (None for all of them), the view of
+        # Y(x + s) in Y padded by one node on each side of every grid axis, and
+        # the weights as a view
+        self._blocks = []
+        for s, W in zip(offsets, weights):
+            live = np.flatnonzero(W.reshape(len(W), -1).any(axis=1))
+            if live.size:
+                lo, hi = int(live[0]), int(live[-1]) + 1
+                rows = None if hi - lo == len(W) else slice(lo, hi)
+                shifted = (slice(lo, hi),) + tuple(slice(1 + a, 1 + a + n) for a in s)
+                self._blocks.append((rows, shifted, W[lo:hi]))
 
     def __call__(self, *parts):
         """One state's parts, each index axes + grid, stacked on axis 0; returns a scalar field."""
@@ -357,10 +368,11 @@ class Stencil:
             padded = _wrap_pad(padded, axis)
         acc = self.zeroth * Y
         diff = np.empty_like(Y)
-        for shifted, W in zip(self._shifted, self.weights):
-            np.subtract(padded[shifted], Y, out=diff)
-            diff *= W
-            acc += diff
+        for rows, shifted, W in self._blocks:
+            y, part, total = (Y, diff, acc) if rows is None else (Y[rows], diff[rows], acc[rows])
+            np.subtract(padded[shifted], y, out=part)
+            part *= W
+            total += part
         return acc.sum(axis=0)
 
 

@@ -146,7 +146,7 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
         theta_chi = chi @ thetas
         theta_flux = (chi * fprime_centers) @ thetas
         theta_diff = (chi * aprime_centers) @ thetas
-        m_density, n_density = dissipation_densities(u, dm, M, eta)
+        m_density, n_density = dissipation_densities(u, dm.sigmaT, xi, M, eta)
         total_density = m_density + n_density
         strong = (-geo.transport(theta_flux, theta_diff, theta_chi, M, eta)
                   + total_density[..., None] * battery.dtheta(u))

@@ -9,13 +9,26 @@ exception is `beta_at`, the psi-weighted antiderivatives of the chain rule:
 their tables carry the integrand as an exact xi-slope, so they are evaluated
 by cubic Hermite interpolation (`xi_hermite`), whose xi-derivative is second
 order.
-Both read tables through one path: `_locate` maps u to the flat row index
-k = node*(n_xi+1) + i0 and an in-cell weight; `_gather` reads rows k, k+1.
-A node is numbered by its grid position only: axes of u after the grid axes
-are batch columns, and every column reads the rows of the same nodes.
-`transport_table` stacks f and A on one component axis, so the solver's
-right-hand side reads both with one lookup: one locate, one gather pair and
-one lerp per state.
+Both read tables through one path: `_locate` maps u to a node number, an
+xi-cell i0 and an in-cell weight; `_gather` reads the entries at edges i0
+and i0 + 1 of each node.  A node is numbered by its grid position only: axes
+of u after the grid axes are batch columns, and every column reads the rows
+of the same nodes.
+
+Every table has the shape comps + grid + (n_edges,) and one of two dense
+storage orders, which `_gather` reads from its strides without a copy:
+
+- grid-major (C order): each node's edges are adjacent.  The tables on
+  `FluxModel` and `DiffusionModel` are stored so, since the diagnostics
+  also contract them over the edge axis: with xi-major f' and a' tables,
+  `kinetic_residual`'s `@ thetas` over a strided bin axis cost 0.1 s more
+  on the `curved_evo_diag` benchmark workload (32^2 nodes, 64 bins).
+- xi-major: within each component, all nodes at one edge are adjacent, so a
+  lookup at a smooth state reads one cache line per 8 nodes where a
+  grid-major table costs one per node.  Only the step loop's run-scoped
+  tables use it: `transport_table` stacks f and A on one component axis, so
+  the solver's right-hand side reads both with one lookup, and `xi_major`
+  copies sigma^t for the run's dissipation deposits.
 """
 
 from __future__ import annotations
@@ -61,61 +74,84 @@ def cumtrapz_edges(table, dxi):
 
 
 def _locate(u, xi, grid_ndim):
-    """Flat row index k = node*(n_xi+1) + i0 of the xi-cell holding u, and the weight in it.
+    """Node number, xi-cell index i0 and in-cell weight of each state value in u.
 
     The first `grid_ndim` axes of u are the grid; the node number counts only
-    those, so batch axes after them share the node's rows.
+    those and has a unit axis for each batch axis after them, so every batch
+    column reads the rows of the same nodes.
     """
     pos = np.asarray(u) / xi.dxi
-    i0 = np.minimum(np.maximum(np.floor(pos).astype(int), 0), xi.n - 1)
+    # truncation toward 0, not floor: they differ only below 0, where both clip to cell 0
+    i0 = np.minimum(np.maximum(pos.astype(int), 0), xi.n - 1)
     grid = i0.shape[:grid_ndim]
-    stride = xi.n + 1
-    node = np.arange(0, stride * math.prod(grid), stride)
-    return i0 + node.reshape(grid + (1,) * (i0.ndim - grid_ndim)), pos - i0
+    node = np.arange(math.prod(grid)).reshape(grid + (1,) * (i0.ndim - grid_ndim))
+    return node, i0, pos - i0
 
 
-def _gather(table, k, grid_ndim):
-    """Rows k of a comps + grid + (n_edges,) table, read in its stored layout.
+def _flat(table, grid_ndim):
+    """An edge table as comps + (rows,), with the row strides s_node and s_edge.
 
-    k has the grid axes then any batch axes; the result is comps + k.shape.
-    For a C-contiguous table the reshape is a view, so nothing is copied.
+    Row node * s_node + edge * s_edge holds the entry of that node and edge,
+    in the table's storage order, read from its strides: grid-major
+    (s_node = n_edges, s_edge = 1) or xi-major (s_node = 1, s_edge = nodes).
+    For a dense table in either order the flat view shares its memory.
     """
-    return table.reshape(table.shape[:table.ndim - 1 - grid_ndim] + (-1,)).take(k, axis=-1)
+    c = table.ndim - 1 - grid_ndim
+    if table.strides[-1] > table.strides[-2]:  # xi-major: the edge axis is outer
+        flat = table.transpose((*range(c), table.ndim - 1, *range(c, table.ndim - 1)))
+        flat = flat.reshape(table.shape[:c] + (-1,))
+        return flat, 1, flat.shape[-1] // table.shape[-1]
+    return table.reshape(table.shape[:c] + (-1,)), table.shape[-1], 1
+
+
+def _gather(table, node, i0, grid_ndim):
+    """Entries at edges i0 and i0 + 1 of each node of an edge table, each comps + i0.shape."""
+    flat, s_node, s_edge = _flat(table, grid_ndim)
+    if s_edge == 1:
+        k = node * s_node + i0
+    else:
+        k = i0 * s_edge
+        k += node
+    return flat.take(k, axis=-1), flat.take(k + s_edge, axis=-1)
 
 
 def xi_interp(table, u, xi, grid_ndim=None):
     """Linear interpolation of an edge table at state values u.
 
-    `table` has shape comps + grid + (n_edges,); `u` has the grid shape, or
-    the grid shape followed by batch axes when `grid_ndim` (the number of
-    grid axes) is given.  The result is comps + u.shape.  Values outside
-    [0,1] are extrapolated linearly from the end cells.
+    `table` has shape comps + grid + (n_edges,), in either storage order;
+    `u` has the grid shape, or the grid shape followed by batch axes when
+    `grid_ndim` (the number of grid axes) is given.  The result is
+    comps + u.shape.  Values outside [0,1] are extrapolated linearly from
+    the end cells.
     """
     g = np.ndim(u) if grid_ndim is None else grid_ndim
-    k, w = _locate(u, xi, g)
-    return _gather(table, k, g) * (1.0 - w) + _gather(table, k + 1, g) * w
+    node, i0, w = _locate(u, xi, g)
+    lo, hi = _gather(table, node, i0, g)
+    return lo * (1.0 - w) + hi * w
 
 
 def xi_hermite(values, slopes, u, xi):
     """Cubic Hermite interpolation of an edge table at state values u.
 
     `values` and `slopes` are edge tables of the same shape, comps + grid +
-    (n_edges,); `slopes` holds the xi-derivative of `values` at the edges.
-    Cubic tables are reproduced exactly, and the xi-derivative of the result
-    is second order in dxi.  Values outside [0,1] are extrapolated from the
-    end cells, as in `xi_interp`.
+    (n_edges,), each in either storage order; `slopes` holds the
+    xi-derivative of `values` at the edges.  Cubic tables are reproduced
+    exactly, and the xi-derivative of the result is second order in dxi.
+    Values outside [0,1] are extrapolated from the end cells, as in
+    `xi_interp`.
     """
     dxi = xi.dxi
     g = np.ndim(u)
-    k, t = _locate(u, xi, g)
+    node, i0, t = _locate(u, xi, g)
+    v0, v1 = _gather(values, node, i0, g)
+    s0, s1 = _gather(slopes, node, i0, g)
     t2 = t * t
     t3 = t2 * t
     h00 = 2.0 * t3 - 3.0 * t2 + 1.0
     h10 = (t3 - 2.0 * t2 + t) * dxi
     h01 = 3.0 * t2 - 2.0 * t3
     h11 = (t3 - t2) * dxi
-    return (h00 * _gather(values, k, g) + h10 * _gather(slopes, k, g)
-            + h01 * _gather(values, k + 1, g) + h11 * _gather(slopes, k + 1, g))
+    return h00 * v0 + h10 * s0 + h01 * v1 + h11 * s1
 
 
 def _tabulate(expr, grid, edges):
@@ -206,10 +242,6 @@ class DiffusionModel:
     def zero(cls, grid, xi, M):
         return cls(grid, xi, M, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
 
-    def sigmaT_at(self, u):
-        """Tensor field x -> sigma^t(x, u(x)); u may carry batch axes."""
-        return xi_interp(self.sigmaT, u, self.xi, self.grid.d)
-
     def max_aprime_opnorm(self):
         a = self.aprime
         if self.grid.d == 1:
@@ -219,15 +251,31 @@ class DiffusionModel:
         return float(np.max(np.maximum(np.abs(0.5 * (tr + disc)), np.abs(0.5 * (tr - disc)))))
 
 
-def transport_table(fm, dm):
-    """F = f and T = A on one component axis: (d + d*d,) + grid + (n_edges,).
+def _empty_xi_major(shape, grid_ndim):
+    """An uninitialised comps + grid + (n_edges,) table stored xi-major."""
+    c = len(shape) - 1 - grid_ndim
+    return np.moveaxis(np.empty(shape[:c] + shape[-1:] + shape[c:-1]), c, -1)
 
-    One C-contiguous edge table, stacked in the order `geometry.transport_stencil`
-    takes its parts: `xi_interp` of it at u gives f(x, u) and A(x, u) with one
-    locate, each component equal to a lookup of its own table.
+
+def xi_major(table, grid_ndim):
+    """A copy of an edge table, same shape and values, stored xi-major."""
+    out = _empty_xi_major(table.shape, grid_ndim)
+    out[...] = table
+    return out
+
+
+def transport_table(fm, dm):
+    """F = f and T = A on one component axis: (d + d*d,) + grid + (n_edges,), xi-major.
+
+    Stacked in the order `geometry.transport_stencil` takes its parts:
+    `xi_interp` of it at u gives f(x, u) and A(x, u) with one locate, each
+    component equal to a lookup of its own table.
     """
     d = fm.grid.d
-    return np.concatenate((fm.f, dm.A.reshape((d * d,) + dm.A.shape[2:])))
+    table = _empty_xi_major((d + d * d,) + fm.f.shape[1:], d)
+    table[:d] = fm.f
+    table[d:] = dm.A.reshape((d * d,) + dm.A.shape[2:])
+    return table
 
 
 def root_weight(psi, xi):

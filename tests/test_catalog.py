@@ -1,14 +1,16 @@
 """The catalog scenarios run through the CLI pipeline, and the benchmark
 workloads are faithful copies of them."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maniflow import catalog, cli
-from maniflow.model import transport_table
+from maniflow import catalog, cli, model, solver
+
+solver_rhs = solver.rhs
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -37,11 +39,31 @@ def test_workload_is_catalog_entry_plus_listed_overrides(path):
 
 
 @pytest.mark.parametrize("name", sorted(catalog.SCENARIOS))
-def test_lookup_tables_are_read_without_a_copy(name):
-    # the xi-lookup reads grid and edge axes as one flat axis of the stored table;
-    # a strided table would be copied whole on every lookup
+def test_lookup_tables_are_read_without_a_copy(name, monkeypatch):
+    # the xi-lookup reads each component's grid and edge axes as one flat axis of
+    # the stored table; a strided table would be copied whole on every lookup
     pipe = cli.build_pipeline(catalog.SCENARIOS[name])
-    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT, transport_table(pipe.fm, pipe.dm)):
+    d = pipe.grid.d
+    run_tables = {}
+
+    def rhs(u, table, xi, stencil):
+        run_tables["transport"] = table
+        return solver_rhs(u, table, xi, stencil)
+
+    def deposit(u, sigmaT, *rest):
+        run_tables["sigmaT"] = sigmaT
+
+    monkeypatch.setattr(solver, "rhs", rhs)
+    monkeypatch.setattr(solver, "deposit", deposit)
+    cfg = dataclasses.replace(pipe.solver_cfg, t_end=1e-9)  # one step
+    solver.run(cfg, pipe.fm, pipe.dm, pipe.M, pipe.u0, pipe.xi)
+    assert set(run_tables) == {"transport", "sigmaT"}
+
+    # the models' tables are grid-major; the tables the step loop owns are xi-major
+    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT):
         assert table.flags.c_contiguous
-        comps = table.shape[:table.ndim - 1 - pipe.grid.d]
-        assert np.shares_memory(table.reshape(comps + (-1,)), table)
+    for table in run_tables.values():
+        assert np.moveaxis(table, -1, table.ndim - 1 - d).flags.c_contiguous
+    assert np.array_equal(run_tables["sigmaT"], pipe.dm.sigmaT)
+    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT, *run_tables.values()):
+        assert np.shares_memory(model._flat(table, d)[0], table)

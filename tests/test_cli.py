@@ -113,6 +113,17 @@ BAD = {
     "empty_xi_samples": ([("audit.xi_samples", '""')], []),
     "empty_eta_list": ([("study.eta_list", '""')], []),
     "empty_psi": ([("diagnostics.psi", '""')], []),
+    "nan_t_end": ([("solver.t_end", "nan")], []),
+    "inf_t_end": ([("solver.t_end", "inf")], []),
+    "inf_eta": ([("solver.eta", "inf")], []),
+    "nan_eta": ([], ["--override", "solver.eta=nan"]),
+    "integer_beyond_float_range": ([("solver.t_end", "1" + "0" * 400)], []),
+    "nan_in_list": ([("study.eta_list", '"0.01, nan"')], []),
+    "xi_sample_above_1": ([("audit.xi_samples", "1.5")], []),
+    "xi_sample_below_0": ([("audit.xi_samples", '"0, -0.5"')], []),
+    "negative_tol_factor": ([("audit.tol_factor", "-1")], []),
+    "zero_tol_factor": ([("audit.tol_factor", "0")], []),
+    "nan_tol_factor": ([("audit.tol_factor", "nan")], []),
 }
 
 

@@ -55,7 +55,7 @@ class TestLedger:
         grid, M, xi = flat_1d
         dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
         ledger = DissipationLedger(xi)
-        deposit(np.full(grid.shape, 0.4), dm, M, 1e-2, 1e-3, ledger)
+        deposit(np.full(grid.shape, 0.4), dm.sigmaT, M, 1e-2, 1e-3, ledger)
         assert ledger.total_m == 0.0 and ledger.total_n == 0.0
 
     def test_zero_sigma_no_degenerate_deposits(self, flat_1d):
@@ -63,7 +63,7 @@ class TestLedger:
         dm = DiffusionModel.zero(grid, xi, M)
         ledger = DissipationLedger(xi)
         x = grid.coords()[0]
-        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, M, 1e-2, 1e-3, ledger)
+        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm.sigmaT, M, 1e-2, 1e-3, ledger)
         assert ledger.total_n == 0.0 and ledger.total_m > 0.0
 
     def test_frozen_step_closed_form(self):
@@ -75,7 +75,7 @@ class TestLedger:
         ledger = DissipationLedger(xi)
         dt = 1e-3
         x = grid.coords()[0]
-        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, M, 0.0, dt, ledger)
+        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm.sigmaT, M, 0.0, dt, ledger)
         exact = dt * 0.32 * np.pi ** 2
         assert ledger.total_n == pytest.approx(exact, rel=1e-6)
 

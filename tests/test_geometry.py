@@ -442,6 +442,23 @@ class TestTransportStencil:
         err = np.max(np.abs(transport_stencil(M, eta)(Y) - ref))
         assert err <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("name, n", [("flat1d", 128), ("wavy1d", 128), ("curved2d", 64)])
+    def test_skipped_zero_blocks_change_no_bit(self, name, n):
+        grid = ChartGrid(METRICS[name]["d"], n)
+        st = transport_stencil(build_metric(METRICS[name]["entries"], grid), 3e-3)
+        if name == "curved2d":
+            # the flux has no weight at the corners, nor F^k off its own axis
+            zero = [q for W in st.weights for q in range(2) if not W[q].any()]
+            assert len(zero) == 12
+        Y = np.random.default_rng(9).normal(size=st.zeroth.shape)
+        # the difference form over every (offset, component) block, zero or not
+        padded = np.pad(Y, [(0, 0)] + [(1, 1)] * grid.d, mode="wrap")
+        acc = st.zeroth * Y
+        for s, W in zip(st.offsets, st.weights):
+            shifted = padded[(slice(None),) + tuple(slice(1 + a, 1 + a + n) for a in s)]
+            acc += (shifted - Y) * W
+        assert np.array_equal(st(Y), acc.sum(axis=0))
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_reach_two_is_rejected(self, d):
         grid = ChartGrid(d, 32)

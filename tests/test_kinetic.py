@@ -52,7 +52,7 @@ def per_bin_residual(traj, fm, dm, M, xi, battery):
         diffusion = np.stack([divdiv_tensor11(chi[..., b] * aprime_c[..., b], M)
                               for b in range(xi.n)], axis=-1)
         viscous = np.stack([laplace_beltrami(chi[..., b], M) for b in range(xi.n)], axis=-1)
-        density = sum(dissipation_densities(u, dm, M, traj.eta))
+        density = sum(dissipation_densities(u, dm.sigmaT, xi, M, traj.eta))
         for i in range(len(res)):
             dt_psi = battery.dtau(t)[i] * phi[..., i, None] * theta[:, i]
             term = np.sum((-chi * dt_psi + (transport - diffusion - traj.eta * viscous)

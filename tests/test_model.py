@@ -6,7 +6,7 @@ from maniflow.geometry import (ChartGrid, build_metric, div_vector, divdiv_tenso
 from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, beta_at,
                             compat_norms, compat_residual, cumtrapz_edges,
                             make_compatible_flux, psd_audit, root_weight, stream_vector,
-                            xi_hermite, xi_interp)
+                            xi_hermite, xi_interp, xi_major)
 from maniflow import catalog, cli
 
 TWO_PI = 2.0 * np.pi
@@ -73,11 +73,23 @@ class TestGather:
         return xi, values, slopes, u
 
     def layouts(self, table):
-        """The table as stored, as a transposed view and as a broadcast view."""
+        """The table as stored, as a transposed view, as a broadcast view and stored xi-major."""
         transposed = np.ascontiguousarray(table.swapaxes(0, 1)).swapaxes(0, 1)
         broadcast = np.broadcast_to(table[:1, :1], table.shape)
+        major = xi_major(table, 2)
         assert not transposed.flags.c_contiguous and not broadcast.flags.c_contiguous
-        return {"stored": table, "transposed": transposed, "broadcast": broadcast}
+        # the same shape, with each component's edge axis outermost in memory
+        assert major.shape == table.shape and np.moveaxis(major, -1, 2).flags.c_contiguous
+        return {"stored": table, "transposed": transposed, "broadcast": broadcast,
+                "xi_major": major}
+
+    @classmethod
+    def hermite_reference(cls, values, slopes, u, xi):
+        v0, v1, t = cls.per_node_rows(values, u, xi)
+        s0, s1, _ = cls.per_node_rows(slopes, u, xi)
+        t2, t3 = t * t, t * t * t
+        return ((2.0 * t3 - 3.0 * t2 + 1.0) * v0 + (t3 - 2.0 * t2 + t) * xi.dxi * s0
+                + (3.0 * t2 - 2.0 * t3) * v1 + (t3 - t2) * xi.dxi * s1)
 
     def test_xi_interp_equals_per_node_reference(self, setup):
         xi, values, _, u = setup
@@ -88,12 +100,14 @@ class TestGather:
     def test_xi_hermite_equals_per_node_reference(self, setup):
         xi, values, slopes, u = setup
         for (name, v), s in zip(self.layouts(values).items(), self.layouts(slopes).values()):
-            v0, v1, t = self.per_node_rows(v, u, xi)
-            s0, s1, _ = self.per_node_rows(s, u, xi)
-            t2, t3 = t * t, t * t * t
-            ref = ((2.0 * t3 - 3.0 * t2 + 1.0) * v0 + (t3 - 2.0 * t2 + t) * xi.dxi * s0
-                   + (3.0 * t2 - 2.0 * t3) * v1 + (t3 - t2) * xi.dxi * s1)
-            assert np.array_equal(xi_hermite(v, s, u, xi), ref), name
+            assert np.array_equal(xi_hermite(v, s, u, xi),
+                                  self.hermite_reference(v, s, u, xi)), name
+
+    def test_xi_hermite_reads_values_and_slopes_in_their_own_orders(self, setup):
+        xi, values, slopes, u = setup
+        ref = self.hermite_reference(values, slopes, u, xi)
+        for v, s in ((values, xi_major(slopes, 2)), (xi_major(values, 2), slopes)):
+            assert np.array_equal(xi_hermite(v, s, u, xi), ref)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_batch_columns_read_their_nodes_rows(self, d):
@@ -105,11 +119,9 @@ class TestGather:
         entries = [["0.3 + 0.3*xi", "0.1*xi"], ["0.05", "0.2 + 0.4*xi^2"]]
         dm = DiffusionModel.from_exprs([row[:d] for row in entries[:d]], grid, xi, M)
         U = np.random.default_rng(7).uniform(-0.05, 1.05, size=grid.shape + (n,))
-        for name, got, column in (
-                ("xi_interp", xi_interp(dm.A, U, xi, d), lambda u: xi_interp(dm.A, u, xi)),
-                ("sigmaT_at", dm.sigmaT_at(U), dm.sigmaT_at)):
-            per_column = np.stack([column(U[..., b]) for b in range(n)], axis=-1)
-            assert np.array_equal(got, per_column), name
+        for name, table in (("stored", dm.A), ("xi_major", xi_major(dm.sigmaT, d))):
+            per_column = np.stack([xi_interp(table, U[..., b], xi) for b in range(n)], axis=-1)
+            assert np.array_equal(xi_interp(table, U, xi, d), per_column), name
 
 
 class TestXiHermite:

@@ -172,7 +172,7 @@ def per_step_run(cfg, fm, dm, M, u0, xi):
 
     monitor(0.0, u)
     for step in range(1, n_steps + 1):
-        deposit(u, dm, M, cfg.eta, dt, ledger)
+        deposit(u, dm.sigmaT, M, cfg.eta, dt, ledger)
         k1 = rhs(u, table, xi, stencil)
         k2 = rhs(u + dt * k1, table, xi, stencil)
         u = u + 0.5 * dt * (k1 + k2)
