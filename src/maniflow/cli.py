@@ -14,6 +14,16 @@ wrong kind, and keys that the chosen branch would ignore.  Range checks live
 with the objects they guard (ChartGrid, XiGrid, SolverConfig, ...), and
 `Pipeline` reports their errors as config errors naming the section.
 
+The metric is a catalog entry, [metric] name, or the entries g11, g12 and
+g22; g21 is not a key, since g21 = g12, so the metric is symmetric by
+construction.  Every expression of x1, x2 (and xi) is sampled by
+`ChartGrid.eval_expr`; a psi weight, an expression of xi alone, by
+`model.root_weight`.
+
+`main` makes the --out directory before any command builds or runs: a path
+that cannot be a directory is a config error, and a config error found after
+that leaves the directory behind, empty.
+
 Commands:
 
     maniflow run          <config> [--out DIR] [--override sec.key=value ...]
@@ -30,13 +40,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from . import __version__, catalog, entropy, fieldio, kinetic
-from .exprparse import ExprError, compile_expr
+from .exprparse import ExprError
 from .geometry import ChartGrid, GeometryError, build_metric, norm_l1
 from .model import (DiffusionModel, FluxModel, ModelError, XiGrid, compat_norms,
                     make_compatible_flux, psd_audit, root_weight)
@@ -113,9 +125,9 @@ def parse_config(text):
 
 def load_config(path, overrides=()):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -139,7 +151,7 @@ KEYS = {
     "grid": {"d": (INT, REQUIRED), "n": (INT, REQUIRED)},
     "xi": {"n": (INT, 64)},
     "metric": {"name": (WORD, None), "g11": (EXPR, None), "g12": (EXPR, None),
-               "g21": (EXPR, None), "g22": (EXPR, None)},
+               "g22": (EXPR, None)},
     "scenario": {"sigma11": (EXPR, "0"), "sigma12": (EXPR, "0"), "sigma21": (EXPR, "0"),
                  "sigma22": (EXPR, "0"), "flux1": (EXPR, "0"), "flux2": (EXPR, "0"),
                  "flux_prime1": (EXPR, None), "flux_prime2": (EXPR, None),
@@ -210,50 +222,54 @@ def validate(cfg):
         raise ConfigError(f"[audit] xi_samples: must lie in [0, 1], got {audit['xi_samples']}")
     if not audit["tol_factor"] > 0.0:
         raise ConfigError(f"[audit] tol_factor: must be positive, got {audit['tol_factor']}")
+    count = out["diagnostics"]["battery_count"]
+    if count < 1:
+        raise ConfigError(f"[diagnostics] battery_count must be >= 1, got {count}")
+    if len(out["uniqueness"]["cfl_list"]) < 2:
+        raise ConfigError("[uniqueness] cfl_list needs at least two entries")
     return out
 
 
 # --- pipeline -----------------------------------------------------------------
 
-def _fails(expr, bindings):
+def _fails(sample, expr):
     try:
-        compile_expr(expr)(**bindings)
+        sample(expr)
     except ExprError:
         return True
     return False
 
 
 @contextmanager
-def _building(section, keys=(), values=None, bindings=None):
+def _building(section, keys=(), values=None, sample=None):
     """Report an error raised while building from `section` as a ConfigError.
 
     The message names the key when the step reads one; for an expression
     error in a step that reads several, the first of `keys` whose expression
-    in `values` fails on its own under `bindings`.
+    in `values` fails when `sample`, the call the step makes, samples it alone.
     """
     try:
         yield
     except (ExprError, GeometryError, ModelError, SolverError) as exc:
         if len(keys) > 1 and isinstance(exc, ExprError):
-            keys = [k for k in keys if values[k] is not None and _fails(values[k], bindings)][:1]
+            keys = [k for k in keys if values[k] is not None and _fails(sample, values[k])][:1]
         where = f"[{section}] {keys[0]}:" if len(keys) == 1 else f"[{section}]"
         raise ConfigError(f"{where} {exc}") from None
 
 
 def _metric_entries(mc, d):
-    """The d x d metric expressions: a catalog entry, or g11...g22 with g21 = g12 if unset."""
+    """The d x d metric expressions: a catalog entry, or g11, g12 and g22 with g21 = g12."""
     if mc["name"] is not None:
         entry = catalog.METRICS.get(mc["name"])
         if entry is None or entry["d"] != d:
             raise ConfigError(f"[metric] name: no {d}d catalog metric {mc['name']!r}")
         return entry["entries"]
     idx = range(1, d + 1)
-    entries = [[mc[f"g{i}{j}"] if mc[f"g{i}{j}"] is not None else mc[f"g{j}{i}"] for j in idx]
-               for i in idx]
-    missing = [f"g{i}{j}" for i in idx for j in idx if entries[i - 1][j - 1] is None]
+    keys = [[f"g{min(i, j)}{max(i, j)}" for j in idx] for i in idx]
+    missing = [k for row in keys for k in row if mc[k] is None]
     if missing:
         raise ConfigError(f"[metric] missing key {missing[0]}")
-    return entries
+    return [[mc[k] for k in row] for row in keys]
 
 
 class Pipeline:
@@ -270,17 +286,15 @@ class Pipeline:
             self.solver_cfg = SolverConfig(eta=sv["eta"], t_end=sv["t_end"], cfl=sv["cfl"],
                                            n_snapshots=sv["snapshots"])
         self.battery_seed, self.battery_count = diag["battery_seed"], diag["battery_count"]
-        if self.battery_count < 1:
-            raise ConfigError(f"[diagnostics] battery_count must be >= 1, got {self.battery_count}")
         self.psi_list = diag["psi"]
 
         d, idx = grid.d, range(1, grid.d + 1)
         pairs = [f"{i}{j}" for i in idx for j in idx]
-        spatial = {f"x{i}": x[..., None] for i, x in zip(idx, grid.coords())}
-        bindings = dict(spatial, xi=xi.edges.reshape((1,) * d + (-1,)))
-        with _building("metric", [f"g{p}" for p in pairs], cfg["metric"], spatial):
+        on_edges = partial(grid.eval_expr, edges=xi.edges)
+        with _building("metric", [f"g{i}{j}" for i in idx for j in idx if i <= j],
+                       cfg["metric"], grid.eval_expr):
             self.M = build_metric(_metric_entries(cfg["metric"], d), grid)
-        with _building("scenario", [f"sigma{p}" for p in pairs], sc, bindings):
+        with _building("scenario", [f"sigma{p}" for p in pairs], sc, on_edges):
             self.dm = DiffusionModel.from_exprs(
                 [[sc[f"sigma{k}{i}"] for i in idx] for k in idx], grid, xi, self.M)
         if sc["compatible"]:
@@ -290,7 +304,7 @@ class Pipeline:
             primes = [sc[f"flux_prime{k}"] for k in idx]
             prime = None if primes == [None] * d else ["0" if p is None else p for p in primes]
             keys = [f"flux{k}" for k in idx] + [f"flux_prime{k}" for k in idx]
-            with _building("scenario", keys, sc, bindings):
+            with _building("scenario", keys, sc, on_edges):
                 self.fm = FluxModel.from_exprs([sc[f"flux{k}"] for k in idx], grid, xi,
                                                prime_exprs=prime)
         with _building("scenario", ["u0"]):
@@ -376,7 +390,6 @@ def cmd_run(cfg, out_dir):
 
     if out_dir:
         # the trajectory is on disk before the kinetic diagnostics, which can fail
-        fieldio.ensure_dir(out_dir)
         _write_monitors(traj, f"{out_dir}/monitors.csv")
         _write_ledger(traj, nu_check["nu"], f"{out_dir}/ledger.csv")
         fieldio.write_csv(traj.u_final, pipe.grid, f"{out_dir}/u_final.csv")
@@ -430,7 +443,6 @@ def cmd_audit_compat(cfg, out_dir):
     report = {"version": __version__, "command": "audit-compat",
               "threshold": threshold, "rows": rows, "pass": ok}
     if out_dir:
-        fieldio.ensure_dir(out_dir)
         _json_dump(report, f"{out_dir}/report.json")
     return 0 if ok else 1
 
@@ -467,14 +479,11 @@ def cmd_study_eta(cfg, out_dir):
     report = {"version": __version__, "command": "study-eta",
               "etas": etas, "pairwise_l1": diffs, "monitors": monitors}
     if out_dir:
-        fieldio.ensure_dir(out_dir)
         _json_dump(report, f"{out_dir}/report.json")
     return 0
 
 
 def cmd_uniqueness(cfg, out_dir):
-    if len(validate(cfg)["uniqueness"]["cfl_list"]) < 2:
-        raise ConfigError("[uniqueness] cfl_list needs at least two entries")
     pipe, cfls, trajectories = _sweep(cfg, "uniqueness", "cfl_list", "cfl")
     series = []
     base = trajectories[0]
@@ -497,7 +506,6 @@ def cmd_uniqueness(cfg, out_dir):
                   f"backward {row['backward']:.6e}")
     report = {"version": __version__, "command": "uniqueness", "series": series}
     if out_dir:
-        fieldio.ensure_dir(out_dir)
         _json_dump(report, f"{out_dir}/kinetic_report.json")
     return 0
 
@@ -516,6 +524,11 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, overrides=args.override)
+        if args.out:
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
         handler = {"run": cmd_run, "audit-compat": cmd_audit_compat,
                    "study-eta": cmd_study_eta, "uniqueness": cmd_uniqueness}[args.command]
         return handler(cfg, args.out)

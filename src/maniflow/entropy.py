@@ -48,11 +48,6 @@ def identity_entropy():
                      name="identity")
 
 
-def quartic_entropy():
-    return EntropyFn(lambda v: 0.25 * v ** 4, lambda v: v ** 3, lambda v: 3.0 * v * v,
-                     name="quarter-quartic")
-
-
 def hat_weights(values, xi):
     """Two-bin linear deposition indices/weights for an array of states."""
     pos = np.asarray(values) / xi.dxi - 0.5
@@ -127,7 +122,7 @@ def deposit(u, sigmaT, M, eta, dt, ledger):
 
 # --- entropy flux fields and the weak residual ------------------------------
 
-def entropy_flux_fields(u, S, fm, dm, M):
+def entropy_flux_fields(u, S, fm, dm):
     """Integrals of f' S' and a' S' from 0 to u(x), one consistent path.
 
     Returns (VectorField, Tensor11Field).  Both use the cumulative
@@ -159,7 +154,7 @@ def entropy_residual(u_prev, u_next, dt, S, fm, dm, M, eta, battery):
     xi = fm.xi
     u_mid = 0.5 * (u_prev + u_next)
     dS_dt = (S.on(u_next) - S.on(u_prev)) / dt
-    flux_field, diff_field = entropy_flux_fields(u_mid, S, fm, dm, M)
+    flux_field, diff_field = entropy_flux_fields(u_mid, S, fm, dm)
     strong = (dS_dt - geo.transport(flux_field, diff_field, S.on(u_mid), M, eta)
               + _binned_s2_dissipation(u_mid, S, dm, M, eta, xi))
     return float(np.max(np.abs(geo.integrate(battery * strong[..., None], M))))

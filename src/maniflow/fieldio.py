@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -45,8 +44,3 @@ def read_raw(path):
     data = np.fromfile(path, dtype="<f8")
     shape = tuple(header["components"]) + (header["n"],) * header["d"]
     return data.reshape(shape), header
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

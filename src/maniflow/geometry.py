@@ -70,26 +70,28 @@ class ChartGrid:
         self.h = 1.0 / n
         self.shape = (n,) * d
 
-    def axis_coords(self):
-        return np.arange(self.n) * self.h
-
     def coords(self):
         """d arrays of node coordinates, each shaped like a scalar field."""
-        x = self.axis_coords()
+        x = np.arange(self.n) * self.h
         if self.d == 1:
             return [x]
         return list(np.meshgrid(x, x, indexing="ij"))
 
-    def eval_expr(self, expr, **extra):
-        """Evaluate an expression (text or number) on the nodes."""
+    def eval_expr(self, expr, edges=None):
+        """Sample an expression (text or number) of x1...x_d on the nodes: grid.
+
+        Given the xi-`edges`, sample an expression of x1...x_d and xi on
+        nodes x edges: grid + (len(edges),).  Every expression of x in a
+        config is sampled here.
+        """
         fn = compile_expr(expr)
-        xs = self.coords()
-        bindings = {"x1": xs[0]}
-        if self.d == 2:
-            bindings["x2"] = xs[1]
-        bindings.update(extra)
-        out = fn(**bindings)
-        return np.broadcast_to(np.asarray(out, dtype=float), self.shape).copy()
+        bindings = {f"x{i}": x for i, x in enumerate(self.coords(), start=1)}
+        shape = self.shape
+        if edges is not None:
+            bindings = {k: x[..., None] for k, x in bindings.items()}
+            bindings["xi"] = edges.reshape((1,) * self.d + (-1,))
+            shape += (len(edges),)
+        return np.broadcast_to(np.asarray(fn(**bindings), dtype=float), shape).copy()
 
     def __repr__(self):
         return f"ChartGrid(d={self.d}, n={self.n})"
@@ -216,20 +218,12 @@ class MetricField:
 
 
 def build_metric(entries, grid):
-    """Sample a symmetric d x d expression table into a MetricField."""
+    """Sample a d x d expression table into a MetricField, which checks it is symmetric."""
     d = grid.d
     g = np.empty((d, d) + grid.shape)
     for i in range(d):
         for j in range(d):
             g[i, j] = grid.eval_expr(entries[i][j])
-    g = 0.5 * (g + np.swapaxes(g, 0, 1))  # kill roundoff asymmetry from eval
-    return MetricField(grid, g)
-
-
-def euclidean_metric(grid):
-    g = np.zeros((grid.d, grid.d) + grid.shape)
-    for i in range(grid.d):
-        g[i, i] = 1.0
     return MetricField(grid, g)
 
 

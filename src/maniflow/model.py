@@ -1,10 +1,11 @@
 """Coefficient fields: flux, diffusion tensor, antiderivative tensors.
 
-Every state-dependent coefficient is tabulated once on grid x xi-edges and
-evaluated afterwards by linear interpolation in xi.  The same tabulate /
-cumulative-trapezoid / interpolate path is shared by the solver, the
-entropy integrals and the measure deposits, so quantities that coincide
-analytically coincide here up to one quadrature convention.  The one
+Every state-dependent coefficient is tabulated once on grid x xi-edges (an
+expression by `ChartGrid.eval_expr`) and evaluated afterwards by linear
+interpolation in xi.  The same tabulate / cumulative-trapezoid /
+interpolate path is shared by the solver, the entropy integrals and the
+measure deposits, so quantities that coincide analytically coincide here up
+to one quadrature convention.  The one
 exception is `beta_at`, the psi-weighted antiderivatives of the chain rule:
 their tables carry the integrand as an exact xi-slope, so they are evaluated
 by cubic Hermite interpolation (`xi_hermite`), whose xi-derivative is second
@@ -154,18 +155,6 @@ def xi_hermite(values, slopes, u, xi):
     return h00 * v0 + h10 * s0 + h01 * v1 + h11 * s1
 
 
-def _tabulate(expr, grid, edges):
-    """Sample an expression of (x, xi) on grid x edges -> grid + (n_edges,)."""
-    fn = compile_expr(expr)
-    xs = grid.coords()
-    bindings = {"x1": xs[0][..., None]}
-    if grid.d == 2:
-        bindings["x2"] = xs[1][..., None]
-    bindings["xi"] = edges.reshape((1,) * grid.d + (-1,))
-    out = fn(**bindings)
-    return np.broadcast_to(np.asarray(out, dtype=float), grid.shape + (len(edges),)).copy()
-
-
 def _xi_fd(table, dxi):
     """Centered xi-derivative of an edge table, one-sided at the ends."""
     out = np.empty_like(table)
@@ -193,15 +182,11 @@ class FluxModel:
 
     @classmethod
     def from_exprs(cls, exprs, grid, xi, prime_exprs=None):
-        f = np.stack([_tabulate(e, grid, xi.edges) for e in exprs])
+        f = np.stack([grid.eval_expr(e, xi.edges) for e in exprs])
         fp = None
         if prime_exprs is not None:
-            fp = np.stack([_tabulate(e, grid, xi.edges) for e in prime_exprs])
+            fp = np.stack([grid.eval_expr(e, xi.edges) for e in prime_exprs])
         return cls(grid, xi, f, fp)
-
-    @classmethod
-    def zero(cls, grid, xi):
-        return cls(grid, xi, np.zeros((grid.d,) + grid.shape + (xi.n + 1,)))
 
     def max_prime_gnorm(self, M):
         norms = np.einsum("ij...,i...b,j...b->...b", M.g, self.fprime, self.fprime)
@@ -235,12 +220,8 @@ class DiffusionModel:
         sig = np.empty((d, d) + grid.shape + (xi.n + 1,))
         for k in range(d):
             for i in range(d):
-                sig[k, i] = _tabulate(entries[k][i], grid, xi.edges)
+                sig[k, i] = grid.eval_expr(entries[k][i], xi.edges)
         return cls(grid, xi, M, sig)
-
-    @classmethod
-    def zero(cls, grid, xi, M):
-        return cls(grid, xi, M, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
 
     def max_aprime_opnorm(self):
         a = self.aprime

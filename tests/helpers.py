@@ -1,0 +1,31 @@
+"""Test-only builders: the Euclidean metric, zero coefficient models and a quartic entropy.
+
+No command reaches these, so they live with the tests rather than in the
+package.
+"""
+
+import numpy as np
+
+from maniflow.entropy import EntropyFn
+from maniflow.geometry import MetricField
+from maniflow.model import DiffusionModel, FluxModel
+
+
+def euclidean_metric(grid):
+    g = np.zeros((grid.d, grid.d) + grid.shape)
+    for i in range(grid.d):
+        g[i, i] = 1.0
+    return MetricField(grid, g)
+
+
+def zero_flux(grid, xi):
+    return FluxModel(grid, xi, np.zeros((grid.d,) + grid.shape + (xi.n + 1,)))
+
+
+def zero_diffusion(grid, xi, M):
+    return DiffusionModel(grid, xi, M, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
+
+
+def quartic_entropy():
+    return EntropyFn(lambda v: 0.25 * v ** 4, lambda v: v ** 3, lambda v: 3.0 * v * v,
+                     name="quarter-quartic")

@@ -22,12 +22,20 @@ OUTPUTS = {"report.json", "kinetic_report.json", "u_final.f64", "u_final.f64.jso
            "u_final.csv", "monitors.csv", "ledger.csv"}
 
 
+# BASE on a flat 2D chart given entry by entry
+PLANE = [("grid.d", "2"), ("metric.name", None),
+         ("metric.g11", '"1"'), ("metric.g12", '"0"'), ("metric.g22", '"1"')]
+
+
 def write_config(tmp_path, changes=()):
-    """BASE as INI text, with (section.key, raw value) pairs set or added."""
+    """BASE as INI text, with (section.key, raw value) pairs set or added; a value None drops the key."""
     sections = {s: dict(kv) for s, kv in BASE.items()}
     for target, value in changes:
         section, key = target.split(".")
-        sections.setdefault(section, {})[key] = value
+        if value is None:
+            del sections[section][key]
+        else:
+            sections.setdefault(section, {})[key] = value
     path = tmp_path / "case.ini"
     path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                             for s, kv in sections.items()))
@@ -124,6 +132,7 @@ BAD = {
     "negative_tol_factor": ([("audit.tol_factor", "-1")], []),
     "zero_tol_factor": ([("audit.tol_factor", "0")], []),
     "nan_tol_factor": ([("audit.tol_factor", "nan")], []),
+    "one_entry_cfl_list": ([("uniqueness.cfl_list", "0.4")], []),
 }
 
 
@@ -155,6 +164,48 @@ def test_expression_error_names_its_key(tmp_path, capsys):
     rc, err = run_cli(capsys, path)
     assert rc == 2
     assert err.startswith("config error: [scenario] sigma11: sqrt of negative value")
+
+
+def test_metric_has_no_g21_key(tmp_path, capsys):
+    # g21 = g12 by construction: a mismatched entry is rejected, not averaged with g12
+    path = write_config(tmp_path, PLANE + [("metric.g21", '"0.5"')])
+    rc, err = run_cli(capsys, path)
+    assert rc == 2
+    assert err == "config error: [metric] unknown key 'g21'\n"
+
+
+@pytest.mark.parametrize("target, value, message", [
+    ("metric.g22", '"sqrt(x1 - 2)"', "[metric] g22: sqrt of negative value"),
+    ("scenario.sigma21", '"sqrt(xi - 2)"', "[scenario] sigma21: sqrt of negative value"),
+    ("scenario.flux_prime2", '"1/(xi-xi)"', "[scenario] flux_prime2: division by zero"),
+], ids=["metric", "sigma", "flux_prime"])
+def test_multi_key_step_names_the_failing_key(tmp_path, capsys, target, value, message):
+    rc, err = run_cli(capsys, write_config(tmp_path, PLANE + [(target, value)]))
+    assert rc == 2
+    assert err.startswith(f"config error: {message}")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"\xff\xfe[grid]\n")
+    rc, err = run_cli(capsys, path)
+    assert rc == 2
+    assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "audit-compat", "study-eta", "uniqueness"])
+def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", never)
+    monkeypatch.setattr(cli, "build_pipeline", never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = cli.main([command, str(write_config(tmp_path)), "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"config error: --out {taken}: File exists\n"
 
 
 def test_validate_fills_defaults_and_converts():

@@ -5,13 +5,14 @@ from maniflow.entropy import (DissipationLedger, EntropyFn, chain_rule_residual,
                               deposit, dissipation_densities, energy_balance,
                               entropy_flux_fields, entropy_residual,
                               identity_entropy, nu_bound_check, nu_profile,
-                              quartic_entropy, spatial_battery, square_entropy)
-from maniflow.geometry import (ChartGrid, build_metric, div_vector,
-                               divdiv_tensor11, euclidean_metric, integrate,
-                               laplace_beltrami)
+                              spatial_battery, square_entropy)
+from maniflow.geometry import (ChartGrid, build_metric, div_vector, divdiv_tensor11,
+                               integrate, laplace_beltrami)
 from maniflow.model import DiffusionModel, FluxModel, XiGrid, xi_interp
 from maniflow.solver import SolverConfig, run
 from maniflow import catalog
+
+from helpers import euclidean_metric, quartic_entropy, zero_diffusion, zero_flux
 
 TWO_PI = 2.0 * np.pi
 
@@ -60,7 +61,7 @@ class TestLedger:
 
     def test_zero_sigma_no_degenerate_deposits(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         ledger = DissipationLedger(xi)
         x = grid.coords()[0]
         deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm.sigmaT, M, 1e-2, 1e-3, ledger)
@@ -89,16 +90,16 @@ class TestEntropyFluxFields:
         dm = DiffusionModel.from_exprs([["0.7"]], grid, xi, M)
         x = grid.coords()[0]
         u = 0.4 + 0.3 * np.sin(TWO_PI * x + 0.3)
-        ff, df = entropy_flux_fields(u, identity_entropy(), fm, dm, M)
+        ff, df = entropy_flux_fields(u, identity_entropy(), fm, dm)
         assert np.max(np.abs(ff - xi_interp(fm.f, u, xi))) <= 1e-15
         assert np.max(np.abs(df - xi_interp(dm.A, u, xi))) <= 1e-15
 
     def test_identity_entropy_smooth_flux_quadrature_close(self, flat_1d):
         grid, M, xi = flat_1d
         fm = FluxModel.from_exprs(["sin(xi)"], grid, xi, prime_exprs=["cos(xi)"])
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         u = np.full(grid.shape, 0.77)
-        ff, _ = entropy_flux_fields(u, identity_entropy(), fm, dm, M)
+        ff, _ = entropy_flux_fields(u, identity_entropy(), fm, dm)
         # f(x,0) = 0 here, so the integral should reproduce f(x,u)
         assert np.max(np.abs(ff - xi_interp(fm.f, u, xi))) <= xi.dxi ** 2
 
@@ -106,17 +107,17 @@ class TestEntropyFluxFields:
         grid, M, xi = flat_1d
         fm = FluxModel.from_exprs(["xi^2"], grid, xi)
         dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
-        ff, df = entropy_flux_fields(np.zeros(grid.shape), square_entropy(), fm, dm, M)
+        ff, df = entropy_flux_fields(np.zeros(grid.shape), square_entropy(), fm, dm)
         assert np.max(np.abs(ff)) == 0.0 and np.max(np.abs(df)) == 0.0
 
     def test_square_entropy_constant_sigma_closed_form(self, flat_1d):
         # S' = xi, sigma = 1: integral of a' S' = u^2/2 * Id
         grid, M, xi = flat_1d
-        fm = FluxModel.zero(grid, xi)
+        fm = zero_flux(grid, xi)
         dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
         x = grid.coords()[0]
         u = 0.5 + 0.4 * np.sin(TWO_PI * x)
-        _, df = entropy_flux_fields(u, square_entropy(), fm, dm, M)
+        _, df = entropy_flux_fields(u, square_entropy(), fm, dm)
         assert np.max(np.abs(df[0, 0] - 0.5 * u ** 2)) <= 2.0 * xi.dxi ** 2
 
 
@@ -125,8 +126,8 @@ class TestEntropyResidual:
         grid = ChartGrid(1, n)
         M = euclidean_metric(grid)
         xi = XiGrid(n)
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0, xi)
@@ -136,8 +137,8 @@ class TestEntropyResidual:
         grid = ChartGrid(2, 32)
         M = build_metric(catalog.METRICS["curved2d"]["entries"], grid)
         xi = XiGrid(32)
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M,
                    np.full(grid.shape, 0.5), xi)
         battery = spatial_battery(grid, seed=0)
@@ -169,7 +170,7 @@ class TestEntropyResidual:
 
     def test_linear_in_entropy(self, flat_1d):
         grid, M, xi = flat_1d
-        fm = FluxModel.zero(grid, xi)
+        fm = zero_flux(grid, xi)
         dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
@@ -187,7 +188,7 @@ class TestEntropyResidual:
         def signed(S):
             from maniflow.entropy import _binned_s2_dissipation
             um = 0.5 * (ua + ub)
-            ff, df = entropy_flux_fields(um, S, fm, dm, M)
+            ff, df = entropy_flux_fields(um, S, fm, dm)
             strong = ((S.on(ub) - S.on(ua)) / dt + div_vector(ff, M)
                       - divdiv_tensor11(df, M) - eta * laplace_beltrami(S.on(um), M)
                       + _binned_s2_dissipation(um, S, dm, M, eta, xi))
@@ -210,8 +211,8 @@ class TestEntropyResidual:
 class TestEnergyBalance:
     def test_constant_run_exact_zero(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M,
                    np.full(grid.shape, 0.25), xi)
         report = energy_balance(traj)
@@ -221,8 +222,8 @@ class TestEnergyBalance:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M,
                    0.5 + 0.4 * np.sin(TWO_PI * x), xi)
@@ -235,7 +236,7 @@ class TestEnergyBalance:
         M = euclidean_metric(grid)
         xi = XiGrid(64)
         dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, M,
                    0.5 + 0.4 * np.sin(TWO_PI * x), xi)
@@ -305,8 +306,8 @@ class TestNuBound:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.3 * np.sin(TWO_PI * x)  # max 0.8
         traj = run(SolverConfig(eta=1e-2, t_end=0.2), fm, dm, M, u0, xi)
@@ -319,8 +320,8 @@ class TestNuBound:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M, u0, xi)

@@ -3,12 +3,14 @@ import pytest
 
 from maniflow import cli, geometry
 from maniflow.catalog import METRICS, SCENARIOS
+from maniflow.exprparse import compile_expr
 from maniflow.geometry import (ChartGrid, GeometryError, MetricField, Stencil,
                                assemble_stencil, build_metric, d2dx, ddx, div_oneform,
-                               div_tensor11, div_vector, divdiv_tensor11, euclidean_metric,
-                               flat, gradient, integrate, laplace_beltrami, oneform_norm_sq,
+                               div_tensor11, div_vector, divdiv_tensor11, flat,
+                               gradient, integrate, laplace_beltrami, oneform_norm_sq,
                                sharp, transport, transport_stencil, transpose11)
 
+from helpers import euclidean_metric
 from sym_oracles import CURVED2D, MetricOracle, sample_tensor, sample_vector
 
 TWO_PI = 2.0 * np.pi
@@ -596,3 +598,18 @@ class TestOperatorOrderAgainstSymbolicOracle:
         e32 = self._errors(oracle, op_name, 32)
         e64 = self._errors(oracle, op_name, 64)
         assert 3.2 <= e32 / e64 <= 4.8, f"{op_name}: ratio {e32 / e64:.2f}"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("expr", ["sin(2*pi*x1)*xi^2 + x{d}/(1 + xi)", "x{d}^3", "sqrt(xi)", "0.25"])
+def test_eval_expr_on_edges_matches_a_broadcast_reference(d, expr):
+    """grid.eval_expr(e, edges) is e at every (node, edge) pair, xi on the last axis."""
+    expr = expr.format(d=d)
+    grid = ChartGrid(d, 16)
+    edges = np.linspace(0.0, 1.0, 9)
+    axes = np.meshgrid(*[np.arange(grid.n) * grid.h] * d, edges, indexing="ij")
+    bindings = dict({f"x{i}": x for i, x in enumerate(axes[:-1], start=1)}, xi=axes[-1])
+    ref = np.broadcast_to(np.asarray(compile_expr(expr)(**bindings), dtype=float), axes[0].shape)
+    out = grid.eval_expr(expr, edges)
+    assert out.shape == grid.shape + (len(edges),)
+    assert np.array_equal(out, ref)

@@ -3,11 +3,12 @@ import pytest
 
 from maniflow import catalog, cli
 from maniflow.entropy import dissipation_densities
-from maniflow.geometry import (ChartGrid, div_vector, divdiv_tensor11, euclidean_metric,
-                               laplace_beltrami)
+from maniflow.geometry import ChartGrid, div_vector, divdiv_tensor11, laplace_beltrami
 from maniflow.kinetic import (KineticError, bump_kernel, chi_from_u, contraction,
                               friedrichs_commutator, kinetic_battery, kinetic_residual)
 from maniflow.model import XiGrid, compat_norms
+
+from helpers import euclidean_metric
 
 
 def pipeline(name, **overrides):

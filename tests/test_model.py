@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from maniflow.geometry import (ChartGrid, build_metric, div_vector, divdiv_tensor11,
-                               euclidean_metric)
+from maniflow.geometry import ChartGrid, build_metric, div_vector, divdiv_tensor11
 from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, beta_at,
                             compat_norms, compat_residual, cumtrapz_edges,
                             make_compatible_flux, psd_audit, root_weight, stream_vector,
                             xi_hermite, xi_interp, xi_major)
 from maniflow import catalog, cli
+
+from helpers import euclidean_metric, zero_diffusion, zero_flux
 
 TWO_PI = 2.0 * np.pi
 CURVED2D = catalog.METRICS["curved2d"]["entries"]
@@ -188,7 +189,7 @@ def wavy_1d():
 class TestDiffusionModel:
     def test_zero_sigma_gives_zero_everything(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         assert np.all(dm.aprime == 0.0) and np.all(dm.A == 0.0)
 
     def test_identity_sigma_gives_identity_aprime(self, one_d):
@@ -246,7 +247,7 @@ class TestDiffusionModel:
 
     def test_psd_audit_zero_sigma(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         assert psd_audit(dm, M)["min_quadratic_form"] == 0.0
 
     def test_opnorm_flat_identity(self, one_d):
@@ -314,7 +315,7 @@ class TestBetaFamily:
 class TestFluxModel:
     def test_zero_flux(self, one_d):
         grid, M, xi = one_d
-        fm = FluxModel.zero(grid, xi)
+        fm = zero_flux(grid, xi)
         assert np.all(xi_interp(fm.f, np.full(grid.shape, 0.5), xi) == 0.0)
 
     def test_fd_prime_matches_analytic(self, one_d):
@@ -338,8 +339,8 @@ class TestFluxModel:
 class TestCompatibility:
     def test_trivial_zero_pair(self, one_d):
         grid, M, xi = one_d
-        fm = FluxModel.zero(grid, xi)
-        dm = DiffusionModel.zero(grid, xi, M)
+        fm = zero_flux(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
         r = compat_residual(fm, dm, M, 0.5)
         assert np.max(np.abs(r)) == 0.0
 
@@ -356,7 +357,7 @@ class TestCompatibility:
 
     def test_stream_requires_2d(self, wavy_1d):
         grid, M, xi = wavy_1d
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         with pytest.raises(ModelError, match="d = 2"):
             make_compatible_flux(dm, M, stream="x1")
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from maniflow.geometry import (ChartGrid, build_metric, euclidean_metric, integrate, norm_l1,
-                               transport_stencil)
+from maniflow.geometry import ChartGrid, build_metric, integrate, norm_l1, transport_stencil
 from maniflow.model import (DiffusionModel, FluxModel, XiGrid, make_compatible_flux,
                             transport_table, xi_interp)
 from maniflow.entropy import DissipationLedger, deposit
 from maniflow.solver import (BLOCK_NODE_STEPS, RangeViolation, SolverConfig, SolverError,
                              Trajectory, rhs, run, stable_dt, total_variation)
 from maniflow import catalog, solver
+
+from helpers import euclidean_metric, zero_diffusion, zero_flux
 
 TWO_PI = 2.0 * np.pi
 
@@ -25,8 +26,8 @@ def heat_setup(n, eta):
     grid = ChartGrid(1, n)
     M = euclidean_metric(grid)
     xi = XiGrid(64)
-    dm = DiffusionModel.zero(grid, xi, M)
-    fm = FluxModel.zero(grid, xi)
+    dm = zero_diffusion(grid, xi, M)
+    fm = zero_flux(grid, xi)
     x = grid.coords()[0]
     u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
     return grid, M, xi, dm, fm, u0
@@ -35,22 +36,22 @@ def heat_setup(n, eta):
 class TestStableDt:
     def test_pure_diffusion_plugin_value(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         cfg = SolverConfig(eta=1.0, t_end=1.0, cfl=0.4)
         assert stable_dt(cfg, fm, dm, M) == pytest.approx(4.8828125e-5, rel=1e-12)
 
     def test_doubling_eta_halves_dt(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         dt1 = stable_dt(SolverConfig(eta=1.0, t_end=1.0), fm, dm, M)
         dt2 = stable_dt(SolverConfig(eta=2.0, t_end=1.0), fm, dm, M)
         assert dt1 / dt2 == pytest.approx(2.0, rel=1e-12)
 
     def test_min_of_two_branches(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         # convective branch: 0.4 * h / 1; diffusive branch: 0.4 h^2 / (2 eta)
         for eta in (1e-4, 1e-1):
@@ -63,8 +64,8 @@ class TestStableDt:
 class TestRhs:
     def test_flat_heat_is_discrete_laplacian(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u = 0.5 + 0.3 * np.sin(TWO_PI * x)
         eta = 2e-2
@@ -77,7 +78,7 @@ class TestRhs:
         # double divergence reduces to the 3-point second difference
         grid, M, xi = flat_1d
         dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u = 0.5 + 0.4 * np.sin(TWO_PI * x)
         eta = 1e-2
@@ -128,8 +129,8 @@ class TestRhs:
 
     def test_range_violation_diagnostic(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         u = np.full(grid.shape, 0.5)
         u[13] = 1.2
         with pytest.raises(RangeViolation, match=r"\(13,\)"):
@@ -138,8 +139,8 @@ class TestRhs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_is_not_a_range_violation(self, flat_1d, bad):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         u = np.full(grid.shape, 0.5)
         u[13] = bad
         u[20] = 1.2  # also out of range: the non-finite value still decides the error
@@ -248,7 +249,7 @@ class TestRun:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
@@ -260,7 +261,7 @@ class TestRun:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
@@ -279,8 +280,8 @@ class TestRun:
 
     def test_initial_range_enforced(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.zero(grid, xi, M)
-        fm = FluxModel.zero(grid, xi)
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
         with pytest.raises(SolverError, match=r"\[0,1\]"):
             run(SolverConfig(eta=1e-2, t_end=0.01), fm, dm, M,
                 np.full(grid.shape, 1.5), xi)
@@ -290,7 +291,7 @@ class TestRun:
         grid = ChartGrid(1, 16)
         M = euclidean_metric(grid)
         xi = XiGrid(16)
-        dm = DiffusionModel.zero(grid, xi, M)
+        dm = zero_diffusion(grid, xi, M)
         fm = FluxModel.from_exprs(["20*xi^2"], grid, xi)
         u0 = 0.5 + 0.25 * np.sin(TWO_PI * grid.coords()[0])
         with pytest.raises(RangeViolation, match=r"^step 32 \(t=.*node \(7,\) outside"):
@@ -302,7 +303,7 @@ class TestRun:
         # the sign of the tabulated antiderivative directly
         dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
         dm.A = -5.0 * dm.A
-        fm = FluxModel.zero(grid, xi)
+        fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         with pytest.raises(SolverError, match="step"):

@@ -1,0 +1,115 @@
+"""Check that two source trees of maniflow give byte-identical outputs.
+
+    python3 tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
+
+PARENT_SRC and CHANGE_SRC are directories that hold the `maniflow` package;
+CHANGE_SRC defaults to this repository's src/.  Every case runs `maniflow`
+in a fresh single-threaded process, once under each tree, with --out set:
+
+- `run` and `audit-compat` on the six scenarios of `catalog.SCENARIOS`,
+  written out as INI files;
+- `study-eta` on `shock` and `uniqueness` on `porous`, each with a short t_end;
+- `run` on the benchmark workloads perfbench/workloads/*.ini, with
+  diagnostics.battery_seed=0.
+
+The scenarios are read from PARENT_SRC's catalog, so both trees get the same
+input files.  Every output file, stdout, stderr and exit code that differs
+byte for byte is listed, and the exit code is 1 if any does.  The script
+only reads perfbench/ and writes only to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# (name, command, catalog scenario, overrides)
+SWEEPS = [("study-eta_shock", "study-eta", "shock", ["solver.t_end=0.05"]),
+          ("uniqueness_porous", "uniqueness", "porous", ["solver.t_end=0.01"])]
+
+
+def ini_text(scenario):
+    """A catalog scenario as config text; strings are quoted as expressions."""
+    def value(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return f'"{v}"' if isinstance(v, str) else repr(v)
+
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {value(v)}\n" for k, v in keys.items())
+                   for section, keys in scenario.items())
+
+
+def cases(parent_src, ini_dir):
+    """(name, argv without --out) of every case."""
+    scenarios = runpy.run_path(str(Path(parent_src) / "maniflow" / "catalog.py"))["SCENARIOS"]
+    out = []
+    for name, scenario in scenarios.items():
+        path = ini_dir / f"{name}.ini"
+        path.write_text(ini_text(scenario))
+        out += [(f"run_{name}", ["run", str(path)]),
+                (f"audit-compat_{name}", ["audit-compat", str(path)])]
+    for name, command, scenario, overrides in SWEEPS:
+        argv = [command, str(ini_dir / f"{scenario}.ini")]
+        out.append((name, argv + [a for o in overrides for a in ("--override", o)]))
+    for path in sorted((ROOT / "perfbench" / "workloads").glob("*.ini")):
+        out.append((f"workload_{path.stem}",
+                    ["run", str(path), "--override", "diagnostics.battery_seed=0"]))
+    return out
+
+
+def run_case(src, argv, out_dir):
+    """stdout, stderr, exit code and {relative path: bytes} of the --out files."""
+    env = dict(os.environ, PYTHONPATH=str(src), **{k: "1" for k in THREADS})
+    proc = subprocess.run([sys.executable, "-m", "maniflow.cli", *argv, "--out", str(out_dir)],
+                          env=env, capture_output=True)
+    files = {str(p.relative_to(out_dir)): p.read_bytes()
+             for p in sorted(out_dir.rglob("*")) if p.is_file()} if out_dir.is_dir() else {}
+    return {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode}, files
+
+
+def differences(parent, change):
+    """What differs between two `run_case` results, one line each."""
+    (p_streams, p_files), (c_streams, c_files) = parent, change
+    out = [k for k in p_streams if p_streams[k] != c_streams[k]]
+    for name in sorted(set(p_files) | set(c_files)):
+        if name not in c_files or name not in p_files:
+            out.append(f"{name} only under {'parent' if name in p_files else 'change'}")
+        elif p_files[name] != c_files[name]:
+            out.append(name)
+    return out
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (1, 2):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent_src = Path(argv[0]).resolve()
+    change_src = Path(argv[1] if len(argv) == 2 else ROOT / "src").resolve()
+    for src in (parent_src, change_src):
+        if not (src / "maniflow" / "cli.py").is_file():
+            print(f"same_outputs: no maniflow package under {src}", file=sys.stderr)
+            return 2
+    found = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, case in cases(parent_src, tmp):
+            results = [run_case(src, case, tmp / tree / name)
+                       for tree, src in (("parent", parent_src), ("change", change_src))]
+            diff = differences(*results)
+            found += len(diff)
+            rc = results[0][0]["exit code"]
+            print(f"{name}: exit {rc}, {len(results[0][1])} files, "
+                  + ("same" if not diff else "DIFFERS: " + ", ".join(diff)), flush=True)
+    print(f"{found} difference(s)")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
