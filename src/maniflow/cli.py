@@ -20,9 +20,9 @@ construction.  Every expression of x1, x2 (and xi) is sampled by
 `ChartGrid.eval_expr`; a psi weight, an expression of xi alone, by
 `model.root_weight`.
 
-`main` makes the --out directory before any command builds or runs: a path
-that cannot be a directory is a config error, and a config error found after
-that leaves the directory behind, empty.
+`main` makes the --out directory before any command builds or runs: an
+empty path, or one that cannot be a directory, is a config error, and a
+config error found after that leaves the directory behind, empty.
 
 Commands:
 
@@ -388,7 +388,7 @@ def cmd_run(cfg, out_dir):
     if np.any(traj.ledger.bins_m < 0) or np.any(traj.ledger.bins_n < 0):
         violations.append("ledger_negative")
 
-    if out_dir:
+    if out_dir is not None:
         # the trajectory is on disk before the kinetic diagnostics, which can fail
         _write_monitors(traj, f"{out_dir}/monitors.csv")
         _write_ledger(traj, nu_check["nu"], f"{out_dir}/ledger.csv")
@@ -408,7 +408,7 @@ def cmd_run(cfg, out_dir):
     report["kinetic_residual"] = kin_res
     report["violations"] = violations
 
-    if out_dir:
+    if out_dir is not None:
         _json_dump(report, f"{out_dir}/report.json")
         xs = pipe.grid.coords()[0]
         jump = ((xs >= 0.25) & (xs < 0.75)).astype(float)
@@ -442,7 +442,7 @@ def cmd_audit_compat(cfg, out_dir):
     print(f"threshold {threshold:.6e}")
     report = {"version": __version__, "command": "audit-compat",
               "threshold": threshold, "rows": rows, "pass": ok}
-    if out_dir:
+    if out_dir is not None:
         _json_dump(report, f"{out_dir}/report.json")
     return 0 if ok else 1
 
@@ -478,7 +478,7 @@ def cmd_study_eta(cfg, out_dir):
         print(f"|u({row['eta_hi']:g}) - u({row['eta_lo']:g})|_L1 = {row['l1_diff']:.6e}")
     report = {"version": __version__, "command": "study-eta",
               "etas": etas, "pairwise_l1": diffs, "monitors": monitors}
-    if out_dir:
+    if out_dir is not None:
         _json_dump(report, f"{out_dir}/report.json")
     return 0
 
@@ -492,12 +492,12 @@ def cmd_uniqueness(cfg, out_dir):
         k_max = min(len(base.snapshots), len(other.snapshots))
         rows = []
         for k in range(k_max):
-            chi_a = kinetic.chi_from_u(base.snapshots[k], pipe.xi)
-            chi_b = kinetic.chi_from_u(other.snapshots[k], pipe.xi)
+            n_a = kinetic.level_count(base.snapshots[k], pipe.xi)
+            n_b = kinetic.level_count(other.snapshots[k], pipe.xi)
             rows.append({
                 "t": base.times[k],
-                "forward": kinetic.contraction(chi_a, chi_b, pipe.M, pipe.xi),
-                "backward": kinetic.contraction(chi_b, chi_a, pipe.M, pipe.xi),
+                "forward": kinetic.contraction(n_a, n_b, pipe.M, pipe.xi),
+                "backward": kinetic.contraction(n_b, n_a, pipe.M, pipe.xi),
             })
         series.append({"cfl_pair": [cfls[0], cfls[other_idx]],
                        "dt_pair": [base.dt, other.dt], "rows": rows})
@@ -505,7 +505,7 @@ def cmd_uniqueness(cfg, out_dir):
             print(f"t={row['t']:.4f}  contraction forward {row['forward']:.6e}  "
                   f"backward {row['backward']:.6e}")
     report = {"version": __version__, "command": "uniqueness", "series": series}
-    if out_dir:
+    if out_dir is not None:
         _json_dump(report, f"{out_dir}/kinetic_report.json")
     return 0
 
@@ -524,7 +524,9 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, overrides=args.override)
-        if args.out:
+        if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out: empty path, expected a directory")
             try:
                 os.makedirs(args.out, exist_ok=True)
             except OSError as exc:

@@ -1,10 +1,14 @@
-"""Kinetic function machinery: level-set fields, residuals, commutators.
+"""Kinetic function machinery: level counts, residuals, commutators.
 
 The kinetic function of a state field u is the indicator chi(x, b) = 1
-where the xi-bin center lies at or below u(x).  `kinetic_residual` tests the
-kinetic equation weakly against a battery of smooth test functions, and
-`friedrichs_commutator` measures how smoothing by a symmetric polynomial
-bump commutes with multiplication and differentiation.
+where the xi-bin center lies at or below u(x).  Since the centers ascend,
+chi is held as its level count n(x), the number of such bins, and chi(x, b)
+= [b < n(x)]; `contraction` and `kinetic_residual` read only level counts.
+`kinetic_residual` tests the kinetic equation weakly against a battery of
+smooth test functions; its terms linear in chi are summed over time first,
+so the space operators are applied once.  `friedrichs_commutator` measures
+how smoothing by a symmetric polynomial bump commutes with multiplication
+and differentiation.
 """
 
 from __future__ import annotations
@@ -22,18 +26,26 @@ class KineticError(ValueError):
 
 # --- kinetic function ---------------------------------------------------------
 
-def chi_from_u(u, xi):
-    """Binary kinetic function on grid x bin-centers (bin-center rule)."""
+def level_count(u, xi):
+    """Per node, the number of xi-bin centers at or below u(x).
+
+    The kinetic function is chi(x, b) = [b < level_count(u, xi)(x)], so
+    every sum of chi over bins is read off this count.
+    """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    # false for negative states and for NaN
+    if not (u >= 0.0).all():
         raise KineticError("kinetic function requires nonnegative states")
-    return (xi.centers <= u[..., None]).astype(float)
+    return np.searchsorted(xi.centers, u, side="right")
 
 
-def contraction(chi_a, chi_b, M, xi):
-    """Ordering functional: integral of chi_a (1 - chi_b) over chart x state."""
-    per_node = xi.dxi * np.sum(chi_a * (1.0 - chi_b), axis=-1)
-    return geo.integrate(per_node, M)
+def contraction(n_a, n_b, M, xi):
+    """Ordering functional: integral of chi_a (1 - chi_b) over chart x state.
+
+    `n_a` and `n_b` are the level counts of the two states; chi_a (1 - chi_b)
+    holds max(n_a - n_b, 0) bins at each node.
+    """
+    return geo.integrate(xi.dxi * np.maximum(n_a - n_b, 0), M)
 
 
 # --- mollifier ----------------------------------------------------------------
@@ -114,45 +126,57 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
 
     The equation is d_t chi + div(f' chi) - divdiv(a' chi) - eta Lap_g chi =
     d_xi(m + n), with m and n the viscous and degenerate dissipation measures.
-    Each test function is separable, psi = tau(t) phi(x) theta(xi), so the
-    state integrals come first: Theta = sum_b theta_b chi_b dxi, and the same
-    theta-weighted sums of chi f' and chi a' at the bin centers.  The space
-    terms are minus `geometry.transport` of those three sums, once per
-    snapshot on the whole battery, carried as a batch axis, and every term is
-    paired with phi through `geometry.integrate`.
-    Time integrals use the trapezoid rule on the stored snapshots; the
-    measure term pairs per-node dissipation densities with the exact state
-    derivative of theta at u(x).
+    Each test function is separable, psi = tau(t) phi(x) theta(xi), and time
+    integrals use the trapezoid rule on the stored snapshots, with weights w_k.
+
+    The terms linear in chi are summed over the snapshots before any space
+    operator is applied.  Per snapshot only the level count n_k(x) is formed
+    (chi_k(x, b) = [b < n_k(x)]), and w_k tau(t_k) is added to a per-node
+    histogram over levels; one reverse cumulative sum over levels gives
+    X(x, b) = sum_k w_k tau(t_k) chi_k(x, b).  The theta-weighted bin sums of
+    X, X f' and X a' at the bin centers then go through one
+    `geometry.transport` call, whose minus is the space term.  The boundary
+    terms and the -tau' term read the prefix sums of theta dxi at n_k.  Only
+    the measure term, nonlinear in u, is formed per snapshot: the per-node
+    dissipation densities times the exact state derivative of theta at u(x).
+    Every term is paired with phi through one `geometry.integrate`; the last
+    axis of every array runs over the battery.
     """
-    eta = traj.eta
+    grid, nodes = M.grid, M.sqrt_det.size
     times = np.asarray(traj.times)
     w_t = np.zeros(len(times))
     w_t[1:] += 0.5 * np.diff(times)
     w_t[:-1] += 0.5 * np.diff(times)
 
-    fprime_centers = 0.5 * (fm.fprime[..., 1:] + fm.fprime[..., :-1])
-    aprime_centers = 0.5 * (dm.aprime[..., 1:] + dm.aprime[..., :-1])
-
     thetas = battery.theta * xi.dxi  # bins x battery
-    # the end snapshots enter both the boundary terms and the time integral
-    last = len(times) - 1
-    chi0, chiT = chi_from_u(traj.snapshots[0], xi), chi_from_u(traj.u_final, xi)
-    residuals = (battery.tau(times[-1]) * geo.integrate(battery.phi * (chiT @ thetas), M)
-                 - battery.tau(times[0]) * geo.integrate(battery.phi * (chi0 @ thetas), M))
+    prefix = np.zeros((xi.n + 1, thetas.shape[1]))  # theta dxi summed below each level
+    prefix[1:] = np.cumsum(thetas, axis=0)
 
-    for k, (t, u) in enumerate(zip(times, traj.snapshots)):
-        chi = chi0 if k == 0 else chiT if k == last else chi_from_u(u, xi)
-        # theta-weighted state integrals; the last axis runs over the battery
-        theta_chi = chi @ thetas
-        theta_flux = (chi * fprime_centers) @ thetas
-        theta_diff = (chi * aprime_centers) @ thetas
-        m_density, n_density = dissipation_densities(u, dm.sigmaT, xi, M, eta)
-        total_density = m_density + n_density
-        strong = (-geo.transport(theta_flux, theta_diff, theta_chi, M, eta)
-                  + total_density[..., None] * battery.dtheta(u))
-        residuals += w_t[k] * (battery.tau(t) * geo.integrate(battery.phi * strong, M)
-                               - battery.dtau(t) * geo.integrate(battery.phi * theta_chi, M))
+    counts = [level_count(u, xi).reshape(-1) for u in traj.snapshots]
+    hist, rows = np.zeros((nodes, xi.n + 1, thetas.shape[1])), np.arange(nodes)
+    # pointwise terms: boundary, -tau' and measure, paired with phi at the end
+    local = (battery.tau(times[-1]) * prefix[counts[-1]]
+             - battery.tau(times[0]) * prefix[counts[0]]).reshape(grid.shape + (-1,))
+    for t, w, u, n in zip(times, w_t, traj.snapshots, counts):
+        hist[rows, n] += w * battery.tau(t)
+        m_density, n_density = dissipation_densities(u, dm.sigmaT, xi, M, traj.eta)
+        local += w * (battery.tau(t) * (m_density + n_density)[..., None] * battery.dtheta(u)
+                      - battery.dtau(t) * prefix[n].reshape(local.shape))
 
+    # reverse cumulative sum over levels, in place: level b + 1 holds X(x, b)
+    np.cumsum(hist[:, ::-1], axis=1, out=hist[:, ::-1])
+    weighted = hist[:, 1:]
+    weighted *= thetas
+
+    def bin_sums(table):
+        """theta-weighted bin sums of X times `table` at the bin centers: comps + grid + battery."""
+        centers = 0.5 * (table[..., 1:] + table[..., :-1])
+        per_node = np.matmul(centers.reshape(-1, nodes, xi.n).transpose(1, 0, 2), weighted)
+        return per_node.transpose(1, 0, 2).reshape(table.shape[:-1] + (-1,))
+
+    theta_chi = weighted.sum(axis=1).reshape(local.shape)
+    local -= geo.transport(bin_sums(fm.fprime), bin_sums(dm.aprime), theta_chi, M, traj.eta)
+    residuals = geo.integrate(battery.phi * local, M)
     return float(np.max(np.abs(residuals)))
 
 

@@ -1,4 +1,5 @@
-"""Test-only builders: the Euclidean metric, zero coefficient models and a quartic entropy.
+"""Test-only builders: the Euclidean metric, zero coefficient models, a quartic entropy
+and the binary kinetic function.
 
 No command reaches these, so they live with the tests rather than in the
 package.
@@ -29,3 +30,12 @@ def zero_diffusion(grid, xi, M):
 def quartic_entropy():
     return EntropyFn(lambda v: 0.25 * v ** 4, lambda v: v ** 3, lambda v: 3.0 * v * v,
                      name="quarter-quartic")
+
+
+def chi_from_u(u, xi):
+    """Binary kinetic function on grid x bin-centers: 1 where the center is at or below u.
+
+    The bin-center rule written out directly, so that checks against it do
+    not share `kinetic.level_count`'s search.
+    """
+    return (xi.centers <= np.asarray(u, dtype=float)[..., None]).astype(float)

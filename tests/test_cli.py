@@ -208,6 +208,18 @@ def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, comm
     assert err == f"config error: --out {taken}: File exists\n"
 
 
+@pytest.mark.parametrize("command", ["run", "audit-compat", "study-eta", "uniqueness"])
+def test_empty_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", never)
+    monkeypatch.setattr(cli, "build_pipeline", never)
+    rc = cli.main([command, str(write_config(tmp_path)), "--out", ""])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: --out: empty path, expected a directory\n"
+
+
 def test_validate_fills_defaults_and_converts():
     minimal = {"grid": {"d": 1, "n": 16}, "scenario": {"u0": "0.5"},
                "solver": {"eta": 1, "t_end": 0.1}}

@@ -3,12 +3,14 @@ import pytest
 
 from maniflow import catalog, cli
 from maniflow.entropy import dissipation_densities
-from maniflow.geometry import ChartGrid, div_vector, divdiv_tensor11, laplace_beltrami
-from maniflow.kinetic import (KineticError, bump_kernel, chi_from_u, contraction,
-                              friedrichs_commutator, kinetic_battery, kinetic_residual)
+from maniflow.geometry import (ChartGrid, div_vector, divdiv_tensor11, integrate,
+                               laplace_beltrami)
+from maniflow.kinetic import (KineticError, bump_kernel, contraction, friedrichs_commutator,
+                              kinetic_battery, kinetic_residual, level_count)
 from maniflow.model import XiGrid, compat_norms
+from maniflow.solver import Trajectory
 
-from helpers import euclidean_metric
+from helpers import chi_from_u, euclidean_metric
 
 
 def pipeline(name, **overrides):
@@ -81,14 +83,36 @@ class TestBumpKernel:
 class TestKineticFunction:
     def test_rejects_negative_states(self):
         with pytest.raises(KineticError, match="nonnegative"):
-            chi_from_u(np.array([0.5, -1e-3]), XiGrid(16))
+            level_count(np.array([0.5, -1e-3]), XiGrid(16))
+
+    def test_rejects_nan_states(self):
+        # a NaN would be counted above every center
+        with pytest.raises(KineticError, match="nonnegative"):
+            level_count(np.array([0.5, np.nan]), XiGrid(16))
+
+    def test_level_count_follows_the_bin_center_rule(self):
+        # on the centers themselves, between them and at both ends of [0, 1]
+        xi = XiGrid(16)
+        u = np.concatenate([xi.centers, xi.edges])
+        assert np.array_equal(level_count(u, xi), chi_from_u(u, xi).sum(axis=-1))
 
     def test_self_contraction_vanishes(self):
         grid = ChartGrid(1, 32)
         xi = XiGrid(16)
         u = 0.5 + 0.4 * np.sin(2.0 * np.pi * grid.coords()[0])
-        chi = chi_from_u(u, xi)
-        assert contraction(chi, chi, euclidean_metric(grid), xi) == 0.0
+        n = level_count(u, xi)
+        assert contraction(n, n, euclidean_metric(grid), xi) == 0.0
+
+    def test_contraction_equals_the_chi_sum_bitwise(self):
+        grid = ChartGrid(1, 32)
+        xi = XiGrid(16)
+        M = euclidean_metric(grid)
+        x = grid.coords()[0]
+        u, v = 0.5 + 0.4 * np.sin(2.0 * np.pi * x), 0.5 + 0.3 * np.cos(2.0 * np.pi * x)
+        chi_u, chi_v = chi_from_u(u, xi), chi_from_u(v, xi)
+        got = contraction(level_count(u, xi), level_count(v, xi), M, xi)
+        assert got > 0.0
+        assert got == integrate(xi.dxi * np.sum(chi_u * (1.0 - chi_v), axis=-1), M)
 
 
 class TestFriedrichsCommutator:
@@ -111,6 +135,25 @@ class TestKineticResidual:
     def test_equals_per_bin_formula(self, name):
         pipe, traj = pipeline(name, grid_n=32 if name == "shock" else 16, xi_n=16,
                               solver_t_end=0.02, solver_snapshots=4)
+        battery = battery_of(pipe, seed=1)
+        got = kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, battery)
+        ref = per_bin_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, battery)
+        assert ref > 0.0
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_equals_per_bin_formula_on_bin_centers(self):
+        # every state sits on a bin center or at 0 or 1, where the bin-center
+        # rule (center <= u) decides each level; counting centers strictly
+        # below u would move every one of them
+        pipe = cli.build_pipeline(catalog.SCENARIOS["curved_evo"]
+                                  | {"grid": {"d": 2, "n": 16}, "xi": {"n": 16}})
+        values = np.concatenate([pipe.xi.centers, [0.0, 1.0]])
+        rng = np.random.default_rng(3)
+        snapshots = [rng.choice(values, size=pipe.grid.shape) for _ in range(3)]
+        snapshots[0][0, :2] = 0.0, 1.0
+        traj = Trajectory(times=[0.0, 0.01, 0.03], snapshots=snapshots, monitor_t=None,
+                          mass=None, u_min=None, u_max=None, energy=None, ledger=None,
+                          dt=0.01, eta=pipe.solver_cfg.eta)
         battery = battery_of(pipe, seed=1)
         got = kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, battery)
         ref = per_bin_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, battery)

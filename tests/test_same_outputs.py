@@ -1,0 +1,45 @@
+"""tools/same_outputs.py names each numeric key that differs, with its largest relative difference."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_json_keys_that_differ_and_their_largest_relative_difference(tool):
+    parent = b'{"kinetic_residual": 2.0, "rows": [{"l1": 1.0}, {"l1": 4.0}], "name": "a"}'
+    change = b'{"kinetic_residual": 2.0, "rows": [{"l1": 1.5}, {"l1": 3.0}], "name": "b"}'
+    assert tool.relative_differences(parent, change) == [
+        ("rows[]/l1", "largest relative difference 0.333")]
+
+
+def test_text_numbers_are_keyed_by_the_words_before_them(tool):
+    parent = b"xi= 0.500  max=1.0e-03  l1=2e-04  pass\n|u(0.02) - u(0.01)|_L1 = 4e-03\n"
+    change = b"xi= 0.500  max=1.1e-03  l1=2e-04  pass\n|u(0.02) - u(0.01)|_L1 = 4e-03\n"
+    assert tool.relative_differences(parent, change) == [
+        ("max=", "largest relative difference 0.0909")]
+
+
+def test_nan_and_count_changes_are_named(tool):
+    assert tool.relative_differences(b'{"a": [1, NaN]}', b'{"a": [1, 1]}') == [
+        ("a[]", "largest relative difference inf")]
+    assert tool.relative_differences(b'{"a": [1]}', b'{"a": [1, 2]}') == [
+        ("a[]", "1 numbers under parent, 2 under change")]
+
+
+def test_differences_keep_the_bytes_of_json_files_and_stdout(tool):
+    streams = {"stdout": b"1", "stderr": b"", "exit code": 0}
+    parent = (streams, {"report.json": b"{}", "u.csv": b"1"})
+    change = (dict(streams, stdout=b"2"), {"report.json": b"[]", "u.csv": b"2"})
+    assert tool.differences(parent, change) == [
+        ("stdout", b"1", b"2"), ("report.json", b"{}", b"[]"), ("u.csv", None, None)]

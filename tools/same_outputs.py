@@ -14,13 +14,20 @@ in a fresh single-threaded process, once under each tree, with --out set:
 
 The scenarios are read from PARENT_SRC's catalog, so both trees get the same
 input files.  Every output file, stdout, stderr and exit code that differs
-byte for byte is listed, and the exit code is 1 if any does.  The script
-only reads perfbench/ and writes only to a temporary directory.
+byte for byte is listed, and the exit code is 1 if any does.  Under a JSON
+file or stdout that differs, each numeric key that differs is listed with
+its largest relative difference |a - b| / max(|a|, |b|) over the numbers it
+holds; a key is a path of JSON object keys, or on a text line the words
+before a number.  The script only reads perfbench/ and writes only to a
+temporary directory.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -74,14 +81,73 @@ def run_case(src, argv, out_dir):
 
 
 def differences(parent, change):
-    """What differs between two `run_case` results, one line each."""
+    """What differs between two `run_case` results: (label, parent bytes, change bytes) each.
+
+    The bytes are None where the label is all there is to say.
+    """
     (p_streams, p_files), (c_streams, c_files) = parent, change
-    out = [k for k in p_streams if p_streams[k] != c_streams[k]]
+    out = [(k, p_streams[k], c_streams[k]) if k == "stdout" else (k, None, None)
+           for k in p_streams if p_streams[k] != c_streams[k]]
     for name in sorted(set(p_files) | set(c_files)):
         if name not in c_files or name not in p_files:
-            out.append(f"{name} only under {'parent' if name in p_files else 'change'}")
+            out.append((f"{name} only under {'parent' if name in p_files else 'change'}",
+                        None, None))
         elif p_files[name] != c_files[name]:
-            out.append(name)
+            out.append((name,) + ((p_files[name], c_files[name]) if name.endswith(".json")
+                                  else (None, None)))
+    return out
+
+
+# a number not inside a word such as L1
+NUMBER = re.compile(r"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan\b|inf\b)")
+
+
+def numbers(data):
+    """{key: [number, ...]} of JSON bytes, or of text bytes line by line."""
+    found = {}
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, f"{key}/{k}" if key else k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, f"{key}[]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            found.setdefault(key, []).append(float(node))
+
+    text = data.decode(errors="replace")
+    try:
+        walk(json.loads(text), "")
+    except ValueError:
+        for line in text.splitlines():
+            at = 0
+            for match in NUMBER.finditer(line):
+                label = line[at:match.start()].strip() or "(number)"
+                found.setdefault(label, []).append(float(match.group()))
+                at = match.end()
+    return found
+
+
+def relative_differences(parent, change):
+    """(key, largest relative difference) of every numeric key whose numbers differ."""
+    def rel(a, b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return math.inf
+        return abs(a - b) / max(abs(a), abs(b))
+
+    p_nums, c_nums = numbers(parent), numbers(change)
+    out = []
+    for key in sorted(set(p_nums) | set(c_nums)):
+        a, b = p_nums.get(key, []), c_nums.get(key, [])
+        if len(a) != len(b):
+            out.append((key, f"{len(a)} numbers under parent, {len(b)} under change"))
+        elif a != b:
+            worst = max(rel(x, y) for x, y in zip(a, b))
+            if worst != 0.0:
+                out.append((key, f"largest relative difference {worst:.3g}"))
     return out
 
 
@@ -106,7 +172,12 @@ def main(argv=None):
             found += len(diff)
             rc = results[0][0]["exit code"]
             print(f"{name}: exit {rc}, {len(results[0][1])} files, "
-                  + ("same" if not diff else "DIFFERS: " + ", ".join(diff)), flush=True)
+                  + ("same" if not diff else "DIFFERS: " + ", ".join(d[0] for d in diff)))
+            for label, p_bytes, c_bytes in diff:
+                if p_bytes is not None:
+                    for key, what in relative_differences(p_bytes, c_bytes):
+                        print(f"  {label} {key}: {what}")
+            sys.stdout.flush()
     print(f"{found} difference(s)")
     return 1 if found else 0
 
