@@ -144,9 +144,9 @@ def relative_differences(parent, change):
         a, b = p_nums.get(key, []), c_nums.get(key, [])
         if len(a) != len(b):
             out.append((key, f"{len(a)} numbers under parent, {len(b)} under change"))
-        elif a != b:
-            worst = max(rel(x, y) for x, y in zip(a, b))
-            if worst != 0.0:
+        else:
+            worst = max((rel(x, y) for x, y in zip(a, b)), default=0.0)
+            if worst:
                 out.append((key, f"largest relative difference {worst:.3g}"))
     return out
 
