@@ -92,7 +92,7 @@ class DissipationLedger:
 def dissipation_densities(u, sigmaT, xi, M, eta):
     """Per-node viscous and degenerate dissipation densities at state u; u may carry batch axes.
 
-    `sigmaT` is the edge table of sigma^t, in either storage order.
+    `sigmaT` is the edge table of sigma^t (`DiffusionModel.sigmaT`).
     """
     grid = M.grid
     du = np.stack([geo.ddx(u, i, grid.h) for i in range(grid.d)])
@@ -108,7 +108,7 @@ def deposit(u, sigmaT, M, eta, dt, ledger):
 
     u is the state before one step, or grid + batch axes: one column per
     step, deposited in the C order of the batch axes.  `sigmaT` is the edge
-    table of sigma^t on the ledger's xi-grid, in either storage order.
+    table of sigma^t on the ledger's xi-grid (`DiffusionModel.sigmaT`).
     """
     grid = M.grid
     m_density, n_density = dissipation_densities(u, sigmaT, ledger.xi, M, eta)

@@ -24,11 +24,12 @@ exactly.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
 `_neighbours`, two views of one padded copy.
 
 Beyond those, a metric caches only the lower-order coefficients of
-`divdiv_tensor11` (`MetricField.divdiv_coef`), read once per snapshot by the
-kinetic residual and by every stencil assembly.  The metric coefficients of
-`div_tensor11` and `laplace_beltrami` are one contraction or average of
-arrays the metric already holds, cheap beside the operators, and the
-operators are called at most about once per snapshot, so they form them on
+`divdiv_tensor11` (`MetricField.divdiv_coef`), read once per kinetic
+residual, once per entropy residual and by every stencil assembly.  The
+metric coefficients of `div_tensor11` and `laplace_beltrami` are one
+contraction or average of arrays the metric already holds, cheap beside the
+operators, and outside the step loop, which applies an assembled stencil,
+the operators are called a few times per diagnostic, so they form them on
 each call.
 
 The equation's spatial operator, L(F, T, u) = -div F + divdiv T +
@@ -145,6 +146,8 @@ class MetricField:
         g = np.asarray(g, dtype=float)
         if g.shape != (d, d) + shape:
             raise GeometryError(f"metric shape {g.shape} != {(d, d) + shape}")
+        if not np.all(np.isfinite(g)):
+            raise GeometryError("metric entries are not finite")
         if not np.array_equal(g, np.swapaxes(g, 0, 1)):
             raise GeometryError("metric entries are not symmetric")
         self.g = g

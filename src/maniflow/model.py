@@ -16,20 +16,16 @@ and i0 + 1 of each node.  A node is numbered by its grid position only: axes
 of u after the grid axes are batch columns, and every column reads the rows
 of the same nodes.
 
-Every table has the shape comps + grid + (n_edges,) and one of two dense
-storage orders, which `_gather` reads from its strides without a copy:
-
-- grid-major (C order): each node's edges are adjacent.  The tables on
-  `FluxModel` and `DiffusionModel` are stored so, since the diagnostics
-  also contract them over the edge axis: with xi-major f' and a' tables,
-  `kinetic_residual`'s `@ thetas` over a strided bin axis cost 0.1 s more
-  on the `curved_evo_diag` benchmark workload (32^2 nodes, 64 bins).
-- xi-major: within each component, all nodes at one edge are adjacent, so a
-  lookup at a smooth state reads one cache line per 8 nodes where a
-  grid-major table costs one per node.  Only the step loop's run-scoped
-  tables use it: `transport_table` stacks f and A on one component axis, so
-  the solver's right-hand side reads both with one lookup, and `xi_major`
-  copies sigma^t for the run's dissipation deposits.
+Every table has the shape comps + grid + (n_edges,) and is stored xi-major:
+within each component, the entries of all nodes at one edge are adjacent, so
+a lookup at a smooth state reads one cache line per 8 nodes, and `_flat`
+views each component's edge and grid axes as one flat axis without a copy.
+The models build their tables so: `from_exprs` samples into an
+`_empty_xi_major` table (`_edge_table`), the constructors pass their input
+through `xi_major`, and every table derived from one keeps its layout.  The
+step loop reads them as they are; `transport_table` stacks f and A on one
+component axis, so the solver's right-hand side reads both with one lookup.
+A table in any other layout is still read correctly, through a copy.
 """
 
 from __future__ import annotations
@@ -70,7 +66,11 @@ def cumtrapz_edges(table, dxi):
     """Cumulative trapezoid along the last (xi-edge) axis, zero at xi=0."""
     out = np.zeros_like(table)
     steps = 0.5 * dxi * (table[..., 1:] + table[..., :-1])
-    out[..., 1:] = np.cumsum(steps, axis=-1)
+    # edge by edge, the sums np.cumsum forms: each add reads whole slabs of an
+    # xi-major table, where a cumsum along its strided edge axis is 5x slower
+    out[..., 1] = steps[..., 0]
+    for i in range(1, steps.shape[-1]):
+        np.add(out[..., i], steps[..., i], out=out[..., i + 1])
     return out
 
 
@@ -90,36 +90,29 @@ def _locate(u, xi, grid_ndim):
 
 
 def _flat(table, grid_ndim):
-    """An edge table as comps + (rows,), with the row strides s_node and s_edge.
+    """An edge table as comps + (n_edges * nodes,): row i * nodes + node holds edge i of that node.
 
-    Row node * s_node + edge * s_edge holds the entry of that node and edge,
-    in the table's storage order, read from its strides: grid-major
-    (s_node = n_edges, s_edge = 1) or xi-major (s_node = 1, s_edge = nodes).
-    For a dense table in either order the flat view shares its memory.
+    A view of a dense xi-major table; a table in any other layout is copied.
     """
     c = table.ndim - 1 - grid_ndim
-    if table.strides[-1] > table.strides[-2]:  # xi-major: the edge axis is outer
-        flat = table.transpose((*range(c), table.ndim - 1, *range(c, table.ndim - 1)))
-        flat = flat.reshape(table.shape[:c] + (-1,))
-        return flat, 1, flat.shape[-1] // table.shape[-1]
-    return table.reshape(table.shape[:c] + (-1,)), table.shape[-1], 1
+    # the edge axis moved ahead of the grid axes, as np.moveaxis would at 3 us more per lookup
+    flat = table.transpose((*range(c), table.ndim - 1, *range(c, table.ndim - 1)))
+    return flat.reshape(table.shape[:c] + (-1,))
 
 
 def _gather(table, node, i0, grid_ndim):
     """Entries at edges i0 and i0 + 1 of each node of an edge table, each comps + i0.shape."""
-    flat, s_node, s_edge = _flat(table, grid_ndim)
-    if s_edge == 1:
-        k = node * s_node + i0
-    else:
-        k = i0 * s_edge
-        k += node
-    return flat.take(k, axis=-1), flat.take(k + s_edge, axis=-1)
+    flat = _flat(table, grid_ndim)
+    nodes = flat.shape[-1] // table.shape[-1]
+    k = i0 * nodes
+    k += node
+    return flat.take(k, axis=-1), flat.take(k + nodes, axis=-1)
 
 
 def xi_interp(table, u, xi, grid_ndim=None):
     """Linear interpolation of an edge table at state values u.
 
-    `table` has shape comps + grid + (n_edges,), in either storage order;
+    `table` has shape comps + grid + (n_edges,);
     `u` has the grid shape, or the grid shape followed by batch axes when
     `grid_ndim` (the number of grid axes) is given.  The result is
     comps + u.shape.  Values outside [0,1] are extrapolated linearly from
@@ -135,7 +128,7 @@ def xi_hermite(values, slopes, u, xi):
     """Cubic Hermite interpolation of an edge table at state values u.
 
     `values` and `slopes` are edge tables of the same shape, comps + grid +
-    (n_edges,), each in either storage order; `slopes` holds the
+    (n_edges,); `slopes` holds the
     xi-derivative of `values` at the edges.  Cubic tables are reproduced
     exactly, and the xi-derivative of the result is second order in dxi.
     Values outside [0,1] are extrapolated from the end cells, as in
@@ -158,10 +151,37 @@ def xi_hermite(values, slopes, u, xi):
 def _xi_fd(table, dxi):
     """Centered xi-derivative of an edge table, one-sided at the ends."""
     out = np.empty_like(table)
-    out[..., 1:-1] = (table[..., 2:] - table[..., :-2]) / (2.0 * dxi)
-    out[..., 0] = (table[..., 1] - table[..., 0]) / dxi
-    out[..., -1] = (table[..., -1] - table[..., -2]) / dxi
+    with np.errstate(over="ignore"):  # an overflow to inf is the caller's to reject
+        out[..., 1:-1] = (table[..., 2:] - table[..., :-2]) / (2.0 * dxi)
+        out[..., 0] = (table[..., 1] - table[..., 0]) / dxi
+        out[..., -1] = (table[..., -1] - table[..., -2]) / dxi
     return out
+
+
+def _empty_xi_major(shape, grid_ndim):
+    """An uninitialised comps + grid + (n_edges,) table stored xi-major."""
+    c = len(shape) - 1 - grid_ndim
+    return np.moveaxis(np.empty(shape[:c] + shape[-1:] + shape[c:-1]), c, -1)
+
+
+def xi_major(table, grid_ndim):
+    """An edge table stored xi-major: the table itself when it already is, else a copy."""
+    c = table.ndim - 1 - grid_ndim
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(table, -1, c)), c, -1)
+
+
+def _edge_table(exprs, grid, xi):
+    """Expressions of x and xi sampled on nodes x xi-edges, one per component, stored xi-major."""
+    table = _empty_xi_major((len(exprs),) + grid.shape + (xi.n + 1,), grid.d)
+    for k, e in enumerate(exprs):
+        table[k] = grid.eval_expr(e, xi.edges)
+    return table
+
+
+def _finite(table, name):
+    if not np.all(np.isfinite(table)):
+        raise ModelError(f"{name} table contains non-finite entries")
+    return table
 
 
 class FluxModel:
@@ -174,19 +194,15 @@ class FluxModel:
         f_table = np.asarray(f_table, dtype=float)
         if f_table.shape != expected:
             raise ModelError(f"flux table shape {f_table.shape} != {expected}")
-        if not np.all(np.isfinite(f_table)):
-            raise ModelError("flux table contains non-finite entries")
-        self.f = f_table
-        self.fprime = np.asarray(fprime_table, dtype=float) if fprime_table is not None \
-            else _xi_fd(f_table, xi.dxi)
+        self.f = _finite(xi_major(f_table, grid.d), "flux")
+        fprime = _xi_fd(self.f, xi.dxi) if fprime_table is None \
+            else xi_major(np.asarray(fprime_table, dtype=float), grid.d)
+        self.fprime = _finite(fprime, "flux derivative")
 
     @classmethod
     def from_exprs(cls, exprs, grid, xi, prime_exprs=None):
-        f = np.stack([grid.eval_expr(e, xi.edges) for e in exprs])
-        fp = None
-        if prime_exprs is not None:
-            fp = np.stack([grid.eval_expr(e, xi.edges) for e in prime_exprs])
-        return cls(grid, xi, f, fp)
+        prime = None if prime_exprs is None else _edge_table(prime_exprs, grid, xi)
+        return cls(grid, xi, _edge_table(exprs, grid, xi), prime)
 
     def max_prime_gnorm(self, M):
         norms = np.einsum("ij...,i...b,j...b->...b", M.g, self.fprime, self.fprime)
@@ -196,7 +212,7 @@ class FluxModel:
 class DiffusionModel:
     """Diffusion coefficients derived from the tensor square root sigma.
 
-    Tables (all on grid x xi-edges): sigma, its metric transpose, the
+    Tables (all on grid x xi-edges, xi-major): sigma, its metric transpose, the
     diffusivity a' = sigma^t sigma, and the antiderivative A with A(x,0)=0.
     """
 
@@ -207,21 +223,16 @@ class DiffusionModel:
         sigma_table = np.asarray(sigma_table, dtype=float)
         if sigma_table.shape != expected:
             raise ModelError(f"sigma table shape {sigma_table.shape} != {expected}")
-        if not np.all(np.isfinite(sigma_table)):
-            raise ModelError("sigma table contains non-finite entries")
-        self.sigma = sigma_table
-        self.sigmaT = geo.transpose11(sigma_table, M)
-        self.aprime = np.einsum("km...z,mi...z->ki...z", self.sigmaT, sigma_table)
+        self.sigma = _finite(xi_major(sigma_table, grid.d), "sigma")
+        # einsum keeps the inputs' layout, so these come out xi-major too
+        self.sigmaT = geo.transpose11(self.sigma, M)
+        self.aprime = np.einsum("km...z,mi...z->ki...z", self.sigmaT, self.sigma)
         self.A = cumtrapz_edges(self.aprime, xi.dxi)
 
     @classmethod
     def from_exprs(cls, entries, grid, xi, M):
-        d = grid.d
-        sig = np.empty((d, d) + grid.shape + (xi.n + 1,))
-        for k in range(d):
-            for i in range(d):
-                sig[k, i] = grid.eval_expr(entries[k][i], xi.edges)
-        return cls(grid, xi, M, sig)
+        sig = _edge_table([e for row in entries for e in row], grid, xi)
+        return cls(grid, xi, M, sig.reshape((grid.d, grid.d) + sig.shape[1:]))
 
     def max_aprime_opnorm(self):
         a = self.aprime
@@ -232,25 +243,13 @@ class DiffusionModel:
         return float(np.max(np.maximum(np.abs(0.5 * (tr + disc)), np.abs(0.5 * (tr - disc)))))
 
 
-def _empty_xi_major(shape, grid_ndim):
-    """An uninitialised comps + grid + (n_edges,) table stored xi-major."""
-    c = len(shape) - 1 - grid_ndim
-    return np.moveaxis(np.empty(shape[:c] + shape[-1:] + shape[c:-1]), c, -1)
-
-
-def xi_major(table, grid_ndim):
-    """A copy of an edge table, same shape and values, stored xi-major."""
-    out = _empty_xi_major(table.shape, grid_ndim)
-    out[...] = table
-    return out
-
-
 def transport_table(fm, dm):
     """F = f and T = A on one component axis: (d + d*d,) + grid + (n_edges,), xi-major.
 
-    Stacked in the order `geometry.transport_stencil` takes its parts:
-    `xi_interp` of it at u gives f(x, u) and A(x, u) with one locate, each
-    component equal to a lookup of its own table.
+    A contiguous copy of the two xi-major tables, stacked in the order
+    `geometry.transport_stencil` takes its parts: `xi_interp` of it at u gives
+    f(x, u) and A(x, u) with one locate, each component equal to a lookup of
+    its own table.
     """
     d = fm.grid.d
     table = _empty_xi_major((d + d * d,) + fm.f.shape[1:], d)

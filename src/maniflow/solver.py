@@ -6,16 +6,13 @@ Heun stepping at a fixed dt chosen from the convective and parabolic
 stability bounds.  The right-hand side is `geometry.transport`(F, T, u) with
 F = f(x,u) and T = A(x,u).  Before the first step `run` builds, and owns for
 the run, the stencil of that operator at its eta
-(`geometry.transport_stencil`), the table of F and T stacked on one
-component axis (`model.transport_table`) and, when it records dissipation, a
-copy of sigma^t (`model.xi_major`); `rhs` reads F and T with one lookup of
-the table and applies the stencil to (F, T, u) in one pass.
-Both run tables are stored xi-major (see `model`): every lookup of the step
-loop reads, per component, the entries of all nodes at one edge from
-adjacent memory, where the grid-major tables of the models spend a cache
-line on each node.  On `curved_const` (64^2 nodes, 33 edges) the two copies
-hold 6.5 and 4.3 MB, are made once per run and are freed when it returns;
-the models' own tables stay grid-major for the diagnostics.
+(`geometry.transport_stencil`) and the table of F and T stacked on one
+component axis (`model.transport_table`, 6.5 MB on `curved_const`: 64^2
+nodes, 33 edges); `rhs` reads F and T with one lookup of the table and
+applies the stencil to (F, T, u) in one pass.  The dissipation deposits read
+the model's sigma^t table as it is.  Every table is stored xi-major (see
+`model`), so each lookup of the step loop reads, per component, the entries
+of all nodes at one edge from adjacent memory.
 Snapshots are taken after steps ceil(i * n_steps / n_snap), i = 1 .. n_snap.
 Every accepted state is copied into a block of up to B states, grid + (B,),
 with B = BLOCK_NODE_STEPS // nodes (at least 1), so the block's memory is
@@ -136,7 +133,6 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     snap_steps = {-(-i * n_steps // n_snap) for i in range(1, n_snap + 1)}
     stencil = geo.transport_stencil(M, cfg.eta)
     table = model.transport_table(fm, dm)
-    sigmaT = model.xi_major(dm.sigmaT, grid.d) if record_dissipation else None
     ledger = DissipationLedger(xi)
 
     u = u0.copy()
@@ -160,7 +156,7 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
         n_dep = count - 1 if final else count
         if record_dissipation and n_dep:
             # node-major copy: the lookups and products then read each node's states together
-            deposit(np.ascontiguousarray(U[..., :n_dep]), sigmaT, M, cfg.eta, dt, ledger)
+            deposit(np.ascontiguousarray(U[..., :n_dep]), dm.sigmaT, M, cfg.eta, dt, ledger)
 
     block[..., 0] = u
     for step in range(1, n_steps + 1):

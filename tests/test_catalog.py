@@ -1,16 +1,14 @@
 """The catalog scenarios run through the CLI pipeline, and the benchmark
 workloads are faithful copies of them."""
 
-import dataclasses
+import copy
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maniflow import catalog, cli, model, solver
-
-solver_rhs = solver.rhs
+from maniflow import catalog, cli, model
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -38,32 +36,40 @@ def test_workload_is_catalog_entry_plus_listed_overrides(path):
     assert cli.load_config(str(path)) == expected
 
 
+def is_xi_major(table, grid_ndim):
+    """Within each component, all nodes at one edge adjacent in memory: the one storage order."""
+    return np.moveaxis(table, -1, table.ndim - 1 - grid_ndim).flags.c_contiguous
+
+
 @pytest.mark.parametrize("name", sorted(catalog.SCENARIOS))
 def test_lookup_tables_are_read_without_a_copy(name, monkeypatch):
-    # the xi-lookup reads each component's grid and edge axes as one flat axis of
-    # the stored table; a strided table would be copied whole on every lookup
-    pipe = cli.build_pipeline(catalog.SCENARIOS[name])
-    d = pipe.grid.d
-    run_tables = {}
+    # every edge table is stored xi-major, so each lookup views a component's edge
+    # and grid axes as one flat axis; a table in any other layout is copied whole
+    cfg = copy.deepcopy(catalog.SCENARIOS[name])
+    cfg["solver"]["t_end"] = 1e-9  # one step
+    seen, lookups = {}, []
 
-    def rhs(u, table, xi, stencil):
-        run_tables["transport"] = table
-        return solver_rhs(u, table, xi, stencil)
+    def keep(fn, key):
+        def wrapped(*args, **kwargs):
+            seen[key] = fn(*args, **kwargs)
+            return seen[key]
+        return wrapped
 
-    def deposit(u, sigmaT, *rest):
-        run_tables["sigmaT"] = sigmaT
+    model_flat = model._flat
 
-    monkeypatch.setattr(solver, "rhs", rhs)
-    monkeypatch.setattr(solver, "deposit", deposit)
-    cfg = dataclasses.replace(pipe.solver_cfg, t_end=1e-9)  # one step
-    solver.run(cfg, pipe.fm, pipe.dm, pipe.M, pipe.u0, pipe.xi)
-    assert set(run_tables) == {"transport", "sigmaT"}
+    def flat(table, grid_ndim):
+        out = model_flat(table, grid_ndim)
+        lookups.append(np.shares_memory(out, table))
+        return out
 
-    # the models' tables are grid-major; the tables the step loop owns are xi-major
-    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT):
-        assert table.flags.c_contiguous
-    for table in run_tables.values():
-        assert np.moveaxis(table, -1, table.ndim - 1 - d).flags.c_contiguous
-    assert np.array_equal(run_tables["sigmaT"], pipe.dm.sigmaT)
-    for table in (pipe.fm.f, pipe.dm.A, pipe.dm.sigmaT, *run_tables.values()):
-        assert np.shares_memory(model._flat(table, d)[0], table)
+    monkeypatch.setattr(cli, "build_pipeline", keep(cli.build_pipeline, "pipe"))
+    monkeypatch.setattr(model, "transport_table", keep(model.transport_table, "transport"))
+    monkeypatch.setattr(model, "_flat", flat)
+    cli.cmd_run(cfg, None)
+    cli.cmd_audit_compat(cfg, None)
+
+    pipe, d = seen["pipe"], cfg["grid"]["d"]
+    fm, dm = pipe.fm, pipe.dm
+    for table in (fm.f, fm.fprime, dm.sigma, dm.sigmaT, dm.aprime, dm.A, seen["transport"]):
+        assert is_xi_major(table, d)
+    assert lookups and all(lookups), f"{lookups.count(False)} of {len(lookups)} lookups copied"

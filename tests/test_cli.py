@@ -133,6 +133,9 @@ BAD = {
     "zero_tol_factor": ([("audit.tol_factor", "0")], []),
     "nan_tol_factor": ([("audit.tol_factor", "nan")], []),
     "one_entry_cfl_list": ([("uniqueness.cfl_list", "0.4")], []),
+    "flux_prime_overflow": ([("scenario.flux_prime1", '"1e308*10"')], []),
+    "flux_prime_not_finite": ([("scenario.flux_prime1", '"1e308*10 - 1e308*10"')], []),
+    "flux_difference_overflow": ([("scenario.flux1", '"1.5e308*(2*xi - 1)"')], []),
 }
 
 
@@ -183,6 +186,15 @@ def test_multi_key_step_names_the_failing_key(tmp_path, capsys, target, value, m
     rc, err = run_cli(capsys, write_config(tmp_path, PLANE + [(target, value)]))
     assert rc == 2
     assert err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("value", ['"1e308*10"', '"1e308*10 - 1e308*10"'], ids=["inf", "nan"])
+def test_non_finite_metric_entry_names_its_reason(tmp_path, capsys, value):
+    # rejected before the symmetry check, which NaN would fail, and before the step bound
+    path = write_config(tmp_path, [("metric.name", None), ("metric.g11", value)])
+    rc, err = run_cli(capsys, path)
+    assert rc == 2
+    assert err == "config error: [metric] g11: metric entries are not finite\n"
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -88,6 +88,14 @@ class TestMetricField:
         with pytest.raises(GeometryError, match="symmetric"):
             MetricField(grid, g)
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_rejected_before_symmetry(self, entry):
+        grid = ChartGrid(1, 32)
+        g = np.ones((1, 1) + grid.shape)
+        g[0, 0, 5] = entry
+        with pytest.raises(GeometryError, match="metric entries are not finite"):
+            MetricField(grid, g)
+
 
 CURVED2D_STR = [[e.replace("**", "^") for e in row] for row in
                 [[str(c) for c in row] for row in CURVED2D]]

@@ -81,6 +81,7 @@ class TestGather:
         assert not transposed.flags.c_contiguous and not broadcast.flags.c_contiguous
         # the same shape, with each component's edge axis outermost in memory
         assert major.shape == table.shape and np.moveaxis(major, -1, 2).flags.c_contiguous
+        assert np.shares_memory(xi_major(major, 2), major)  # already xi-major: not copied
         return {"stored": table, "transposed": transposed, "broadcast": broadcast,
                 "xi_major": major}
 
@@ -120,7 +121,7 @@ class TestGather:
         entries = [["0.3 + 0.3*xi", "0.1*xi"], ["0.05", "0.2 + 0.4*xi^2"]]
         dm = DiffusionModel.from_exprs([row[:d] for row in entries[:d]], grid, xi, M)
         U = np.random.default_rng(7).uniform(-0.05, 1.05, size=grid.shape + (n,))
-        for name, table in (("stored", dm.A), ("xi_major", xi_major(dm.sigmaT, d))):
+        for name, table in (("stored", dm.A), ("C order", np.ascontiguousarray(dm.sigmaT))):
             per_column = np.stack([xi_interp(table, U[..., b], xi) for b in range(n)], axis=-1)
             assert np.array_equal(xi_interp(table, U, xi, d), per_column), name
 
@@ -334,6 +335,16 @@ class TestFluxModel:
         grid, M, xi = one_d
         with pytest.raises(ModelError, match="shape"):
             FluxModel(grid, xi, np.zeros((1, 3, 5)))
+
+    def test_non_finite_derivative_rejected(self, one_d):
+        grid, M, xi = one_d
+        with pytest.raises(ModelError, match="flux derivative"):
+            FluxModel.from_exprs(["xi"], grid, xi, prime_exprs=["1e308*10 - 1e308*10"])
+        # a finite flux whose difference quotient overflows
+        f = np.broadcast_to(np.where(np.arange(xi.n + 1) % 2 == 0, 1e308, -1e308),
+                            (1,) + grid.shape + (xi.n + 1,))
+        with pytest.raises(ModelError, match="flux derivative"):
+            FluxModel(grid, xi, f)
 
 
 class TestCompatibility:
