@@ -325,15 +325,8 @@ def build_pipeline(cfg):
 # --- report helpers -------------------------------------------------------------
 
 def _json_dump(obj, path):
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        raise TypeError(f"not JSON-serializable: {type(o)}")
-
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1, default=default)
+        json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -420,7 +413,7 @@ def cmd_run(cfg, out_dir):
                     "max_residual": kin_res,
                     "friedrichs": decay}, f"{out_dir}/kinetic_report.json")
 
-    print(json.dumps(report, sort_keys=True, default=str))
+    print(json.dumps(report, sort_keys=True))
     return 1 if violations else 0
 
 

@@ -1,19 +1,20 @@
 """Small arithmetic expression language for scenario configs.
 
-Metrics, coefficients and initial data are declared as closed-form
-expressions over the variables x1, x2, xi, t (plus the constant pi) and
-evaluated once per grid node at setup time.  The evaluator accepts both
-scalars and numpy arrays in the bindings, so whole fields are produced in
-a single AST walk.
-
-Grammar (highest binding first):
-    ^ (right-assoc)  >  unary -  >  * /  >  + -
-Functions: sin, cos, exp, sqrt, abs, min, max.
+Metrics, coefficients and initial data are closed-form expressions over
+x1, x2, xi, t and the constant pi, evaluated on whole numpy arrays at once.
+The language: decimal literals, names, + - * /, ^ for power, unary -,
+parentheses, and calls of FUNCTIONS with positional arguments; precedence
+^ (right-assoc) > unary - > * / > + -.  Python's `ast.parse` reads the text
+with ^ as **, `_check` rejects every other Python form, and `_eval` walks
+the checked tree: nothing in the text is executed.  Error offsets count
+characters of the text as written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ast
+import operator
+import re
 
 import numpy as np
 
@@ -29,7 +30,7 @@ FUNCTIONS = {
 
 
 class ExprError(Exception):
-    """Base class for parse- and eval-time failures; carries a byte offset."""
+    """Base class for parse- and eval-time failures; carries a character offset."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
@@ -44,217 +45,117 @@ class EvalError(ExprError):
     pass
 
 
-# --- AST -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    offset: int = 0
+# Rejected before parsing, at the last character of the match: a character
+# outside the language, the second * of **, or a letter run into a number
+# (0x10, 1_000, 2j, 1if), which Python reads as another literal or warns about.
+_REJECT = re.compile(
+    r"[^A-Za-z0-9_ \t.+\-*/^(),]|\*\*"
+    r"|(?<![\w.])(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+|(?![eE][+-]?\d))[A-Za-z_]", re.ASCII)
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+          ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-    offset: int = 0
-
-
-# --- Tokenizer -------------------------------------------------------------
-
-_OPS = set("+-*/^(),")
-
-
-def _tokenize(source):
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"malformed number {text!r}", i)
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-# --- Pratt parser -----------------------------------------------------------
-
-_LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
-_UNARY_BP = 30  # binds tighter than * / but looser than ^
-
-
-class _Parser:
-    def __init__(self, source):
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
-
-    def expression(self, rbp=0):
-        kind, value, offset = self.advance()
-        if kind == "num":
-            left = Num(value, offset)
-        elif kind == "name":
-            if self.peek()[0] == "(":
-                left = self.call(value, offset)
-            elif value in FUNCTIONS:
-                raise ParseError(f"function {value!r} requires arguments", offset)
-            else:
-                left = Var(value, offset)
-        elif kind == "-":
-            left = Neg(self.expression(_UNARY_BP), offset)
-        elif kind == "(":
-            left = self.expression(0)
-            self.expect(")")
-        else:
-            raise ParseError(f"expected a value, found {kind!r}", offset)
-
-        while True:
-            kind, _, offset = self.peek()
-            bp = _LBP.get(kind, 0)
-            if bp <= rbp:
-                return left
-            self.advance()
-            # '^' is right-associative: recurse with slightly lower threshold
-            right = self.expression(bp - 1 if kind == "^" else bp)
-            left = Bin(kind, left, right, offset)
-
-    def call(self, name, offset):
-        if name not in FUNCTIONS:
-            raise ParseError(f"unknown function {name!r}", offset)
-        arity = FUNCTIONS[name][0]
-        self.expect("(")
-        args = [self.expression(0)]
-        while self.peek()[0] == ",":
-            self.advance()
-            args.append(self.expression(0))
-        self.expect(")")
-        if len(args) != arity:
-            raise ParseError(
-                f"function {name!r} takes {arity} argument(s), got {len(args)}", offset)
-        return Call(name, tuple(args), offset)
+def _offset(source, col):
+    """Offset in `source` as written of column `col` of the text that ast parsed."""
+    text = source.lstrip(" \t")
+    return len(source) - len(text) + col - text.replace("^", "^^")[:col + 1].count("^^")
 
 
 def parse(source):
-    """Parse UTF-8 text into an expression AST."""
-    parser = _Parser(source)
-    ast = parser.expression(0)
-    kind, _, offset = parser.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input starting with {kind!r}", offset)
-    return ast
+    """Parse text into a checked `ast.Expression`; its `source` is the text."""
+    bad = _REJECT.search(source)
+    if bad:
+        raise ParseError(f"unexpected character {source[bad.end() - 1]!r}", bad.end() - 1)
+    text = source.lstrip(" \t").replace("^", "**")
+    try:
+        tree = ast.parse(text, mode="eval")
+        _check(tree.body, text, source)
+    except (SyntaxError, ValueError) as exc:
+        col = exc.offset - 1 if getattr(exc, "offset", 0) else len(text)
+        raise ParseError("invalid syntax, expected an expression", _offset(source, col)) from None
+    except (RecursionError, MemoryError):
+        raise ExprError("expression nested too deeply", 0) from None
+    tree.source = source
+    return tree
 
 
-# --- Evaluation -------------------------------------------------------------
+def _check(node, text, source):
+    """Reject any node outside the language; set each literal to float() of its text."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _ARITH:
+        _check(node.left, text, source)
+        _check(node.right, text, source)
+    elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+        _check(node.operand, text, source)
+    elif kind is ast.Constant:
+        try:  # ..., True and None are constants too
+            node.value = float(text[node.col_offset:node.end_col_offset])
+        except ValueError:
+            raise ParseError("unsupported syntax", _offset(source, node.col_offset)) from None
+    elif kind is ast.Name:
+        if node.id in FUNCTIONS:
+            raise ParseError(f"function {node.id!r} requires arguments",
+                             _offset(source, node.col_offset))
+    elif kind is ast.Call and type(node.func) is ast.Name:
+        name, args = node.func.id, node.args
+        if name not in FUNCTIONS:
+            raise ParseError(f"unknown function {name!r}", _offset(source, node.col_offset))
+        if len(args) != FUNCTIONS[name][0]:
+            raise ParseError(f"function {name!r} takes {FUNCTIONS[name][0]} argument(s), "
+                             f"got {len(args)}", _offset(source, node.col_offset))
+        if node.keywords or "," in text[args[-1].end_col_offset:node.end_col_offset]:
+            raise ParseError(f"call of {name!r} takes positional arguments and no trailing "
+                             "comma", _offset(source, node.col_offset))
+        for arg in args:
+            _check(arg, text, source)
+    else:
+        raise ParseError("unsupported syntax", _offset(source, node.col_offset))
 
-def evaluate(ast, bindings):
-    """Evaluate an AST under name -> value bindings; pi is always bound.
+
+def evaluate(tree, bindings):
+    """Evaluate a parsed expression under name -> value bindings; pi is always bound.
 
     Values may be numpy arrays; the arithmetic is deterministic IEEE double.
     """
-    return _eval(ast, {"pi": np.pi, **bindings})
+    try:
+        return _eval(tree.body, {"pi": np.pi, **bindings}, tree.source)
+    except (RecursionError, MemoryError):
+        raise ExprError("expression nested too deeply", 0) from None
 
 
-def _eval(node, env):
-    if isinstance(node, Num):
+def _eval(node, env, source):
+    kind = type(node)
+    if kind is ast.Constant:
         return node.value
-    if isinstance(node, Var):
+    if kind is ast.Name:
         try:
-            return env[node.name]
+            return env[node.id]
         except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}", node.offset) from None
-    if isinstance(node, Neg):
-        return -_eval(node.child, env)
-    if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(b == 0):
-                raise EvalError("division by zero", node.offset)
-            return a / b
-        if node.op == "^":
-            # negative base with non-integer exponent has no real value
-            if np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
-                raise EvalError("negative base with non-integer exponent", node.offset)
-            return a ** b
-        raise EvalError(f"unknown operator {node.op!r}", node.offset)
-    if isinstance(node, Call):
-        args = [_eval(arg, env) for arg in node.args]
-        if node.fn == "sqrt":
+            raise EvalError(f"unbound variable {node.id!r}",
+                            _offset(source, node.col_offset)) from None
+    if kind is ast.UnaryOp:
+        return -_eval(node.operand, env, source)
+    if kind is ast.Call:
+        args = [_eval(arg, env, source) for arg in node.args]
+        if node.func.id == "sqrt":
             if np.any(np.asarray(args[0]) < 0):
-                raise EvalError("sqrt of negative value", node.offset)
+                raise EvalError("sqrt of negative value", _offset(source, node.col_offset))
             return np.sqrt(args[0])
-        return FUNCTIONS[node.fn][1](*args)
-    raise EvalError(f"unknown node {type(node).__name__}", getattr(node, "offset", 0))
+        return FUNCTIONS[node.func.id][1](*args)
+    a = _eval(node.left, env, source)
+    b = _eval(node.right, env, source)
+    op = type(node.op)
+    if op is ast.Div and np.any(b == 0):
+        raise EvalError("division by zero", _operator(source, node, "/"))
+    # negative base with non-integer exponent has no real value
+    if op is ast.Pow and np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
+        raise EvalError("negative base with non-integer exponent", _operator(source, node, "^"))
+    return _ARITH[op](a, b)
+
+
+def _operator(source, node, char):
+    """Offset in `source` of a binary node's operator: the first `char` after its left operand."""
+    return source.index(char, _offset(source, node.left.end_col_offset))
 
 
 def compile_expr(source):
@@ -265,5 +166,5 @@ def compile_expr(source):
     if isinstance(source, (int, float)):
         value = float(source)
         return lambda **kw: value
-    ast = parse(source)
-    return lambda **kw: evaluate(ast, kw)
+    tree = parse(source)
+    return lambda **kw: evaluate(tree, kw)

@@ -162,11 +162,14 @@ class MetricField:
         if self.grid.d == 1:
             lam = self.g[0, 0]
         else:
-            tr = self.g[0, 0] + self.g[1, 1]
-            det = self.g[0, 0] * self.g[1, 1] - self.g[0, 1] * self.g[1, 0]
-            disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-            lam = 0.5 * (tr - disc)
-        if np.any(lam < LAM_MIN):
+            # entries near the float limit overflow here; the NaN or -inf
+            # eigenvalue they give fails the test below
+            with np.errstate(over="ignore", invalid="ignore"):
+                tr = self.g[0, 0] + self.g[1, 1]
+                det = self.g[0, 0] * self.g[1, 1] - self.g[0, 1] * self.g[1, 0]
+                disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+                lam = 0.5 * (tr - disc)
+        if not np.all(lam >= LAM_MIN):  # NaN fails it too
             idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(lam)), self.grid.shape))
             raise GeometryError(
                 f"metric not SPD at node {idx}: min eigenvalue "

@@ -227,7 +227,10 @@ class DiffusionModel:
         # einsum keeps the inputs' layout, so these come out xi-major too
         self.sigmaT = geo.transpose11(self.sigma, M)
         self.aprime = np.einsum("km...z,mi...z->ki...z", self.sigmaT, self.sigma)
-        self.A = cumtrapz_edges(self.aprime, xi.dxi)
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected just below
+            self.A = cumtrapz_edges(self.aprime, xi.dxi)
+        # A accumulates along xi, so a non-finite entry carries on to the last edge
+        _finite(self.A[..., -1], "A")
 
     @classmethod
     def from_exprs(cls, entries, grid, xi, M):

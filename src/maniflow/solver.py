@@ -87,7 +87,11 @@ def stable_dt(cfg, fm, dm, M):
     eps0 = 1e-30
     conv = grid.h / (grid.d * fm.max_prime_gnorm(M) + eps0)
     para = grid.h ** 2 / (2.0 * grid.d * (cfg.eta + dm.max_aprime_opnorm()))
-    return cfg.cfl * min(conv, para)
+    dt = cfg.cfl * min(conv, para)
+    # coefficients whose products overflow make the bound 0 or NaN
+    if not 0.0 < dt < np.inf:
+        raise SolverError(f"the stable step bound {dt:.3e} is not a positive finite number")
+    return dt
 
 
 def rhs(u, table, xi, stencil):

@@ -136,6 +136,10 @@ BAD = {
     "flux_prime_overflow": ([("scenario.flux_prime1", '"1e308*10"')], []),
     "flux_prime_not_finite": ([("scenario.flux_prime1", '"1e308*10 - 1e308*10"')], []),
     "flux_difference_overflow": ([("scenario.flux1", '"1.5e308*(2*xi - 1)"')], []),
+    "u0_of_2000_terms": ([("scenario.u0", '"' + "+".join(["0.0001"] * 2000) + '"')], []),
+    "sigma_product_overflow": ([("scenario.sigma11", '"1e200"')], []),
+    "metric_determinant_overflow": (PLANE + [("metric.g11", '"1e300"'), ("metric.g22", '"1e300"')],
+                                    []),
 }
 
 
@@ -167,6 +171,27 @@ def test_expression_error_names_its_key(tmp_path, capsys):
     rc, err = run_cli(capsys, path)
     assert rc == 2
     assert err.startswith("config error: [scenario] sigma11: sqrt of negative value")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ([("scenario.sigma11", '"1e200"')],
+     "[scenario] sigma11: A table contains non-finite entries"),
+    (PLANE + [("metric.g11", '"1e300"'), ("metric.g22", '"1e300"')],
+     "[metric] metric not SPD at node (0, 0): min eigenvalue nan"),
+], ids=["sigma", "metric"])
+def test_overflowing_product_names_its_reason(tmp_path, capsys, changes, message):
+    # a' = sigma^2 = 1e400 and det g = 1e600 overflow, although every entry is finite
+    rc, err = run_cli(capsys, write_config(tmp_path, changes))
+    assert rc == 2
+    assert err.startswith(f"config error: {message}")
+
+
+def test_overflowing_flux_bound_is_one_runtime_failure_line(tmp_path, capsys):
+    # |f'|_g^2 = 1e400 overflows, so the convective dt bound is 0
+    rc, err = run_cli(capsys, write_config(tmp_path, [("scenario.flux1", '"1e200*xi"')]))
+    assert rc == 1
+    assert err.startswith("runtime failure: the stable step bound 0.000e+00")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_metric_has_no_g21_key(tmp_path, capsys):

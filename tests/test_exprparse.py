@@ -1,9 +1,11 @@
+import ast
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from maniflow.exprparse import Bin, EvalError, Neg, ParseError, evaluate, parse
+from maniflow.exprparse import EvalError, ExprError, ParseError, compile_expr, evaluate, parse
 
 
 def ev(src, **binds):
@@ -26,9 +28,9 @@ class TestParsing:
 
     def test_unary_minus_binds_above_mul(self):
         # -x*y parses as (-x)*y; same value either way, structure checked
-        ast = parse("-2*3")
-        assert isinstance(ast, Bin) and ast.op == "*"
-        assert isinstance(ast.left, Neg)
+        tree = parse("-2*3").body
+        assert isinstance(tree, ast.BinOp) and isinstance(tree.op, ast.Mult)
+        assert isinstance(tree.left, ast.UnaryOp)
 
     def test_left_associative_subtraction(self):
         assert ev("10 - 4 - 3") == 3
@@ -47,8 +49,7 @@ class TestParsing:
             parse("tanh(1)")
 
     def test_unknown_variable_ok_at_parse(self):
-        ast = parse("bogus + 1")
-        assert isinstance(ast, Bin)
+        assert isinstance(parse("bogus + 1").body, ast.BinOp)
 
     def test_function_arity_checked(self):
         with pytest.raises(ParseError, match="argument"):
@@ -57,8 +58,9 @@ class TestParsing:
             parse("sin(1, 2)")
 
     def test_trailing_garbage(self):
-        with pytest.raises(ParseError, match="trailing"):
+        with pytest.raises(ParseError) as err:
             parse("1 + 2 )")
+        assert err.value.offset == 6
 
 
 class TestEvaluation:
@@ -100,6 +102,45 @@ class TestEvaluation:
         a = evaluate(ast, ctx)
         b = evaluate(ast, ctx)
         assert a == b  # bit-identical
+
+
+# Python syntax, and text Python would read as another literal, outside the language
+OUTSIDE = ["x1**2", "x1 # c", "0x10", "1_000", "2j", "+x1", "x1.real", "x1[0]", "True",
+           "x1 if xi else 0", "x1 < 2", "min(x1, xi=1)", "min(1, 2,)", "sin()",
+           '__import__("os")', "1if 1 else 2"]
+
+
+@pytest.mark.parametrize("src", OUTSIDE)
+def test_text_outside_the_language_is_an_error(src):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExprError):
+            compile_expr(src)(x1=0.5, xi=0.25, t=0.0)
+    assert caught == []
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("2^2 + sqrt(0 - 2)", 6), ("x1^2 / (xi - xi)", 5), ("(0 - x1)^0.5 + 1", 8),
+])
+def test_offsets_after_a_power_count_the_text_as_written(src, offset):
+    with pytest.raises(EvalError) as err:
+        compile_expr(src)(x1=0.5, xi=0.25)
+    assert err.value.offset == offset
+
+
+def test_offsets_count_leading_blanks():
+    with pytest.raises(EvalError) as err:
+        ev(" \t x1 + t", x1=1.0)
+    assert err.value.offset == 8
+
+
+def test_literal_beyond_float_range_is_inf():
+    assert ev("1" * 400) == math.inf
+
+
+def test_deep_nesting_is_an_expression_error():
+    with pytest.raises(ExprError, match="nested too deeply"):
+        compile_expr("+".join(["1"] * 5000))
 
 
 # --- independent shunting-yard oracle ----------------------------------------

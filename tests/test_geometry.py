@@ -88,6 +88,13 @@ class TestMetricField:
         with pytest.raises(GeometryError, match="symmetric"):
             MetricField(grid, g)
 
+    def test_overflowing_eigenvalue_is_not_spd(self):
+        grid = ChartGrid(2, 16)
+        g = np.zeros((2, 2) + grid.shape)
+        g[0, 0] = g[1, 1] = 1e300  # tr^2 - 4 det = inf - inf = NaN
+        with pytest.raises(GeometryError, match="not SPD at node .* nan"):
+            MetricField(grid, g)
+
     @pytest.mark.parametrize("entry", [np.inf, np.nan])
     def test_non_finite_rejected_before_symmetry(self, entry):
         grid = ChartGrid(1, 32)

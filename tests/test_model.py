@@ -207,6 +207,12 @@ class TestDiffusionModel:
         assert np.max(np.abs(dm.sigmaT - dm.sigma)) <= 1e-12
         assert np.max(np.abs(dm.aprime - dm.sigma ** 2)) <= 1e-12
 
+    def test_overflowing_antiderivative_rejected(self, one_d):
+        grid, M, xi = one_d
+        # sigma is finite, a' = sigma^2 = 1e400 is not
+        with pytest.raises(ModelError, match="A table contains non-finite entries"):
+            DiffusionModel.from_exprs([["1e200"]], grid, xi, M)
+
     def test_porous_antiderivative(self, one_d):
         grid, M, xi = one_d
         dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)

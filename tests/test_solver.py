@@ -60,6 +60,16 @@ class TestStableDt:
             diff = 0.4 * grid.h ** 2 / (2.0 * eta)
             assert stable_dt(cfg, fm, dm, M) == pytest.approx(min(conv, diff), rel=1e-12)
 
+    @pytest.mark.parametrize("prime", [1e200, np.nan], ids=["zero", "nan"])
+    def test_bound_that_is_not_positive_and_finite_is_an_error(self, flat_1d, prime):
+        grid, M, xi = flat_1d
+        dm = zero_diffusion(grid, xi, M)
+        fm = zero_flux(grid, xi)
+        # |f'|^2 = 1e400 overflows to inf, a bound of 0, or is NaN
+        fm.fprime = np.full_like(fm.fprime, prime)
+        with pytest.raises(SolverError, match="stable step bound"):
+            stable_dt(SolverConfig(eta=1.0, t_end=1.0), fm, dm, M)
+
 
 class TestRhs:
     def test_flat_heat_is_discrete_laplacian(self, flat_1d):
