@@ -150,7 +150,12 @@ def _eval(node, env, source):
     # negative base with non-integer exponent has no real value
     if op is ast.Pow and np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
         raise EvalError("negative base with non-integer exponent", _operator(source, node, "^"))
-    return _ARITH[op](a, b)
+    try:
+        return _ARITH[op](a, b)
+    except (OverflowError, ZeroDivisionError):
+        # a power of two Python floats raises where numpy's gives +-inf
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.power(a, b)
 
 
 def _operator(source, node, char):

@@ -92,7 +92,10 @@ class ChartGrid:
             bindings = {k: x[..., None] for k, x in bindings.items()}
             bindings["xi"] = edges.reshape((1,) * self.d + (-1,))
             shape += (len(edges),)
-        return np.broadcast_to(np.asarray(fn(**bindings), dtype=float), shape).copy()
+        # overflow and NaN are left to the finiteness checks on the sampled table
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = fn(**bindings)
+        return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
 
     def __repr__(self):
         return f"ChartGrid(d={self.d}, n={self.n})"
@@ -343,10 +346,17 @@ class Stencil:
     Each offset updates only the components lo:hi that hold its non-zero
     weights (on a curved 2D chart the flux has none at the corners), so
     exact-zero weight blocks at either end of the component axis are skipped.
+
+    `apply(Y)` takes one state's stacked components, shaped like `zeroth`;
+    `state` is a buffer of that shape that a caller may fill and apply, so a
+    step needs no stacking copy.  The result is always a fresh array, which
+    a later fill of `state` leaves unchanged.  `stencil(*parts)` stacks the
+    parts and applies them.
     """
 
     def __init__(self, offsets, weights, zeroth):
         self.offsets, self.weights, self.zeroth = offsets, weights, zeroth
+        self.state = np.empty_like(zeroth)
         n = zeroth.shape[1]
         # per offset: the components lo:hi (None for all of them), the view of
         # Y(x + s) in Y padded by one node on each side of every grid axis, and
@@ -362,7 +372,11 @@ class Stencil:
 
     def __call__(self, *parts):
         """One state's parts, each index axes + grid, stacked on axis 0; returns a scalar field."""
-        Y = np.concatenate([p.reshape((-1,) + self.zeroth.shape[1:]) for p in parts])
+        return self.apply(np.concatenate([p.reshape((-1,) + self.zeroth.shape[1:])
+                                          for p in parts]))
+
+    def apply(self, Y):
+        """The operator at one state's stacked components Y, shaped like `zeroth`; a new scalar field."""
         padded = Y
         for axis in range(1, Y.ndim):
             padded = _wrap_pad(padded, axis)
@@ -373,7 +387,7 @@ class Stencil:
             np.subtract(padded[shifted], y, out=part)
             part *= W
             total += part
-        return acc.sum(axis=0)
+        return np.add.reduce(acc, axis=0)
 
 
 def assemble_stencil(op, n_comp, grid):

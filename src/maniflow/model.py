@@ -30,6 +30,7 @@ A table in any other layout is still read correctly, through a copy.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -83,10 +84,18 @@ def _locate(u, xi, grid_ndim):
     """
     pos = np.asarray(u) / xi.dxi
     # truncation toward 0, not floor: they differ only below 0, where both clip to cell 0
-    i0 = np.minimum(np.maximum(pos.astype(int), 0), xi.n - 1)
-    grid = i0.shape[:grid_ndim]
-    node = np.arange(math.prod(grid)).reshape(grid + (1,) * (i0.ndim - grid_ndim))
-    return node, i0, pos - i0
+    i0 = pos.astype(int)
+    np.maximum(i0, 0, out=i0)
+    np.minimum(i0, xi.n - 1, out=i0)
+    return _nodes(i0.shape[:grid_ndim], i0.ndim - grid_ndim), i0, pos - i0
+
+
+@functools.lru_cache(maxsize=16)
+def _nodes(grid, batch_ndim):
+    """Node numbers of a grid, with a unit axis per batch axis; read-only, shared by every caller."""
+    node = np.arange(math.prod(grid)).reshape(grid + (1,) * batch_ndim)
+    node.flags.writeable = False
+    return node
 
 
 def _flat(table, grid_ndim):
@@ -106,22 +115,29 @@ def _gather(table, node, i0, grid_ndim):
     nodes = flat.shape[-1] // table.shape[-1]
     k = i0 * nodes
     k += node
-    return flat.take(k, axis=-1), flat.take(k + nodes, axis=-1)
+    lo = flat.take(k, axis=-1)
+    k += nodes
+    return lo, flat.take(k, axis=-1)
 
 
-def xi_interp(table, u, xi, grid_ndim=None):
+def xi_interp(table, u, xi, grid_ndim=None, out=None):
     """Linear interpolation of an edge table at state values u.
 
     `table` has shape comps + grid + (n_edges,);
     `u` has the grid shape, or the grid shape followed by batch axes when
     `grid_ndim` (the number of grid axes) is given.  The result is
-    comps + u.shape.  Values outside [0,1] are extrapolated linearly from
-    the end cells.
+    comps + u.shape, written into `out` when it is given (and returned).
+    Values outside [0,1] are extrapolated linearly from the end cells.
     """
     g = np.ndim(u) if grid_ndim is None else grid_ndim
     node, i0, w = _locate(u, xi, g)
     lo, hi = _gather(table, node, i0, g)
-    return lo * (1.0 - w) + hi * w
+    # lo * (1 - w) + hi * w, the same products and sum, formed in place
+    hi *= w
+    np.subtract(1.0, w, out=w)
+    out = np.multiply(lo, w, out=lo if out is None else out)
+    out += hi
+    return out
 
 
 def xi_hermite(values, slopes, u, xi):
@@ -263,10 +279,12 @@ def transport_table(fm, dm):
 
 def root_weight(psi, xi):
     """sqrt(psi) on the xi-edges; psi is an expression of xi, >= 0 on [0,1]."""
-    w = np.asarray(compile_expr(psi)(xi=xi.edges), dtype=float)
+    # overflow and NaN are rejected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = np.asarray(compile_expr(psi)(xi=xi.edges), dtype=float)
     w = np.broadcast_to(w, xi.edges.shape)
-    if np.any(w < 0):
-        raise ModelError("psi must be nonnegative on [0,1]")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ModelError("psi must be finite and nonnegative on [0,1]")
     return np.sqrt(w)
 
 

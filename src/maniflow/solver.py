@@ -8,8 +8,15 @@ F = f(x,u) and T = A(x,u).  Before the first step `run` builds, and owns for
 the run, the stencil of that operator at its eta
 (`geometry.transport_stencil`) and the table of F and T stacked on one
 component axis (`model.transport_table`, 6.5 MB on `curved_const`: 64^2
-nodes, 33 edges); `rhs` reads F and T with one lookup of the table and
-applies the stencil to (F, T, u) in one pass.  The dissipation deposits read
+nodes, 33 edges); `rhs` reads F and T with one lookup of the table, written
+straight into the stencil's one-state input buffer `Stencil.state` beside a
+copy of u, and applies the stencil to that buffer in one pass.  The Heun
+stages update the run's state u and one stage buffer u* in place, with the
+same products and sums as u* = u + dt k1, u = u + 0.5 dt (k1 + k2), so
+the stages allocate nothing and every state is bitwise that of the
+allocating form.
+A run takes at most MAX_STEPS steps; a step bound that asks for more is an
+error before anything is allocated.  The dissipation deposits read
 the model's sigma^t table as it is.  Every table is stored xi-major (see
 `model`), so each lookup of the step loop reads, per component, the entries
 of all nodes at one edge from adjacent memory.
@@ -79,15 +86,20 @@ class Trajectory:
 
 RANGE_LO, RANGE_HI = -0.1, 1.1
 BLOCK_NODE_STEPS = 2 ** 14  # node-steps buffered between monitor/deposit passes
+MAX_STEPS = 10 ** 6  # the largest catalog run takes 8,233 steps
+
+
+def step_bounds(cfg, fm, dm, M):
+    """The convective and parabolic step bounds, before the CFL factor."""
+    grid = M.grid
+    eps0 = 1e-30
+    return {"convective": grid.h / (grid.d * fm.max_prime_gnorm(M) + eps0),
+            "parabolic": grid.h ** 2 / (2.0 * grid.d * (cfg.eta + dm.max_aprime_opnorm()))}
 
 
 def stable_dt(cfg, fm, dm, M):
     """Fixed step from convective and parabolic bounds (the smaller wins)."""
-    grid = M.grid
-    eps0 = 1e-30
-    conv = grid.h / (grid.d * fm.max_prime_gnorm(M) + eps0)
-    para = grid.h ** 2 / (2.0 * grid.d * (cfg.eta + dm.max_aprime_opnorm()))
-    dt = cfg.cfl * min(conv, para)
+    dt = cfg.cfl * min(step_bounds(cfg, fm, dm, M).values())
     # coefficients whose products overflow make the bound 0 or NaN
     if not 0.0 < dt < np.inf:
         raise SolverError(f"the stable step bound {dt:.3e} is not a positive finite number")
@@ -98,18 +110,21 @@ def rhs(u, table, xi, stencil):
     """Semi-discrete right-hand side at state u.
 
     `table` is the run's `model.transport_table` and `stencil` its
-    `geometry.transport_stencil`.
+    `geometry.transport_stencil`, whose `state` buffer this call overwrites.
     """
-    # one pass: NaN fails both comparisons, +-inf one of them
-    if not ((u >= RANGE_LO) & (u <= RANGE_HI)).all():
+    # NaN makes min and max NaN, which fails both comparisons; +-inf fails one
+    if not (u.min() >= RANGE_LO and u.max() <= RANGE_HI):
         if not np.all(np.isfinite(u)):
             raise SolverError("non-finite state")
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(u - 0.5))), u.shape))
         raise RangeViolation(
             f"state {float(u[idx]):.6f} at node {idx} outside [{RANGE_LO}, {RANGE_HI}]; "
             "coefficients are tabulated on [0,1]")
+    Y = stencil.state
     # looked up on the module, where the traced benchmark run wraps it
-    return stencil(model.xi_interp(table, u, xi, u.ndim), u)
+    model.xi_interp(table, u, xi, u.ndim, out=Y[:-1])
+    Y[-1] = u
+    return stencil.apply(Y)
 
 
 def check_initial_state(u0, grid):
@@ -128,7 +143,14 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     check_initial_state(u0, grid)
 
     dt_raw = stable_dt(cfg, fm, dm, M)
-    n_steps = max(1, int(np.ceil(cfg.t_end / dt_raw)))
+    # a float until it is checked: t_end / dt_raw may be too large for any array, or inf
+    n_steps = np.ceil(cfg.t_end / dt_raw)
+    if not n_steps <= MAX_STEPS:
+        bounds = step_bounds(cfg, fm, dm, M)
+        raise SolverError(
+            f"dt = {dt_raw:.3e}, set by the {min(bounds, key=bounds.get)} bound, needs "
+            f"{n_steps:.3e} steps to t_end = {cfg.t_end:g}; at most {MAX_STEPS} are allowed")
+    n_steps = max(1, int(n_steps))
     dt = cfg.t_end / n_steps
 
     # the first step at or after each of n_snap evenly spaced times, so that
@@ -140,6 +162,7 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     ledger = DissipationLedger(xi)
 
     u = u0.copy()
+    u_star = np.empty_like(u)
     times = [0.0]
     snapshots = [u0.copy()]
     mass, umin, umax, energy = (np.empty(n_steps + 1) for _ in range(4))
@@ -166,12 +189,15 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     for step in range(1, n_steps + 1):
         try:
             k1 = rhs(u, table, xi, stencil)
-            u_star = u + dt * k1
+            np.multiply(k1, dt, out=u_star)
+            u_star += u
             k2 = rhs(u_star, table, xi, stencil)
-            u = u + 0.5 * dt * (k1 + k2)
+            k1 += k2
+            k1 *= 0.5 * dt
+            u += k1
         except SolverError as exc:
             raise type(exc)(f"step {step} (t={step * dt:.6g}): {exc}") from exc
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise SolverError(f"non-finite state after step {step} (t={step * dt:.6g})")
         if step % B == 0:
             record(step - B, B, final=False)

@@ -140,6 +140,10 @@ BAD = {
     "sigma_product_overflow": ([("scenario.sigma11", '"1e200"')], []),
     "metric_determinant_overflow": (PLANE + [("metric.g11", '"1e300"'), ("metric.g22", '"1e300"')],
                                     []),
+    "float_power_overflow": ([("scenario.u0", '"0.5 + 0*10^400"')], []),
+    "zero_to_negative_power": ([("scenario.u0", '"0.5 + 0*0^(-1)"')], []),
+    "sampled_overflow_warning": ([("scenario.sigma11", '"exp(1000)*0"')], []),
+    "psi_not_finite": ([("diagnostics.psi", '"1 + 0*10^400"')], []),
 }
 
 
@@ -191,6 +195,14 @@ def test_overflowing_flux_bound_is_one_runtime_failure_line(tmp_path, capsys):
     rc, err = run_cli(capsys, write_config(tmp_path, [("scenario.flux1", '"1e200*xi"')]))
     assert rc == 1
     assert err.startswith("runtime failure: the stable step bound 0.000e+00")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unbounded_step_count_is_one_runtime_failure_line(tmp_path, capsys):
+    # a' = 2e20 sets a finite dt near 1e-24: about 1e21 steps to t_end
+    rc, err = run_cli(capsys, write_config(tmp_path, [("scenario.sigma11", '"1e10"')]))
+    assert rc == 1
+    assert err.startswith("runtime failure: dt = ") and "set by the parabolic bound" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from maniflow.geometry import ChartGrid, build_metric, div_vector, divdiv_tensor11
-from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, beta_at,
+from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, _locate, beta_at,
                             compat_norms, compat_residual, cumtrapz_edges,
                             make_compatible_flux, psd_audit, root_weight, stream_vector,
-                            xi_hermite, xi_interp, xi_major)
+                            transport_table, xi_hermite, xi_interp, xi_major)
 from maniflow import catalog, cli
 
 from helpers import euclidean_metric, zero_diffusion, zero_flux
@@ -124,6 +124,43 @@ class TestGather:
         for name, table in (("stored", dm.A), ("C order", np.ascontiguousarray(dm.sigmaT))):
             per_column = np.stack([xi_interp(table, U[..., b], xi) for b in range(n)], axis=-1)
             assert np.array_equal(xi_interp(table, U, xi, d), per_column), name
+
+
+    def test_node_numbers_are_shared_read_only(self):
+        # one cached array serves every lookup on a grid, so no caller may write it
+        xi = XiGrid(16)
+        node = _locate(np.zeros((4, 4, 3)), xi, 2)[0]
+        assert node.shape == (4, 4, 1) and not node.flags.writeable
+        assert _locate(np.zeros((4, 4, 5)), xi, 2)[0] is node
+
+
+class TestXiInterpOut:
+    """`xi_interp(..., out=buf)` fills and returns buf, bitwise equal to the allocating call."""
+
+    @pytest.fixture(scope="class")
+    def curved(self):
+        grid = ChartGrid(2, 16)
+        M = build_metric(CURVED2D, grid)
+        xi = XiGrid(16)
+        dm = DiffusionModel.from_exprs([["0.3 + 0.3*xi", "0.1*xi"], ["0.05", "0.2 + 0.4*xi^2"]],
+                                       grid, xi, M)
+        fm = FluxModel.from_exprs(["xi^2", "0.5*xi*cos(2*pi*x1)"], grid, xi)
+        return grid, xi, fm, dm
+
+    def test_transport_table_on_one_state(self, curved):
+        grid, xi, fm, dm = curved
+        table = transport_table(fm, dm)
+        u = np.random.default_rng(5).uniform(-0.05, 1.05, size=grid.shape)
+        buf = np.full(table.shape[:-1], np.nan)
+        assert xi_interp(table, u, xi, 2, out=buf) is buf
+        assert np.array_equal(buf, xi_interp(table, u, xi, 2))
+
+    def test_sigma_t_on_a_block_of_states(self, curved):
+        grid, xi, fm, dm = curved
+        U = np.random.default_rng(6).uniform(-0.05, 1.05, size=grid.shape + (3,))
+        buf = np.full(dm.sigmaT.shape[:2] + U.shape, np.nan)
+        assert xi_interp(dm.sigmaT, U, xi, 2, out=buf) is buf
+        assert np.array_equal(buf, xi_interp(dm.sigmaT, U, xi, 2))
 
 
 class TestXiHermite:

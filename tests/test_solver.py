@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,44 @@ class TestRhs:
         for name, u in states.items():
             want = stencil(xi_interp(fm.f, u, xi), xi_interp(dm.A, u, xi), u)
             assert np.array_equal(rhs(u, table, xi, stencil), want), name
+
+    @staticmethod
+    def buffer_case(metric):
+        """(grid, stencil, table, xi) of a small problem with flux and diffusion on `metric`."""
+        d = catalog.METRICS[metric]["d"]
+        grid = ChartGrid(d, 16)
+        M = build_metric(catalog.METRICS[metric]["entries"], grid)
+        xi = XiGrid(16)
+        axes = [1, 2][:d]
+        dm = DiffusionModel.from_exprs([["0.3 + 0.4*xi^2" if i == k else "0.1*xi" for i in axes]
+                                        for k in axes], grid, xi, M)
+        fm = FluxModel.from_exprs([f"xi^2*(1 + 0.2*cos(2*pi*x{k}))" for k in axes], grid, xi)
+        return grid, transport_stencil(M, 1e-2), transport_table(fm, dm), xi
+
+    @pytest.mark.parametrize("metric", ["flat1d", "curved2d"])
+    def test_successive_calls_leave_earlier_results_alone(self, metric):
+        # rhs fills the stencil's one input buffer, so each result must be an array of its own
+        grid, stencil, table, xi = self.buffer_case(metric)
+        s = sum(grid.coords())
+        u, v = 0.5 + 0.4 * np.sin(TWO_PI * s), 0.5 - 0.3 * np.cos(TWO_PI * s)
+        first = rhs(u, table, xi, stencil)
+        kept = first.copy()
+        second = rhs(v, table, xi, stencil)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(first, stencil(xi_interp(table, u, xi, u.ndim), u))
+        assert np.array_equal(second, stencil(xi_interp(table, v, xi, v.ndim), v))
+
+    @pytest.mark.parametrize("metric", ["flat1d", "curved2d"])
+    def test_call_after_rhs_applies_the_stacked_parts(self, metric):
+        grid, stencil, table, xi = self.buffer_case(metric)
+        d = grid.d
+        rhs(np.full(grid.shape, 0.25), table, xi, stencil)  # leaves its input in stencil.state
+        filled = stencil.state.copy()
+        rng = np.random.default_rng(9)
+        F, T, w = (rng.standard_normal(shape + grid.shape) for shape in ((d,), (d, d), ()))
+        Y = np.concatenate((F, T.reshape((d * d,) + grid.shape), w[None]))
+        assert np.array_equal(stencil(F, T, w), stencil.apply(Y))
+        assert np.array_equal(stencil.state, filled)
 
     def test_range_violation_diagnostic(self, flat_1d):
         grid, M, xi = flat_1d
@@ -318,6 +358,20 @@ class TestRun:
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         with pytest.raises(SolverError, match="step"):
             run(SolverConfig(eta=1e-3, t_end=0.5), fm, dm, M, u0, xi)
+
+    def test_step_count_is_bounded_before_any_allocation(self, monkeypatch):
+        grid, M, xi, dm, fm, u0 = heat_setup(16, 1e-2)
+        cfg = SolverConfig(eta=1e-2, t_end=0.5)
+        n_steps = int(np.ceil(cfg.t_end / stable_dt(cfg, fm, dm, M)))
+        monkeypatch.setattr(solver, "MAX_STEPS", n_steps)
+        assert len(run(cfg, fm, dm, M, u0, xi).mass) == n_steps + 1
+        monkeypatch.setattr(solver, "MAX_STEPS", n_steps - 1)
+        # the stencil is the first thing a run builds after its step count
+        monkeypatch.setattr(solver, "geo", None)
+        with pytest.raises(SolverError, match=re.escape(
+                f"set by the parabolic bound, needs {n_steps:.3e} steps to t_end = 0.5; "
+                f"at most {n_steps - 1} are allowed")):
+            run(cfg, fm, dm, M, u0, xi)
 
     def test_snapshot_times_hit_targets(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
