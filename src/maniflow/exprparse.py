@@ -116,9 +116,12 @@ def evaluate(tree, bindings):
     """Evaluate a parsed expression under name -> value bindings; pi is always bound.
 
     Values may be numpy arrays; the arithmetic is deterministic IEEE double.
+    Overflow and invalid operations give +-inf and NaN without a warning, as
+    numpy does with its warnings off; every caller checks the result.
     """
     try:
-        return _eval(tree.body, {"pi": np.pi, **bindings}, tree.source)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _eval(tree.body, {"pi": np.pi, **bindings}, tree.source)
     except (RecursionError, MemoryError):
         raise ExprError("expression nested too deeply", 0) from None
 
@@ -154,8 +157,7 @@ def _eval(node, env, source):
         return _ARITH[op](a, b)
     except (OverflowError, ZeroDivisionError):
         # a power of two Python floats raises where numpy's gives +-inf
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.power(a, b)
+        return np.power(a, b)
 
 
 def _operator(source, node, char):

@@ -92,10 +92,7 @@ class ChartGrid:
             bindings = {k: x[..., None] for k, x in bindings.items()}
             bindings["xi"] = edges.reshape((1,) * self.d + (-1,))
             shape += (len(edges),)
-        # overflow and NaN are left to the finiteness checks on the sampled table
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value = fn(**bindings)
-        return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
+        return np.broadcast_to(np.asarray(fn(**bindings), dtype=float), shape).copy()
 
     def __repr__(self):
         return f"ChartGrid(d={self.d}, n={self.n})"

@@ -279,9 +279,7 @@ def transport_table(fm, dm):
 
 def root_weight(psi, xi):
     """sqrt(psi) on the xi-edges; psi is an expression of xi, >= 0 on [0,1]."""
-    # overflow and NaN are rejected below, not warned about
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = np.asarray(compile_expr(psi)(xi=xi.edges), dtype=float)
+    w = np.asarray(compile_expr(psi)(xi=xi.edges), dtype=float)
     w = np.broadcast_to(w, xi.edges.shape)
     if not (np.isfinite(w).all() and (w >= 0).all()):
         raise ModelError("psi must be finite and nonnegative on [0,1]")
