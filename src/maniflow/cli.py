@@ -125,7 +125,8 @@ def parse_config(text):
 
 def load_config(path, overrides=()):
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark, as some editors save one, is not part of line 1
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = parse_config(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -532,6 +533,9 @@ def main(argv=None):
         return 2
     except (SolverError, ModelError, GeometryError, kinetic.KineticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"runtime failure: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

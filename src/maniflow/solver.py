@@ -5,28 +5,19 @@ du/dt = -div f(x,u) + divdiv A(x,u) + eta * laplace(u)
 Heun stepping at a fixed dt chosen from the convective and parabolic
 stability bounds.  The right-hand side is `geometry.transport`(F, T, u) with
 F = f(x,u) and T = A(x,u).  Before the first step `run` builds, and owns for
-the run, the stencil of that operator at its eta
-(`geometry.transport_stencil`) and the table of F and T stacked on one
-component axis (`model.transport_table`, 6.5 MB on `curved_const`: 64^2
-nodes, 33 edges); `rhs` reads F and T with one lookup of the table, written
-straight into the stencil's one-state input buffer `Stencil.state` beside a
-copy of u, and applies the stencil to that buffer in one pass.  The Heun
-stages update the run's state u and one stage buffer u* in place, with the
-same products and sums as u* = u + dt k1, u = u + 0.5 dt (k1 + k2), so
-the stages allocate nothing and every state is bitwise that of the
-allocating form.
+the run, the stencil of that operator at its eta (`geometry.transport_stencil`)
+and the table of F and T stacked on one component axis
+(`model.transport_table`, 6.5 MB on `curved_const`: 64^2 nodes, 33 edges);
+`rhs` reads F and T with one lookup of the table, written straight into the
+stencil's one-state input buffer `Stencil.state` beside a copy of u, and
+applies the stencil to that buffer in one pass.  The Heun stages update the
+run's state u and one stage buffer u* in place, with the same products and
+sums as u* = u + dt k1, u = u + 0.5 dt (k1 + k2), so the stages allocate
+nothing and every state is bitwise that of the allocating form.
 A run takes at most MAX_STEPS steps; a step bound that asks for more is an
-error before anything is allocated.  The dissipation deposits read
-the model's sigma^t table as it is.  Every table is stored xi-major (see
-`model`), so each lookup of the step loop reads, per component, the entries
-of all nodes at one edge from adjacent memory.
-Snapshots are taken after steps ceil(i * n_steps / n_snap), i = 1 .. n_snap.
-Every accepted state is copied into a block of up to B states, grid + (B,),
-with B = BLOCK_NODE_STEPS // nodes (at least 1), so the block's memory is
-bounded on every grid.  When the block is full, and after the last step,
-one pass over it records the monitors (mass, energy, min, max) of each state
-and deposits the viscous / degenerate dissipation weights of each state a
-step started from (all but the run's final state) into the xi-binned ledger.
+error before anything is allocated.  Every table is stored xi-major (see
+`model`), so each lookup reads, per component, the entries of all nodes at
+one edge from adjacent memory.  Each accepted state goes to the run's `Recorder`.
 """
 
 from __future__ import annotations
@@ -136,11 +127,64 @@ def check_initial_state(u0, grid):
         raise SolverError("initial state must take values in [0,1]")
 
 
+class Recorder:
+    """What a run keeps of its accepted states: snapshots, monitors and deposits.
+
+    Snapshots are taken after steps ceil(i * n_steps / n_snap), i = 0 .. n_snap: the
+    first steps at or after evenly spaced times, so runs with different dt compare.
+    Accepted states are copied into a block of B = BLOCK_NODE_STEPS // nodes (at
+    least 1) states, so its memory is bounded on every grid.  When it is full, and at
+    `finish`, one pass records the monitors (mass, energy, min, max) of each state and
+    deposits into `ledger`, unless it is None, the dissipation weights of each state a
+    step started from (all but the run's last state), read from sigma^t as it is.
+    """
+
+    def __init__(self, cfg, dm, M, u0, n_steps, dt, ledger):
+        self.cfg, self.dm, self.M, self.dt, self.ledger = cfg, dm, M, dt, ledger
+        n_snap = min(cfg.n_snapshots, n_steps)
+        self.snap_steps = {-(-i * n_steps // n_snap) for i in range(n_snap + 1)}
+        self.times, self.snapshots, self.monitors = [], [], []
+        # stored state after state, so every column is contiguous and a sum over
+        # the grid adds each state's nodes in the order a lone state's sum does
+        B = max(1, BLOCK_NODE_STEPS // u0.size)
+        self.block = np.moveaxis(np.empty((B,) + u0.shape), 0, -1)
+        self.count = 0  # states in the block
+        self.accept(0, u0)
+
+    def accept(self, step, u):
+        if self.count == self.block.shape[-1]:
+            self._record(self.count)
+        self.block[..., self.count] = u
+        self.count += 1
+        if step in self.snap_steps:
+            self.times.append(step * self.dt)
+            self.snapshots.append(u.copy())
+
+    def _record(self, n_dep):
+        """Append the block's monitors, one 4 x count array; deposit its first n_dep states."""
+        U, M = self.block[..., :self.count], self.M
+        axes = tuple(range(M.grid.d))
+        self.monitors.append(np.array([geo.integrate(U, M), geo.integrate(0.5 * U * U, M),
+                                       np.min(U, axis=axes), np.max(U, axis=axes)]))
+        if self.ledger is not None and n_dep:
+            # node-major copy: the lookups and products then read each node's states together
+            deposit(np.ascontiguousarray(U[..., :n_dep]), self.dm.sigmaT, M, self.cfg.eta,
+                    self.dt, self.ledger)
+        self.count = 0
+
+    def finish(self):
+        self._record(self.count - 1)
+        mass, energy, u_min, u_max = np.concatenate(self.monitors, axis=1)
+        return Trajectory(times=self.times, snapshots=self.snapshots, mass=mass, energy=energy,
+                          monitor_t=np.arange(mass.size) * self.dt, u_min=u_min, u_max=u_max,
+                          ledger=self.ledger or DissipationLedger(self.dm.xi), dt=self.dt,
+                          eta=self.cfg.eta)
+
+
 def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     """Integrate to t_end; returns snapshots, monitors and the ledger."""
-    grid = M.grid
     u0 = np.asarray(u0, dtype=float)
-    check_initial_state(u0, grid)
+    check_initial_state(u0, M.grid)
 
     dt_raw = stable_dt(cfg, fm, dm, M)
     # a float until it is checked: t_end / dt_raw may be too large for any array, or inf
@@ -152,40 +196,12 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
             f"{n_steps:.3e} steps to t_end = {cfg.t_end:g}; at most {MAX_STEPS} are allowed")
     n_steps = max(1, int(n_steps))
     dt = cfg.t_end / n_steps
-
-    # the first step at or after each of n_snap evenly spaced times, so that
-    # runs with different dt produce comparable series
-    n_snap = min(cfg.n_snapshots, n_steps)
-    snap_steps = {-(-i * n_steps // n_snap) for i in range(1, n_snap + 1)}
     stencil = geo.transport_stencil(M, cfg.eta)
     table = model.transport_table(fm, dm)
-    ledger = DissipationLedger(xi)
-
+    ledger = DissipationLedger(xi) if record_dissipation else None
+    recorder = Recorder(cfg, dm, M, u0, n_steps, dt, ledger)
     u = u0.copy()
     u_star = np.empty_like(u)
-    times = [0.0]
-    snapshots = [u0.copy()]
-    mass, umin, umax, energy = (np.empty(n_steps + 1) for _ in range(4))
-    # stored state after state, so every column is contiguous and a sum over
-    # the grid adds each state's nodes in the order a lone state's sum does
-    B = max(1, BLOCK_NODE_STEPS // u.size)
-    block = np.moveaxis(np.empty((B,) + grid.shape), 0, -1)
-    axes = tuple(range(grid.d))
-
-    def record(first, count, final):
-        """Monitor block states first .. first + count - 1; deposit each one a step starts from."""
-        U = block[..., :count]
-        span = slice(first, first + count)
-        mass[span] = geo.integrate(U, M)
-        energy[span] = geo.integrate(0.5 * U * U, M)
-        umin[span] = np.min(U, axis=axes)
-        umax[span] = np.max(U, axis=axes)
-        n_dep = count - 1 if final else count
-        if record_dissipation and n_dep:
-            # node-major copy: the lookups and products then read each node's states together
-            deposit(np.ascontiguousarray(U[..., :n_dep]), dm.sigmaT, M, cfg.eta, dt, ledger)
-
-    block[..., 0] = u
     for step in range(1, n_steps + 1):
         try:
             k1 = rhs(u, table, xi, stencil)
@@ -199,18 +215,8 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
             raise type(exc)(f"step {step} (t={step * dt:.6g}): {exc}") from exc
         if not np.isfinite(u).all():
             raise SolverError(f"non-finite state after step {step} (t={step * dt:.6g})")
-        if step % B == 0:
-            record(step - B, B, final=False)
-        block[..., step % B] = u
-        if step in snap_steps:
-            times.append(step * dt)
-            snapshots.append(u.copy())
-    record(n_steps - n_steps % B, n_steps % B + 1, final=True)
-
-    return Trajectory(times=times, snapshots=snapshots,
-                      monitor_t=np.arange(n_steps + 1) * dt, mass=mass,
-                      u_min=umin, u_max=umax, energy=energy, ledger=ledger, dt=dt,
-                      eta=cfg.eta)
+        recorder.accept(step, u)
+    return recorder.finish()
 
 
 def total_variation(u):

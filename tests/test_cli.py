@@ -242,6 +242,26 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
 
 
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
+    plain = write_config(tmp_path)
+    marked = tmp_path / "marked.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert cli.load_config(marked) == cli.load_config(plain)
+
+
+def test_out_of_memory_is_one_runtime_failure_line(tmp_path, capsys, monkeypatch):
+    # raised, not provoked: an oversized allocation can succeed under overcommit
+    message = "Unable to allocate 8.00 GiB for an array with shape (1073741824,)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    rc, err = run_cli(capsys, write_config(tmp_path))
+    assert rc == 1
+    assert err == f"runtime failure: out of memory: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["run", "audit-compat", "study-eta", "uniqueness"])
 def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
     def never(*args, **kwargs):

@@ -43,3 +43,10 @@ def test_differences_keep_the_bytes_of_json_files_and_stdout(tool):
     change = (dict(streams, stdout=b"2"), {"report.json": b"[]", "u.csv": b"2"})
     assert tool.differences(parent, change) == [
         ("stdout", b"1", b"2"), ("report.json", b"{}", b"[]"), ("u.csv", None, None)]
+
+
+def test_a_run_that_fails_in_the_step_loop_is_a_case(tool, tmp_path):
+    cases = dict(tool.cases(tool.ROOT / "src", tmp_path))
+    assert cases["run_shock_fails"] == ["run", str(tmp_path / "shock.ini"),
+                                        "--override", "solver.cfl=1",
+                                        "--override", "solver.eta=1e-4"]

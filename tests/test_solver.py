@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from maniflow.geometry import ChartGrid, build_metric, integrate, norm_l1, trans
 from maniflow.model import (DiffusionModel, FluxModel, XiGrid, make_compatible_flux,
                             transport_table, xi_interp)
 from maniflow.entropy import DissipationLedger, deposit
-from maniflow.solver import (BLOCK_NODE_STEPS, RangeViolation, SolverConfig, SolverError,
-                             Trajectory, rhs, run, stable_dt, total_variation)
+from maniflow.solver import (BLOCK_NODE_STEPS, MAX_STEPS, RangeViolation, SolverConfig,
+                             SolverError, Trajectory, rhs, run, stable_dt, total_variation)
 from maniflow import catalog, solver
 
 from helpers import euclidean_metric, zero_diffusion, zero_flux
@@ -372,6 +373,27 @@ class TestRun:
                 f"set by the parabolic bound, needs {n_steps:.3e} steps to t_end = 0.5; "
                 f"at most {n_steps - 1} are allowed")):
             run(cfg, fm, dm, M, u0, xi)
+
+    def test_nothing_is_allocated_per_step(self, monkeypatch):
+        # 8 MB per monitor at MAX_STEPS; the block of states is 128 kB on 16 nodes
+        grid, M, xi, dm, fm, u0 = heat_setup(16, 1e-2)
+        dt = stable_dt(SolverConfig(eta=1e-2, t_end=1.0), fm, dm, M)
+        cfg = SolverConfig(eta=1e-2, t_end=(MAX_STEPS - 0.5) * dt)
+        assert np.ceil(cfg.t_end / stable_dt(cfg, fm, dm, M)) == MAX_STEPS
+
+        def failing(*args):
+            raise SolverError("stopped")
+
+        monkeypatch.setattr(solver, "rhs", failing)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with pytest.raises(SolverError, match=r"^step 1 \(t=.*\): stopped$"):
+                run(cfg, fm, dm, M, u0, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_snapshot_times_hit_targets(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)

@@ -9,6 +9,8 @@ in a fresh single-threaded process, once under each tree, with --out set:
 - `run` and `audit-compat` on the six scenarios of `catalog.SCENARIOS`,
   written out as INI files;
 - `study-eta` on `shock` and `uniqueness` on `porous`, each with a short t_end;
+- `run` on `shock` at cfl 1 and eta 1e-4, which fails in the step loop, so
+  the error path's stderr, exit code and files are compared too;
 - `run` on the benchmark workloads perfbench/workloads/*.ini, with
   diagnostics.battery_seed=0.
 
@@ -37,8 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # (name, command, catalog scenario, overrides)
-SWEEPS = [("study-eta_shock", "study-eta", "shock", ["solver.t_end=0.05"]),
-          ("uniqueness_porous", "uniqueness", "porous", ["solver.t_end=0.01"])]
+VARIANTS = [("study-eta_shock", "study-eta", "shock", ["solver.t_end=0.05"]),
+            ("uniqueness_porous", "uniqueness", "porous", ["solver.t_end=0.01"]),
+            ("run_shock_fails", "run", "shock", ["solver.cfl=1", "solver.eta=1e-4"])]
 
 
 def ini_text(scenario):
@@ -61,7 +64,7 @@ def cases(parent_src, ini_dir):
         path.write_text(ini_text(scenario))
         out += [(f"run_{name}", ["run", str(path)]),
                 (f"audit-compat_{name}", ["audit-compat", str(path)])]
-    for name, command, scenario, overrides in SWEEPS:
+    for name, command, scenario, overrides in VARIANTS:
         argv = [command, str(ini_dir / f"{scenario}.ini")]
         out.append((name, argv + [a for o in overrides for a in ("--override", o)]))
     for path in sorted((ROOT / "perfbench" / "workloads").glob("*.ini")):
