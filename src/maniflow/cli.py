@@ -12,7 +12,10 @@ those names.  `validate` checks a config against it once, after any
 --override is applied: it rejects unknown sections and keys, values of the
 wrong kind, and keys that the chosen branch would ignore.  Range checks live
 with the objects they guard (ChartGrid, XiGrid, SolverConfig, ...), and
-`Pipeline` reports their errors as config errors naming the section.
+`Pipeline` reports their errors as config errors naming the section.  An
+expression error in a step that reads several keys names the first key whose
+text is the expression that failed (`ExprError.source`), so no expression is
+sampled twice.
 
 The metric is a catalog entry, [metric] name, or the entries g11, g12 and
 g22; g21 is not a key, since g21 = g12, so the metric is symmetric by
@@ -31,8 +34,8 @@ Commands:
     maniflow study-eta    <config> ...
     maniflow uniqueness   <config> ...
 
-Exit codes: 0 success, 1 runtime failure or flagged invariant violation,
-2 config error.
+Exit codes: 0 success, 1 runtime failure (an output that cannot be written
+is one) or flagged invariant violation, 2 config error.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -234,27 +236,19 @@ def validate(cfg):
 
 # --- pipeline -----------------------------------------------------------------
 
-def _fails(sample, expr):
-    try:
-        sample(expr)
-    except ExprError:
-        return True
-    return False
-
-
 @contextmanager
-def _building(section, keys=(), values=None, sample=None):
+def _building(section, keys=(), values=None):
     """Report an error raised while building from `section` as a ConfigError.
 
     The message names the key when the step reads one; for an expression
-    error in a step that reads several, the first of `keys` whose expression
-    in `values` fails when `sample`, the call the step makes, samples it alone.
+    error in a step that reads several, the first of `keys` whose text in
+    `values` equals `ExprError.source`, the text that failed.
     """
     try:
         yield
     except (ExprError, GeometryError, ModelError, SolverError) as exc:
         if len(keys) > 1 and isinstance(exc, ExprError):
-            keys = [k for k in keys if values[k] is not None and _fails(sample, values[k])][:1]
+            keys = [k for k in keys if values[k] == exc.source][:1]
         where = f"[{section}] {keys[0]}:" if len(keys) == 1 else f"[{section}]"
         raise ConfigError(f"{where} {exc}") from None
 
@@ -292,11 +286,9 @@ class Pipeline:
 
         d, idx = grid.d, range(1, grid.d + 1)
         pairs = [f"{i}{j}" for i in idx for j in idx]
-        on_edges = partial(grid.eval_expr, edges=xi.edges)
-        with _building("metric", [f"g{i}{j}" for i in idx for j in idx if i <= j],
-                       cfg["metric"], grid.eval_expr):
+        with _building("metric", [f"g{i}{j}" for i in idx for j in idx if i <= j], cfg["metric"]):
             self.M = build_metric(_metric_entries(cfg["metric"], d), grid)
-        with _building("scenario", [f"sigma{p}" for p in pairs], sc, on_edges):
+        with _building("scenario", [f"sigma{p}" for p in pairs], sc):
             self.dm = DiffusionModel.from_exprs(
                 [[sc[f"sigma{k}{i}"] for i in idx] for k in idx], grid, xi, self.M)
         if sc["compatible"]:
@@ -306,7 +298,7 @@ class Pipeline:
             primes = [sc[f"flux_prime{k}"] for k in idx]
             prime = None if primes == [None] * d else ["0" if p is None else p for p in primes]
             keys = [f"flux{k}" for k in idx] + [f"flux_prime{k}" for k in idx]
-            with _building("scenario", keys, sc, on_edges):
+            with _building("scenario", keys, sc):
                 self.fm = FluxModel.from_exprs([sc[f"flux{k}"] for k in idx], grid, xi,
                                                prime_exprs=prime)
         with _building("scenario", ["u0"]):
@@ -532,7 +524,7 @@ def main(argv=None):
     except (ConfigError, ExprError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ModelError, GeometryError, kinetic.KineticError) as exc:
+    except (SolverError, ModelError, GeometryError, kinetic.KineticError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -6,8 +6,9 @@ The language: decimal literals, names, + - * /, ^ for power, unary -,
 parentheses, and calls of FUNCTIONS with positional arguments; precedence
 ^ (right-assoc) > unary - > * / > + -.  Python's `ast.parse` reads the text
 with ^ as **, `_check` rejects every other Python form, and `_eval` walks
-the checked tree: nothing in the text is executed.  Error offsets count
-characters of the text as written.
+the checked tree: nothing in the text is executed.  An ExprError carries
+`source`, the text that failed, and an offset in characters of it as written;
+a caller that passed several expressions tells by `source` which one failed.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ FUNCTIONS = {
 
 
 class ExprError(Exception):
-    """Base class for parse- and eval-time failures; carries a character offset."""
+    """Base class for parse- and eval-time failures; carries an offset and the `source`."""
 
-    def __init__(self, message, offset):
+    def __init__(self, message, offset, source):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+        self.source = source
 
 
 class ParseError(ExprError):
@@ -65,16 +67,17 @@ def parse(source):
     """Parse text into a checked `ast.Expression`; its `source` is the text."""
     bad = _REJECT.search(source)
     if bad:
-        raise ParseError(f"unexpected character {source[bad.end() - 1]!r}", bad.end() - 1)
+        raise ParseError(f"unexpected character {source[bad.end() - 1]!r}", bad.end() - 1, source)
     text = source.lstrip(" \t").replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")
         _check(tree.body, text, source)
     except (SyntaxError, ValueError) as exc:
         col = exc.offset - 1 if getattr(exc, "offset", 0) else len(text)
-        raise ParseError("invalid syntax, expected an expression", _offset(source, col)) from None
+        raise ParseError("invalid syntax, expected an expression", _offset(source, col),
+                         source) from None
     except (RecursionError, MemoryError):
-        raise ExprError("expression nested too deeply", 0) from None
+        raise ExprError("expression nested too deeply", 0, source) from None
     tree.source = source
     return tree
 
@@ -91,25 +94,27 @@ def _check(node, text, source):
         try:  # ..., True and None are constants too
             node.value = float(text[node.col_offset:node.end_col_offset])
         except ValueError:
-            raise ParseError("unsupported syntax", _offset(source, node.col_offset)) from None
+            raise ParseError("unsupported syntax", _offset(source, node.col_offset),
+                             source) from None
     elif kind is ast.Name:
         if node.id in FUNCTIONS:
             raise ParseError(f"function {node.id!r} requires arguments",
-                             _offset(source, node.col_offset))
+                             _offset(source, node.col_offset), source)
     elif kind is ast.Call and type(node.func) is ast.Name:
         name, args = node.func.id, node.args
         if name not in FUNCTIONS:
-            raise ParseError(f"unknown function {name!r}", _offset(source, node.col_offset))
+            raise ParseError(f"unknown function {name!r}", _offset(source, node.col_offset),
+                             source)
         if len(args) != FUNCTIONS[name][0]:
             raise ParseError(f"function {name!r} takes {FUNCTIONS[name][0]} argument(s), "
-                             f"got {len(args)}", _offset(source, node.col_offset))
+                             f"got {len(args)}", _offset(source, node.col_offset), source)
         if node.keywords or "," in text[args[-1].end_col_offset:node.end_col_offset]:
             raise ParseError(f"call of {name!r} takes positional arguments and no trailing "
-                             "comma", _offset(source, node.col_offset))
+                             "comma", _offset(source, node.col_offset), source)
         for arg in args:
             _check(arg, text, source)
     else:
-        raise ParseError("unsupported syntax", _offset(source, node.col_offset))
+        raise ParseError("unsupported syntax", _offset(source, node.col_offset), source)
 
 
 def evaluate(tree, bindings):
@@ -123,7 +128,7 @@ def evaluate(tree, bindings):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _eval(tree.body, {"pi": np.pi, **bindings}, tree.source)
     except (RecursionError, MemoryError):
-        raise ExprError("expression nested too deeply", 0) from None
+        raise ExprError("expression nested too deeply", 0, tree.source) from None
 
 
 def _eval(node, env, source):
@@ -135,24 +140,25 @@ def _eval(node, env, source):
             return env[node.id]
         except KeyError:
             raise EvalError(f"unbound variable {node.id!r}",
-                            _offset(source, node.col_offset)) from None
+                            _offset(source, node.col_offset), source) from None
     if kind is ast.UnaryOp:
         return -_eval(node.operand, env, source)
     if kind is ast.Call:
         args = [_eval(arg, env, source) for arg in node.args]
         if node.func.id == "sqrt":
             if np.any(np.asarray(args[0]) < 0):
-                raise EvalError("sqrt of negative value", _offset(source, node.col_offset))
+                raise EvalError("sqrt of negative value", _offset(source, node.col_offset), source)
             return np.sqrt(args[0])
         return FUNCTIONS[node.func.id][1](*args)
     a = _eval(node.left, env, source)
     b = _eval(node.right, env, source)
     op = type(node.op)
     if op is ast.Div and np.any(b == 0):
-        raise EvalError("division by zero", _operator(source, node, "/"))
+        raise EvalError("division by zero", _operator(source, node, "/"), source)
     # negative base with non-integer exponent has no real value
     if op is ast.Pow and np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
-        raise EvalError("negative base with non-integer exponent", _operator(source, node, "^"))
+        raise EvalError("negative base with non-integer exponent", _operator(source, node, "^"),
+                        source)
     try:
         return _ARITH[op](a, b)
     except (OverflowError, ZeroDivisionError):

@@ -97,6 +97,18 @@ def test_kinetic_error_is_a_runtime_failure(tmp_path, capsys):
     assert report["kinetic_residual"] is None
     assert "nonnegative" in report["kinetic_error"]
 
+def test_unwritable_output_is_one_runtime_failure_line(tmp_path, capsys):
+    # a directory in the way, not permission bits, which do not stop root
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    rc, err = run_cli(capsys, write_config(tmp_path), "--out", str(out))
+    assert rc == 1
+    assert err.startswith("runtime failure: ") and str(out / "report.json") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for name in ("monitors.csv", "ledger.csv", "u_final.csv", "u_final.f64"):
+        assert (out / name).is_file(), name
+
+
 BAD = {
     "malformed_u0": ([("scenario.u0", '"sin(2*pi*x1"')], []),
     "misspelled_key": ([("scenario.sigma_11", '"1"')], []),
@@ -170,6 +182,29 @@ def test_repeated_key_or_section_exits_2(tmp_path, capsys, at, lines, message):
     assert err == f"config error: {message}\n"
 
 
+# BASE's text: [grid] on line 1, its n on line 3, [xi] on line 4
+@pytest.mark.parametrize("changes, line, extra, message", [
+    ([("metric.name", "curved2d")], None, [], "[metric] name: no 1d catalog metric 'curved2d'"),
+    (PLANE + [("metric.g12", None)], None, [], "[metric] missing key g12"),
+    ([], (4, "[xi"), [], "line 4: malformed section header '[xi'"),
+    ([], (3, "n 16"), [], "line 3: expected key = value, got 'n 16'"),
+    ([], (1, "n = 16"), [], "line 1: key outside any [section]"),
+    ([], None, ["--override", "solver_eta=1"],
+     "override must look like section.key=value, got 'solver_eta=1'"),
+], ids=["catalog_metric_of_other_d", "metric_without_g12", "malformed_header",
+        "line_without_equals", "key_before_any_section", "override_without_section"])
+def test_config_error_is_one_exact_line(tmp_path, capsys, changes, line, extra, message):
+    path = write_config(tmp_path, changes)
+    if line is not None:
+        at, replacement = line
+        text = path.read_text().splitlines()
+        text[at - 1] = replacement
+        path.write_text("\n".join(text) + "\n")
+    rc, err = run_cli(capsys, path, *extra)
+    assert rc == 2
+    assert err == f"config error: {message}\n"
+
+
 def test_expression_error_names_its_key(tmp_path, capsys):
     path = write_config(tmp_path, [("scenario.sigma11", '"sqrt(xi - 0.5)"')])
     rc, err = run_cli(capsys, path)
@@ -214,13 +249,18 @@ def test_metric_has_no_g21_key(tmp_path, capsys):
     assert err == "config error: [metric] unknown key 'g21'\n"
 
 
-@pytest.mark.parametrize("target, value, message", [
-    ("metric.g22", '"sqrt(x1 - 2)"', "[metric] g22: sqrt of negative value"),
-    ("scenario.sigma21", '"sqrt(xi - 2)"', "[scenario] sigma21: sqrt of negative value"),
-    ("scenario.flux_prime2", '"1/(xi-xi)"', "[scenario] flux_prime2: division by zero"),
-], ids=["metric", "sigma", "flux_prime"])
-def test_multi_key_step_names_the_failing_key(tmp_path, capsys, target, value, message):
-    rc, err = run_cli(capsys, write_config(tmp_path, PLANE + [(target, value)]))
+@pytest.mark.parametrize("changes, message", [
+    (PLANE + [("metric.g22", '"sqrt(x1 - 2)"')], "[metric] g22: sqrt of negative value"),
+    (PLANE + [("scenario.sigma21", '"sqrt(xi - 2)"')],
+     "[scenario] sigma21: sqrt of negative value"),
+    (PLANE + [("scenario.flux_prime2", '"1/(xi-xi)"')],
+     "[scenario] flux_prime2: division by zero"),
+    # both keys are bad; the f' table is sampled first, so flux_prime1's error is the one raised
+    ([("scenario.flux1", '"1/(xi-xi)"'), ("scenario.flux_prime1", '"sqrt(xi - 2)"')],
+     "[scenario] flux_prime1: sqrt of negative value"),
+], ids=["metric", "sigma", "flux_prime", "flux_double_fault"])
+def test_multi_key_step_names_the_failing_key(tmp_path, capsys, changes, message):
+    rc, err = run_cli(capsys, write_config(tmp_path, changes))
     assert rc == 2
     assert err.startswith(f"config error: {message}")
 

@@ -134,6 +134,18 @@ def test_offsets_count_leading_blanks():
     assert err.value.offset == 8
 
 
+# one text per kind of parse- or eval-time error
+FAILING = ["x1 # c", "sin(2*pi*x1", "+".join(["1"] * 5000), "True", "sin", "foo(1)", "min(1)",
+           "min(x1, xi=1)", "x1 < 2", " \t x1 + t", "sqrt(xi - 2)", "1/(xi-xi)", "(0 - x1)^0.5"]
+
+
+@pytest.mark.parametrize("src", FAILING, ids=range(len(FAILING)))
+def test_an_error_carries_the_text_that_failed(src):
+    with pytest.raises(ExprError) as err:
+        compile_expr(src)(x1=0.5, xi=0.25)
+    assert err.value.source == src
+
+
 def test_literal_beyond_float_range_is_inf():
     assert ev("1" * 400) == math.inf
 

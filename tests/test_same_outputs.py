@@ -50,3 +50,14 @@ def test_a_run_that_fails_in_the_step_loop_is_a_case(tool, tmp_path):
     assert cases["run_shock_fails"] == ["run", str(tmp_path / "shock.ini"),
                                         "--override", "solver.cfl=1",
                                         "--override", "solver.eta=1e-4"]
+
+
+def test_a_config_error_in_a_multi_key_step_is_a_case(tool, tmp_path):
+    cases = dict(tool.cases(tool.ROOT / "src", tmp_path))
+    argv = cases["run_bad_expression"]
+    assert argv == ["run", str(tmp_path / "curved_evo.ini"),
+                    "--override", 'scenario.sigma21="sqrt(xi - 2)"']
+    streams, files = tool.run_case(tool.ROOT / "src", argv, tmp_path / "out")
+    assert streams == {"stdout": b"", "exit code": 2, "stderr":
+                       b"config error: [scenario] sigma21: sqrt of negative value (at offset 0)\n"}
+    assert files == {}
