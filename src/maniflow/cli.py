@@ -229,8 +229,10 @@ def validate(cfg):
     count = out["diagnostics"]["battery_count"]
     if count < 1:
         raise ConfigError(f"[diagnostics] battery_count must be >= 1, got {count}")
-    if len(out["uniqueness"]["cfl_list"]) < 2:
-        raise ConfigError("[uniqueness] cfl_list needs at least two entries")
+    # each sweep compares its runs pairwise, so one value would measure nothing
+    for section, key in (("study", "eta_list"), ("uniqueness", "cfl_list")):
+        if len(out[section][key]) < 2:
+            raise ConfigError(f"[{section}] {key} needs at least two entries")
     return out
 
 

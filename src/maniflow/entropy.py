@@ -131,9 +131,9 @@ def entropy_flux_fields(u, S, fm, dm):
     """
     xi = fm.xi
     sp = np.asarray(S.ds(xi.edges), dtype=float)
-    flux_table = cumtrapz_edges(fm.fprime * sp, xi.dxi)
-    diff_table = cumtrapz_edges(dm.aprime * sp, xi.dxi)
-    return xi_interp(flux_table, u, xi), xi_interp(diff_table, u, xi)
+    # the flux table is looked up and freed before the diffusion table is built
+    flux = xi_interp(cumtrapz_edges(fm.fprime * sp, xi.dxi), u, xi)
+    return flux, xi_interp(cumtrapz_edges(dm.aprime * sp, xi.dxi), u, xi)
 
 
 def _binned_s2_dissipation(u, S, dm, M, eta, xi):
@@ -218,15 +218,13 @@ def chain_rule_residual(u, psi, dm, M):
     for psi = 1 and psi = 0.
     """
     xi = dm.xi
+    # div beta(., u) of both weights before the table div_x sigma^t, which is
+    # then not held while beta_at builds its two sigma^t-sized tables
+    div_lhs, div_rhs = [geo.div_tensor11(beta_at(dm.sigmaT, u, xi, w), M) for w in (psi, None)]
     div_slope = geo.div_tensor11(dm.sigmaT, M)
-
-    def defect(weight):
-        return (geo.div_tensor11(beta_at(dm.sigmaT, u, xi, weight), M)
-                - beta_at(div_slope, u, xi, weight))
-
-    lhs = defect(psi)
+    lhs = div_lhs - beta_at(div_slope, u, xi, psi)
     root = np.sqrt(np.maximum(np.asarray(compile_expr(psi)(xi=u), dtype=float), 0.0))
-    rhs = root * defect(None)
+    rhs = root * (div_rhs - beta_at(div_slope, u, xi, None))
     diff = lhs - rhs
     sq = geo.oneform_norm_sq(diff, M)
     return float(np.sqrt(max(geo.integrate(sq, M), 0.0)))

@@ -42,7 +42,10 @@ its value on constant fields.  `assemble_stencil` derives the weights by
 probing an operator with period-4 combs and raises GeometryError when it
 reaches further.  A stencil is applied in difference form, so weights of
 order 1/h^2 multiply neighbour differences rather than cancel after rounding.
-`transport_stencil` assembles `transport` at one eta; its caller owns it.
+`transport_stencil` assembles `transport` at one eta, probing each of its three
+operators on its own components only (d, d^2 and 1 of them) and stacking the
+blocks, which are bitwise those of probing `transport` on all d + d^2 + 1 at
+once; its caller owns it.
 """
 
 from __future__ import annotations
@@ -421,11 +424,20 @@ def assemble_stencil(op, n_comp, grid):
 
 
 def transport_stencil(M, eta):
-    """`Stencil` of `transport` at eta, applied as stencil(F, T, u); assembled on every call."""
-    d = M.grid.d
-    return assemble_stencil(
-        lambda Y: transport(Y[:d], Y[d:-1].reshape((d, d) + Y.shape[1:]), Y[-1], M, eta),
-        d + d * d + 1, M.grid)
+    """`Stencil` of `transport` at eta, applied as stencil(F, T, u); assembled on every call.
+
+    Each operator of `transport` is probed on its own components only:
+    -div_vector on the d of F, divdiv_tensor11 on the d*d of T and
+    eta * laplace_beltrami on u.  The three weight blocks and constant-field
+    values are stacked on the component axis in the order F, T, u.
+    """
+    d, grid = M.grid.d, M.grid
+    parts = [assemble_stencil(lambda Y: -div_vector(Y, M), d, grid),
+             assemble_stencil(lambda Y: divdiv_tensor11(Y.reshape((d, d) + Y.shape[1:]), M),
+                              d * d, grid),
+             assemble_stencil(lambda Y: eta * laplace_beltrami(Y[0], M), 1, grid)]
+    return Stencil(parts[0].offsets, np.concatenate([p.weights for p in parts], axis=1),
+                   np.concatenate([p.zeroth for p in parts]))
 
 
 # --- algebraic operators ----------------------------------------------------

@@ -175,7 +175,9 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
         return per_node.transpose(1, 0, 2).reshape(table.shape[:-1] + (-1,))
 
     theta_chi = weighted.sum(axis=1).reshape(local.shape)
-    local -= geo.transport(bin_sums(fm.fprime), bin_sums(dm.aprime), theta_chi, M, traj.eta)
+    # a' one row at a time, so its centre table holds d components, not d*d
+    theta_a = np.stack([bin_sums(row) for row in dm.aprime])
+    local -= geo.transport(bin_sums(fm.fprime), theta_a, theta_chi, M, traj.eta)
     residuals = geo.integrate(battery.phi * local, M)
     return float(np.max(np.abs(residuals)))
 

@@ -145,6 +145,7 @@ BAD = {
     "zero_tol_factor": ([("audit.tol_factor", "0")], []),
     "nan_tol_factor": ([("audit.tol_factor", "nan")], []),
     "one_entry_cfl_list": ([("uniqueness.cfl_list", "0.4")], []),
+    "one_entry_eta_list": ([("study.eta_list", "0.01")], []),
     "flux_prime_overflow": ([("scenario.flux_prime1", '"1e308*10"')], []),
     "flux_prime_not_finite": ([("scenario.flux_prime1", '"1e308*10 - 1e308*10"')], []),
     "flux_difference_overflow": ([("scenario.flux1", '"1.5e308*(2*xi - 1)"')], []),
@@ -191,8 +192,10 @@ def test_repeated_key_or_section_exits_2(tmp_path, capsys, at, lines, message):
     ([], (1, "n = 16"), [], "line 1: key outside any [section]"),
     ([], None, ["--override", "solver_eta=1"],
      "override must look like section.key=value, got 'solver_eta=1'"),
+    ([("study.eta_list", "0.01")], None, [], "[study] eta_list needs at least two entries"),
 ], ids=["catalog_metric_of_other_d", "metric_without_g12", "malformed_header",
-        "line_without_equals", "key_before_any_section", "override_without_section"])
+        "line_without_equals", "key_before_any_section", "override_without_section",
+        "one_entry_eta_list"])
 def test_config_error_is_one_exact_line(tmp_path, capsys, changes, line, extra, message):
     path = write_config(tmp_path, changes)
     if line is not None:

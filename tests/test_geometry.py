@@ -459,6 +459,22 @@ class TestTransportStencil:
         err = np.max(np.abs(transport_stencil(M, eta)(Y) - ref))
         assert err <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("name", ["flat1d", "wavy1d", "flat2d", "diag2d", "curved2d"])
+    def test_per_operator_probes_equal_the_all_columns_probe(self, name, n):
+        """Probing each operator on its own components gives bitwise the weights of probing
+        `transport` on all d + d*d + 1 components at once."""
+        grid = ChartGrid(METRICS[name]["d"], n)
+        M = build_metric(METRICS[name]["entries"], grid)
+        d, eta = grid.d, 3e-3
+        ref = assemble_stencil(
+            lambda Y: transport(Y[:d], Y[d:-1].reshape((d, d) + Y.shape[1:]), Y[-1], M, eta),
+            d + d * d + 1, grid)
+        st = transport_stencil(M, eta)
+        assert st.offsets == ref.offsets
+        assert np.array_equal(st.weights, ref.weights)
+        assert np.array_equal(st.zeroth, ref.zeroth)
+
     @pytest.mark.parametrize("name, n", [("flat1d", 128), ("wavy1d", 128), ("curved2d", 64)])
     def test_skipped_zero_blocks_change_no_bit(self, name, n):
         grid = ChartGrid(METRICS[name]["d"], n)
@@ -493,9 +509,9 @@ class TestTransportStencil:
 
         def counted(*args):
             calls.append(args)
-            return assemble_stencil(*args)
+            return transport_stencil(*args)
 
-        monkeypatch.setattr(geometry, "assemble_stencil", counted)
+        monkeypatch.setattr(geometry, "transport_stencil", counted)
         pipe.run()
         assert len(calls) == 1
         held = [w for v in vars(pipe.M).values()
