@@ -7,11 +7,11 @@ in the same schema, so `build_pipeline` runs either.
 
 `KEYS` is the one table of accepted keys, with the kind and default of each,
 for the sections [grid], [xi], [metric], [scenario], [solver] and
-[diagnostics], plus [audit], [study] and [uniqueness] for the commands of
-those names.  `validate` checks a config against it once, after any
---override is applied: it rejects unknown sections and keys, values of the
-wrong kind, and keys that the chosen branch would ignore.  Range checks live
-with the objects they guard (ChartGrid, XiGrid, SolverConfig, ...), and
+[diagnostics], plus [study] and [uniqueness] for the commands of those
+names.  `validate` checks a config against it once, after any --override is
+applied: it rejects unknown sections and keys, values of the wrong kind, and
+keys that the chosen branch would ignore.  Range checks live with the
+objects they guard (ChartGrid, XiGrid, SolverConfig, ...), and
 `Pipeline` reports their errors as config errors naming the section.  An
 expression error in a step that reads several keys names the first key whose
 text is the expression that failed (`ExprError.source`), so no expression is
@@ -20,8 +20,7 @@ sampled twice.
 The metric is a catalog entry, [metric] name, or the entries g11, g12 and
 g22; g21 is not a key, since g21 = g12, so the metric is symmetric by
 construction.  Every expression of x1, x2 (and xi) is sampled by
-`ChartGrid.eval_expr`; a psi weight, an expression of xi alone, by
-`model.root_weight`.
+`ChartGrid.eval_expr`.
 
 `main` makes the --out directory before any command builds or runs: an
 empty path, or one that cannot be a directory, is a config error, and a
@@ -52,8 +51,8 @@ import numpy as np
 from . import __version__, catalog, entropy, fieldio, kinetic
 from .exprparse import ExprError
 from .geometry import ChartGrid, GeometryError, build_metric, norm_l1
-from .model import (DiffusionModel, FluxModel, ModelError, XiGrid, compat_norms,
-                    make_compatible_flux, psd_audit, root_weight)
+from .model import (COMPAT_TOL_FACTOR, COMPAT_XI_SAMPLES, DiffusionModel, FluxModel,
+                    ModelError, XiGrid, compat_norms, make_compatible_flux, psd_audit)
 from .solver import SolverConfig, SolverError, check_initial_state, run, total_variation
 
 
@@ -145,7 +144,7 @@ def load_config(path, overrides=()):
 # --- the key table ------------------------------------------------------------
 
 INT, NUM, BOOL, WORD, EXPR = "an integer", "a number", "true or false", "a word", "an expression"
-NUMS, EXPRS = "a list of numbers", "a list of expressions"  # comma-separated
+NUMS = "a list of numbers"  # comma-separated
 _TYPES = {INT: int, NUM: (int, float), BOOL: bool, WORD: str, EXPR: (str, int, float)}
 REQUIRED = object()
 
@@ -162,9 +161,7 @@ KEYS = {
                  "compatible": (BOOL, False), "stream": (EXPR, None), "u0": (EXPR, REQUIRED)},
     "solver": {"eta": (NUM, REQUIRED), "t_end": (NUM, REQUIRED), "cfl": (NUM, 0.4),
                "snapshots": (INT, 10)},
-    "diagnostics": {"battery_seed": (INT, 0), "battery_count": (INT, 5),
-                    "psi": (EXPRS, ("1", "xi"))},
-    "audit": {"xi_samples": (NUMS, (0.0, 0.5, 1.0)), "tol_factor": (NUM, 10.0)},
+    "diagnostics": {"battery_seed": (INT, 0)},
     "study": {"eta_list": (NUMS, (0.04, 0.02, 0.01))},
     "uniqueness": {"cfl_list": (NUMS, (0.4, 0.2))},
 }
@@ -172,12 +169,11 @@ KEYS = {
 
 def _convert(kind, value):
     """`value` in the form the pipeline uses for `kind`; ValueError if it is not one."""
-    if kind in (NUMS, EXPRS):
+    if kind == NUMS:
         parts = [part.strip() for part in str(value).split(",") if part.strip()]
         if not parts:
             raise ValueError(f"must be {kind}, got {value!r}")
-        return tuple(_convert(NUM, _parse_value(p)) if kind == NUMS else _convert(EXPR, p)
-                     for p in parts)
+        return tuple(_convert(NUM, _parse_value(p)) for p in parts)
     if isinstance(value, bool) != (kind == BOOL) or not isinstance(value, _TYPES[kind]):
         raise ValueError(f"must be {kind}, got {value!r}")
     if kind != NUM:
@@ -220,15 +216,6 @@ def validate(cfg):
                       "when d = 1" if out["grid"]["d"] == 1 and "2" in key else None)
             if reason:
                 raise ConfigError(f"[{section}] {key} is ignored {reason}")
-    audit = out["audit"]
-    # a sample outside [0,1] would audit the tables' linear extrapolation
-    if not all(0.0 <= s <= 1.0 for s in audit["xi_samples"]):
-        raise ConfigError(f"[audit] xi_samples: must lie in [0, 1], got {audit['xi_samples']}")
-    if not audit["tol_factor"] > 0.0:
-        raise ConfigError(f"[audit] tol_factor: must be positive, got {audit['tol_factor']}")
-    count = out["diagnostics"]["battery_count"]
-    if count < 1:
-        raise ConfigError(f"[diagnostics] battery_count must be >= 1, got {count}")
     # each sweep compares its runs pairwise, so one value would measure nothing
     for section, key in (("study", "eta_list"), ("uniqueness", "cfl_list")):
         if len(out[section][key]) < 2:
@@ -275,7 +262,7 @@ class Pipeline:
 
     def __init__(self, cfg):
         self.cfg = cfg = validate(cfg)
-        sc, sv, diag = cfg["scenario"], cfg["solver"], cfg["diagnostics"]
+        sc, sv = cfg["scenario"], cfg["solver"]
         with _building("grid"):
             self.grid = grid = ChartGrid(cfg["grid"]["d"], cfg["grid"]["n"])
         with _building("xi", ["n"]):
@@ -283,8 +270,7 @@ class Pipeline:
         with _building("solver"):
             self.solver_cfg = SolverConfig(eta=sv["eta"], t_end=sv["t_end"], cfl=sv["cfl"],
                                            n_snapshots=sv["snapshots"])
-        self.battery_seed, self.battery_count = diag["battery_seed"], diag["battery_count"]
-        self.psi_list = diag["psi"]
+        self.battery_seed = cfg["diagnostics"]["battery_seed"]
 
         d, idx = grid.d, range(1, grid.d + 1)
         pairs = [f"{i}{j}" for i in idx for j in idx]
@@ -306,9 +292,6 @@ class Pipeline:
         with _building("scenario", ["u0"]):
             self.u0 = grid.eval_expr(sc["u0"])
             check_initial_state(self.u0, grid)
-        with _building("diagnostics", ["psi"]):
-            for psi in self.psi_list:
-                root_weight(psi, xi)
 
     def run(self):
         return run(self.solver_cfg, self.fm, self.dm, self.M, self.u0, self.xi)
@@ -351,8 +334,7 @@ def cmd_run(cfg, out_dir):
     balance = entropy.energy_balance(traj)
     report["energy_balance"] = balance
 
-    battery = entropy.spatial_battery(pipe.grid, seed=pipe.battery_seed,
-                                      count=pipe.battery_count)
+    battery = entropy.spatial_battery(pipe.grid, seed=pipe.battery_seed)
     ent_res = {}
     for S in (entropy.identity_entropy(), entropy.square_entropy()):
         ent_res[S.name] = entropy.entropy_residual(
@@ -362,7 +344,8 @@ def cmd_run(cfg, out_dir):
     report["entropy_residuals"] = ent_res
 
     report["chain_rule_residuals"] = {
-        p: entropy.chain_rule_residual(traj.u_final, p, pipe.dm, pipe.M) for p in pipe.psi_list}
+        p: entropy.chain_rule_residual(traj.u_final, p, pipe.dm, pipe.M)
+        for p in entropy.CHAIN_RULE_PSI}
 
     nu_check = entropy.nu_bound_check(traj.ledger, pipe.u0, pipe.M)
     report["nu_bound"] = {k: nu_check[k] for k in ("pass", "worst_bin", "worst_excess")}
@@ -385,7 +368,6 @@ def cmd_run(cfg, out_dir):
         fieldio.write_raw(traj.u_final, pipe.grid, f"{out_dir}/u_final.f64")
 
     kin_battery = kinetic.kinetic_battery(pipe.grid, pipe.xi, seed=pipe.battery_seed,
-                                          count=pipe.battery_count,
                                           t_scale=pipe.solver_cfg.t_end)
     try:
         kin_res = kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, kin_battery)
@@ -415,13 +397,11 @@ def cmd_run(cfg, out_dir):
 
 def cmd_audit_compat(cfg, out_dir):
     pipe = build_pipeline(cfg)
-    audit = pipe.cfg["audit"]
-    samples = audit["xi_samples"]
-    threshold = audit["tol_factor"] * pipe.grid.h ** 2
+    threshold = COMPAT_TOL_FACTOR * pipe.grid.h ** 2
 
     rows = []
     ok = True
-    for s in samples:
+    for s in COMPAT_XI_SAMPLES:
         norms = compat_norms(pipe.fm, pipe.dm, pipe.M, s)
         passed = norms["max"] <= threshold
         ok = ok and passed

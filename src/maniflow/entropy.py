@@ -205,6 +205,9 @@ def energy_balance(traj):
 
 # --- chain rule ---------------------------------------------------------------
 
+CHAIN_RULE_PSI = ("1", "xi")  # the weights `maniflow run` reports the chain rule for
+
+
 def chain_rule_residual(u, psi, dm, M):
     """L2 norm of the chain-rule defect for a weight psi >= 0.
 

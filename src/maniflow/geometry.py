@@ -103,11 +103,14 @@ class ChartGrid:
 
 # --- stencils ---------------------------------------------------------------
 
-def _wrap_pad(f, axis):
-    """f with its last slab prepended and its first slab appended along `axis` (periodic)."""
+def _wrap_pad(f, axis, width=1):
+    """f extended periodically by `width` slabs on each side along `axis`; width may exceed n."""
     n = f.shape[axis]
+    if width > n:  # one period on each side first: 3n is a period of the result too
+        return _wrap_pad(_wrap_pad(f, axis, n), axis, width - n)
     lead = (slice(None),) * axis
-    return np.concatenate((f[lead + (slice(n - 1, n),)], f, f[lead + (slice(0, 1),)]), axis)
+    return np.concatenate((f[lead + (slice(n - width, n),)], f, f[lead + (slice(0, width),)]),
+                          axis)
 
 
 def _neighbours(f, axis):

@@ -71,11 +71,17 @@ def bump_kernel(eps, spacing):
 
 
 def _convolve_periodic(F, offsets, weights, axis):
-    """out[i] = sum_m F[i - m] w[m] along one axis, with periodic wrap."""
+    """out[i] = sum_m F[i - m] w[m] along a non-negative axis, with periodic wrap.
+
+    Each shift F[i - m] is a view of one copy of F padded by R = max |m| slabs.
+    """
+    n, R = F.shape[axis], int(np.max(np.abs(offsets)))
+    padded = geo._wrap_pad(F, axis, R)
+    lead = (slice(None),) * axis
     out = np.zeros_like(F)
     for m, w in zip(offsets, weights):
         if w != 0.0:
-            out += w * np.roll(F, m, axis)
+            out += w * padded[lead + (slice(R - m, R - m + n),)]
     return out
 
 

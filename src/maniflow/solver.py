@@ -223,5 +223,5 @@ def total_variation(u):
     """Sum of absolute neighbor jumps over all axes (periodic)."""
     tv = 0.0
     for axis in range(u.ndim):
-        tv += float(np.sum(np.abs(np.roll(u, -1, axis) - u)))
+        tv += float(np.sum(np.abs(geo._neighbours(u, axis)[1] - u)))
     return tv

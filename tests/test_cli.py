@@ -115,10 +115,12 @@ BAD = {
     "unknown_section": ([("solvr.eta", "1e-2")], []),
     "unknown_override": ([], ["--override", "solver.etaa=3"]),
     "negative_t_end": ([("solver.t_end", "-1")], []),
-    "non_integer": ([("diagnostics.battery_count", "abc")], []),
-    "empty_battery": ([("diagnostics.battery_count", "0")], []),
+    "non_integer": ([("solver.snapshots", "abc")], []),
     "removed_key": ([("diagnostics.eps", "0.1")], []),
     "removed_scheme": ([("solver.scheme", "heun")], []),
+    "removed_audit": ([("audit.tol_factor", "10")], []),
+    "removed_battery_count": ([("diagnostics.battery_count", "5")], []),
+    "removed_psi": ([("diagnostics.psi", '"1, xi"')], []),
     "flux_with_compatible": ([("scenario.flux1", '"xi"'), ("scenario.compatible", "true")], []),
     "stream_without_compatible": ([("scenario.stream", '"sin(2*pi*x1)"')], []),
     "g_with_name": ([("metric.g11", '"2"')], []),
@@ -126,24 +128,16 @@ BAD = {
     "u0_out_of_range": ([("scenario.u0", '"1.5"')], []),
     "u0_not_finite": ([("scenario.u0", '"1e308*10 - 1e308*10"')], []),
     "eval_error": ([("scenario.sigma11", '"sqrt(xi - 0.5)"')], []),
-    "negative_psi": ([("diagnostics.psi", '"xi - 1"')], []),
     "small_n": ([("grid.n", "8")], []),
     "zero_snapshots": ([], ["--override", "solver.snapshots=0"]),
     "negative_snapshots": ([], ["--override", "solver.snapshots=-3"]),
-    "empty_xi_samples": ([("audit.xi_samples", '""')], []),
     "empty_eta_list": ([("study.eta_list", '""')], []),
-    "empty_psi": ([("diagnostics.psi", '""')], []),
     "nan_t_end": ([("solver.t_end", "nan")], []),
     "inf_t_end": ([("solver.t_end", "inf")], []),
     "inf_eta": ([("solver.eta", "inf")], []),
     "nan_eta": ([], ["--override", "solver.eta=nan"]),
     "integer_beyond_float_range": ([("solver.t_end", "1" + "0" * 400)], []),
     "nan_in_list": ([("study.eta_list", '"0.01, nan"')], []),
-    "xi_sample_above_1": ([("audit.xi_samples", "1.5")], []),
-    "xi_sample_below_0": ([("audit.xi_samples", '"0, -0.5"')], []),
-    "negative_tol_factor": ([("audit.tol_factor", "-1")], []),
-    "zero_tol_factor": ([("audit.tol_factor", "0")], []),
-    "nan_tol_factor": ([("audit.tol_factor", "nan")], []),
     "one_entry_cfl_list": ([("uniqueness.cfl_list", "0.4")], []),
     "one_entry_eta_list": ([("study.eta_list", "0.01")], []),
     "flux_prime_overflow": ([("scenario.flux_prime1", '"1e308*10"')], []),
@@ -156,7 +150,6 @@ BAD = {
     "float_power_overflow": ([("scenario.u0", '"0.5 + 0*10^400"')], []),
     "zero_to_negative_power": ([("scenario.u0", '"0.5 + 0*0^(-1)"')], []),
     "sampled_overflow_warning": ([("scenario.sigma11", '"exp(1000)*0"')], []),
-    "psi_not_finite": ([("diagnostics.psi", '"1 + 0*10^400"')], []),
 }
 
 
@@ -337,12 +330,9 @@ def test_validate_fills_defaults_and_converts():
                "solver": {"eta": 1, "t_end": 0.1}}
     cfg = cli.validate(minimal)
     assert cfg["solver"] == {"eta": 1.0, "t_end": 0.1, "cfl": 0.4, "snapshots": 10}
-    assert cfg["diagnostics"]["psi"] == ("1", "xi")
     assert cfg["study"]["eta_list"] == (0.04, 0.02, 0.01)
-    given = cli.validate(dict(minimal, study={"eta_list": "0.1, 1"},
-                              diagnostics={"psi": "xi, 1 - xi"}))
+    given = cli.validate(dict(minimal, study={"eta_list": "0.1, 1"}))
     assert given["study"]["eta_list"] == (0.1, 1.0)
-    assert given["diagnostics"]["psi"] == ("xi", "1 - xi")
 
 
 def test_cli_import_loads_no_scipy():

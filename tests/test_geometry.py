@@ -9,6 +9,8 @@ from maniflow.geometry import (ChartGrid, GeometryError, MetricField, Stencil,
                                div_tensor11, div_vector, divdiv_tensor11, flat,
                                gradient, integrate, laplace_beltrami, oneform_norm_sq,
                                sharp, transport, transport_stencil, transpose11)
+from maniflow.kinetic import _convolve_periodic, bump_kernel
+from maniflow.solver import total_variation
 
 from helpers import euclidean_metric
 from sym_oracles import CURVED2D, MetricOracle, sample_tensor, sample_vector
@@ -411,8 +413,25 @@ def roll_laplace_beltrami(v, M):
     return acc / s
 
 
+def roll_convolve_periodic(F, offsets, weights, axis):
+    """Reference: the former np.roll body of `kinetic._convolve_periodic`."""
+    out = np.zeros_like(F)
+    for m, w in zip(offsets, weights):
+        if w != 0.0:
+            out += w * np.roll(F, m, axis)
+    return out
+
+
+def roll_total_variation(u):
+    """Reference: the former np.roll body of `solver.total_variation`."""
+    tv = 0.0
+    for axis in range(u.ndim):
+        tv += float(np.sum(np.abs(np.roll(u, -1, axis) - u)))
+    return tv
+
+
 class TestPeriodicStencils:
-    """The padded-copy stencils equal their np.roll forms bit for bit."""
+    """The padded-copy stencils and shifts equal their np.roll forms bit for bit."""
 
     H = 1.0 / 64
 
@@ -442,6 +461,27 @@ class TestPeriodicStencils:
         rng = np.random.default_rng(6)
         v = rng.normal(size=grid.shape)
         assert np.array_equal(laplace_beltrami(v, M), roll_laplace_beltrami(v, M))
+
+    # one slab as every stencil pads, a whole period, and more than two periods
+    @pytest.mark.parametrize("width", [1, 16, 37])
+    def test_wrap_pad_extends_periodically(self, width):
+        f = np.random.default_rng(7).normal(size=(3, 16))
+        want = f[:, np.arange(-width, 16 + width) % 16]
+        assert np.array_equal(geometry._wrap_pad(f, 1, width), want)
+
+    # the kernels of every kinetic_report.json, on a 16-point axis: R = 32 wraps twice
+    @pytest.mark.parametrize("shape, axis", [((16,), 0), ((16, 32), 0), ((16, 32), 1)])
+    @pytest.mark.parametrize("cells", [32, 8, 4])
+    def test_convolve_periodic(self, shape, axis, cells):
+        F = np.random.default_rng(8).normal(size=shape)
+        offsets, weights = bump_kernel(cells / 16, 1 / 16)
+        assert np.array_equal(_convolve_periodic(F, offsets, weights, axis),
+                              roll_convolve_periodic(F, offsets, weights, axis))
+
+    @pytest.mark.parametrize("shape", [(128,), (64, 64)])
+    def test_total_variation(self, shape):
+        u = np.random.default_rng(9).normal(size=shape)
+        assert total_variation(u) == roll_total_variation(u)
 
 
 class TestTransportStencil:

@@ -7,7 +7,7 @@ from maniflow.geometry import (ChartGrid, div_vector, divdiv_tensor11, integrate
                                laplace_beltrami)
 from maniflow.kinetic import (KineticError, bump_kernel, contraction, friedrichs_commutator,
                               kinetic_battery, kinetic_residual, level_count)
-from maniflow.model import XiGrid, compat_norms
+from maniflow.model import COMPAT_TOL_FACTOR, COMPAT_XI_SAMPLES, XiGrid, compat_norms
 from maniflow.solver import Trajectory
 
 from helpers import chi_from_u, euclidean_metric
@@ -220,10 +220,9 @@ class TestCompatibilityControl:
         for n in (64, 128):
             for case in self.FLUX:
                 pipe, _ = runs[case, n]
-                audit = pipe.cfg["audit"]
                 worst = max(compat_norms(pipe.fm, pipe.dm, pipe.M, s)["max"]
-                            for s in audit["xi_samples"])
+                            for s in COMPAT_XI_SAMPLES)
                 if case == "compatible":
                     assert worst == 0.0
                 else:
-                    assert worst > audit["tol_factor"] * pipe.grid.h ** 2, (n, worst)
+                    assert worst > COMPAT_TOL_FACTOR * pipe.grid.h ** 2, (n, worst)

@@ -352,8 +352,9 @@ class TestBetaFamily:
 
     def test_negative_psi_rejected(self, one_d):
         _, _, xi = one_d
-        with pytest.raises(ModelError, match="nonnegative"):
-            root_weight("xi - 0.5", xi)
+        for psi in ("xi - 0.5", "1 + 0*10^400"):
+            with pytest.raises(ModelError, match="finite and nonnegative"):
+                root_weight(psi, xi)
 
 
 class TestFluxModel:
