@@ -53,7 +53,8 @@ from .exprparse import ExprError
 from .geometry import ChartGrid, GeometryError, build_metric, norm_l1
 from .model import (COMPAT_TOL_FACTOR, COMPAT_XI_SAMPLES, DiffusionModel, FluxModel,
                     ModelError, XiGrid, compat_norms, make_compatible_flux, psd_audit)
-from .solver import SolverConfig, SolverError, check_initial_state, run, total_variation
+from .solver import (SolverConfig, SolverError, check_initial_state, max_principle, run,
+                     total_variation)
 
 
 class ConfigError(ValueError):
@@ -329,7 +330,12 @@ def cmd_run(cfg, out_dir):
     traj = pipe.run()
 
     report = {"version": __version__, "command": "run"}
-    violations = []
+    bound = traj.bound
+    report["run"] = {"dt": traj.dt, "n_steps": traj.mass.size - 1, "dt_bound": bound.limit,
+                     "rho": bound.rho, "interval": list(bound.interval)}
+    principle = max_principle(traj)
+    report["max_principle"] = principle
+    violations = [] if principle["pass"] else ["max_principle"]
 
     balance = entropy.energy_balance(traj)
     report["energy_balance"] = balance

@@ -226,8 +226,11 @@ class FluxModel:
         return cls(grid, xi, _edge_table(exprs, grid, xi), prime)
 
     def max_prime_gnorm(self, M):
-        norms = np.einsum("ij...,i...b,j...b->...b", M.g, self.fprime, self.fprime)
-        return float(np.sqrt(max(np.max(norms), 0.0)))
+        """max over nodes and xi-edges of |f'|_g, one edge at a time: no table-sized temporary."""
+        top = max(float(np.max(np.einsum("ij...,i...,j...->...", M.g, self.fprime[..., e],
+                                         self.fprime[..., e])))
+                  for e in range(self.fprime.shape[-1]))
+        return float(np.sqrt(max(top, 0.0)))
 
 
 class DiffusionModel:
@@ -258,13 +261,22 @@ class DiffusionModel:
         sig = _edge_table([e for row in entries for e in row], grid, xi)
         return cls(grid, xi, M, sig.reshape((grid.d, grid.d) + sig.shape[1:]))
 
-    def max_aprime_opnorm(self):
-        a = self.aprime
-        if self.grid.d == 1:
-            return float(np.max(np.abs(a[0, 0])))
-        tr = a[0, 0] + a[1, 1]
-        disc = np.sqrt(np.maximum((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] * a[1, 0], 0.0))
-        return float(np.max(np.maximum(np.abs(0.5 * (tr + disc)), np.abs(0.5 * (tr - disc)))))
+    def max_abs_aprime(self, lo, hi):
+        """|a'| per component and node, maximised over the xi-edges of the cells [lo, hi] touches.
+
+        A cell touches the interval when they share a point, so the result
+        bounds the slope of `xi_interp` of A at every state in [lo, hi].  It
+        is shaped (d, d) + grid; the edges are taken one at a time, so no
+        table-sized temporary is made.
+        """
+        n, dxi = self.xi.n, self.xi.dxi
+        first = min(max(math.ceil(lo / dxi) - 1, 0), n - 1)
+        last = max(min(math.floor(hi / dxi), n - 1), first) + 1
+        out = np.abs(self.aprime[..., first])
+        edge = np.empty_like(out)
+        for e in range(first + 1, last + 1):
+            np.maximum(out, np.abs(self.aprime[..., e], out=edge), out=out)
+        return out
 
 
 def transport_table(fm, dm):

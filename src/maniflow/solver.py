@@ -2,22 +2,29 @@
 
 du/dt = -div f(x,u) + divdiv A(x,u) + eta * laplace(u)
 
-Heun stepping at a fixed dt chosen from the convective and parabolic
-stability bounds.  The right-hand side is `geometry.transport`(F, T, u) with
-F = f(x,u) and T = A(x,u).  Before the first step `run` builds, and owns for
-the run, the stencil of that operator at its eta (`geometry.transport_stencil`)
-and the table of F and T stacked on one component axis
-(`model.transport_table`, 6.5 MB on `curved_const`: 64^2 nodes, 33 edges);
-`rhs` reads F and T with one lookup of the table, written straight into the
-stencil's one-state input buffer `Stencil.state` beside a copy of u, and
-applies the stencil to that buffer in one pass.  The Heun stages update the
-run's state u and one stage buffer u* in place, with the same products and
-sums as u* = u + dt k1, u = u + 0.5 dt (k1 + k2), so the stages allocate
-nothing and every state is bitwise that of the allocating form.
+Heun stepping at a fixed dt.  The right-hand side is `geometry.transport`(F,
+T, u) with F = f(x,u) and T = A(x,u).  A run first builds, and owns for the
+run, the stencil of that operator at its eta (`geometry.transport_stencil`),
+and takes dt from it (`stable_dt`): the convective bound, and the parabolic
+bound 2 / rho, rho the largest Gershgorin row sum of the frozen Jacobian's
+parabolic part, the eta Laplace-Beltrami weights plus the T weights times
+the largest |a'| on the states the run can reach.  Those lie in the paper's
+L-infinity interval I = [min u0 - t_end C, max u0 + t_end C] within [0, 1],
+C the largest compatibility residual |div f - divdiv A| over nodes and
+xi-edges; the run's `max_principle` checks that they did.  Then `run` builds
+the table of F and T stacked on one component axis (`model.transport_table`,
+6.5 MB on `curved_const`: 64^2 nodes, 33 edges); `rhs` reads F and T with
+one lookup of the table, written straight into the stencil's one-state input
+buffer `Stencil.state` beside a copy of u, and applies the stencil to that
+buffer in one pass.  The Heun stages update the run's state u and one stage
+buffer u* in place, with the same products and sums as u* = u + dt k1, u = u
++ 0.5 dt (k1 + k2), so the stages allocate nothing and every state is
+bitwise that of the allocating form.
 A run takes at most MAX_STEPS steps; a step bound that asks for more is an
-error before anything is allocated.  Every table is stored xi-major (see
-`model`), so each lookup reads, per component, the entries of all nodes at
-one edge from adjacent memory.  Each accepted state goes to the run's `Recorder`.
+error before any per-step storage is allocated.  Every table is stored
+xi-major (see `model`), so each lookup reads, per component, the entries of
+all nodes at one edge from adjacent memory.  Each accepted state goes to the
+run's `Recorder`.
 """
 
 from __future__ import annotations
@@ -57,6 +64,21 @@ class SolverConfig:
             raise SolverError(f"snapshots must be >= 1, got {self.n_snapshots}")
 
 
+@dataclass(frozen=True)
+class StepBound:
+    """How `stable_dt` chose a run's step."""
+    dt: float  # cfl times the smaller bound; the run steps at t_end / ceil(t_end / dt)
+    bounds: dict  # "convective" and "parabolic" step bounds, before the CFL factor
+    rho: float  # largest Gershgorin row sum of the parabolic part of the frozen Jacobian
+    interval: tuple  # I, the states the run can reach
+    spread: float  # t_end * C: how far the states may leave [min u0, max u0]
+
+    @property
+    def limit(self):
+        """The name of the bound that set dt."""
+        return min(self.bounds, key=self.bounds.get)
+
+
 @dataclass
 class Trajectory:
     times: list
@@ -69,32 +91,96 @@ class Trajectory:
     ledger: DissipationLedger
     dt: float
     eta: float
+    bound: StepBound = None  # how the run chose dt
 
     @property
     def u_final(self):
         return self.snapshots[-1]
 
 
+def max_principle(traj):
+    """The paper's L-infinity bound on a run: its states' excess over [min u0, max u0].
+
+    The bound is t_end * C + 1e-12, with t_end * C the run's `StepBound.spread`;
+    the excess is read from the min and max monitors of every accepted state.
+    """
+    lo, hi = float(traj.u_min[0]), float(traj.u_max[0])
+    excess = max(0.0, lo - float(np.min(traj.u_min)), float(np.max(traj.u_max)) - hi)
+    bound = traj.bound.spread + 1e-12
+    return {"lo": lo, "hi": hi, "excess": excess, "bound": bound, "pass": excess <= bound}
+
+
 RANGE_LO, RANGE_HI = -0.1, 1.1
 BLOCK_NODE_STEPS = 2 ** 14  # node-steps buffered between monitor/deposit passes
-MAX_STEPS = 10 ** 6  # the largest catalog run takes 8,233 steps
+MAX_STEPS = 10 ** 6  # the largest catalog run (porous) takes 7,465 steps
 
 
-def step_bounds(cfg, fm, dm, M):
-    """The convective and parabolic step bounds, before the CFL factor."""
+def compat_defect(fm, dm, stencil):
+    """C = max over nodes and xi-edges of |div f(., xi) - divdiv A(., xi)|.
+
+    The stencil applied to the constant state xi at each edge, one edge at a
+    time through `stencil.state`, which this call overwrites; its eta
+    Laplace-Beltrami part is exactly zero on a constant.
+    """
+    d = fm.grid.d
+    Y = stencil.state
+    T = Y[d:-1].reshape(dm.A.shape[:-1])  # a view: the state is contiguous
+    C = 0.0
+    for e, value in enumerate(fm.xi.edges):
+        Y[:d] = fm.f[..., e]
+        T[...] = dm.A[..., e]
+        Y[-1] = value
+        C = max(C, float(np.max(np.abs(stencil.apply(Y)))))
+    return C
+
+
+def parabolic_rho(stencil, amax):
+    """Largest Gershgorin row sum over the nodes of the frozen Jacobian's parabolic part.
+
+    The parabolic part reads the T components and u, the last d*d + 1 of the
+    stencil's.  A row sums each one's |weight| times its factor at the
+    weight's column node: `amax` for a T component (its |a'| bound, shaped
+    like T's part of the state) and 1 for u.  The centre weight of a
+    component is zeroth - sum_j weights[j].
+    """
+    scale = np.concatenate((amax, np.ones((1,) + amax.shape[1:])))
+    W = stencil.weights[:, -len(scale):]
+    centre = stencil.zeroth[-len(scale):] - W.sum(axis=0)
+    row = np.einsum("q...,q...->...", np.abs(centre), scale)
+    padded = scale
+    for axis in range(1, scale.ndim):
+        padded = geo._wrap_pad(padded, axis)
+    n = scale.shape[1]
+    for s, Ws in zip(stencil.offsets, W):
+        shifted = padded[(slice(None),) + tuple(slice(1 + a, 1 + a + n) for a in s)]
+        row += np.einsum("q...,q...->...", np.abs(Ws), shifted)
+    return float(np.max(row))
+
+
+def stable_dt(cfg, fm, dm, M, stencil, u0):
+    """The step of a run from u0 with `stencil` = transport_stencil(M, cfg.eta): a `StepBound`.
+
+    dt is cfl times the smaller of the convective bound h / (d max|f'|_g) and
+    the parabolic bound 2 / rho (`parabolic_rho`), with |a'| maximised over
+    the cells of I = [min u0 - t_end C, max u0 + t_end C] within [0, 1]
+    (C from `compat_defect`, `DiffusionModel.max_abs_aprime`).  On a flat
+    metric 2 / rho is h^2 / (2 d (eta + max|a'|)).  Overwrites `stencil.state`.
+    """
     grid = M.grid
-    eps0 = 1e-30
-    return {"convective": grid.h / (grid.d * fm.max_prime_gnorm(M) + eps0),
-            "parabolic": grid.h ** 2 / (2.0 * grid.d * (cfg.eta + dm.max_aprime_opnorm()))}
-
-
-def stable_dt(cfg, fm, dm, M):
-    """Fixed step from convective and parabolic bounds (the smaller wins)."""
-    dt = cfg.cfl * min(step_bounds(cfg, fm, dm, M).values())
-    # coefficients whose products overflow make the bound 0 or NaN
-    if not 0.0 < dt < np.inf:
-        raise SolverError(f"the stable step bound {dt:.3e} is not a positive finite number")
-    return dt
+    spread = cfg.t_end * compat_defect(fm, dm, stencil)
+    # NaN fails both comparisons of max and min, leaving the full range
+    lo, hi = max(0.0, float(u0.min()) - spread), min(1.0, float(u0.max()) + spread)
+    amax = dm.max_abs_aprime(lo, hi)
+    rho = parabolic_rho(stencil, amax.reshape((-1,) + grid.shape))
+    bounds = {"convective": grid.h / (grid.d * fm.max_prime_gnorm(M) + 1e-30),
+              "parabolic": 2.0 / rho}
+    for name, bound in bounds.items():
+        # coefficients whose products overflow make a bound 0 or NaN
+        if not 0.0 < bound < np.inf:
+            raise SolverError(f"the stable step bound {bound:.3e} ({name}) is not a positive "
+                              "finite number")
+    dt = cfg.cfl * min(bounds.values())
+    return StepBound(dt=dt, bounds=bounds, rho=rho, interval=(lo, hi), spread=spread)
 
 
 def rhs(u, table, xi, stencil):
@@ -172,13 +258,13 @@ class Recorder:
                     self.dt, self.ledger)
         self.count = 0
 
-    def finish(self):
+    def finish(self, bound):
         self._record(self.count - 1)
         mass, energy, u_min, u_max = np.concatenate(self.monitors, axis=1)
         return Trajectory(times=self.times, snapshots=self.snapshots, mass=mass, energy=energy,
                           monitor_t=np.arange(mass.size) * self.dt, u_min=u_min, u_max=u_max,
                           ledger=self.ledger or DissipationLedger(self.dm.xi), dt=self.dt,
-                          eta=self.cfg.eta)
+                          eta=self.cfg.eta, bound=bound)
 
 
 def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
@@ -186,17 +272,17 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     u0 = np.asarray(u0, dtype=float)
     check_initial_state(u0, M.grid)
 
-    dt_raw = stable_dt(cfg, fm, dm, M)
-    # a float until it is checked: t_end / dt_raw may be too large for any array, or inf
-    n_steps = np.ceil(cfg.t_end / dt_raw)
+    stencil = geo.transport_stencil(M, cfg.eta)
+    # looked up on the module, where a memory trace wraps it
+    bound = stable_dt(cfg, fm, dm, M, stencil, u0)
+    # a float until it is checked: t_end / dt may be too large for any array, or inf
+    n_steps = np.ceil(cfg.t_end / bound.dt)
     if not n_steps <= MAX_STEPS:
-        bounds = step_bounds(cfg, fm, dm, M)
         raise SolverError(
-            f"dt = {dt_raw:.3e}, set by the {min(bounds, key=bounds.get)} bound, needs "
+            f"dt = {bound.dt:.3e}, set by the {bound.limit} bound, needs "
             f"{n_steps:.3e} steps to t_end = {cfg.t_end:g}; at most {MAX_STEPS} are allowed")
     n_steps = max(1, int(n_steps))
     dt = cfg.t_end / n_steps
-    stencil = geo.transport_stencil(M, cfg.eta)
     table = model.transport_table(fm, dm)
     ledger = DissipationLedger(xi) if record_dissipation else None
     recorder = Recorder(cfg, dm, M, u0, n_steps, dt, ledger)
@@ -216,7 +302,7 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
         if not np.isfinite(u).all():
             raise SolverError(f"non-finite state after step {step} (t={step * dt:.6g})")
         recorder.accept(step, u)
-    return recorder.finish()
+    return recorder.finish(bound)
 
 
 def total_variation(u):

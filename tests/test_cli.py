@@ -58,6 +58,43 @@ def test_valid_run_writes_every_output(tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == OUTPUTS
 
 
+def test_report_says_how_dt_was_chosen_and_gates_the_max_principle(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc, err = run_cli(capsys, write_config(tmp_path), "--out", str(out))
+    assert rc == 0, err
+    report = json.loads((out / "report.json").read_text())
+    t = read_monitors(out / "monitors.csv")[:, 0]
+    block = report["run"]
+    assert block["n_steps"] == len(t) - 1
+    assert block["dt"] == pytest.approx(t[1], rel=1e-12)
+    assert block["dt_bound"] == "parabolic"
+    # flat 1D: rho = 4 (eta + max|a'|) / h^2 with a' = 2 xi on the cells of [0.25, 0.75]
+    assert block["rho"] == pytest.approx(4.0 * (1e-2 + 2.0 * 13 / 16) * 16 ** 2, rel=1e-12)
+    assert block["interval"] == pytest.approx([0.25, 0.75], rel=1e-12)
+    principle = report["max_principle"]
+    assert principle["pass"] and "max_principle" not in report["violations"]
+    assert principle["lo"] == pytest.approx(0.25) and principle["hi"] == pytest.approx(0.75)
+    assert principle["excess"] == 0.0 and principle["bound"] == 1e-12
+
+
+def test_a_state_beyond_the_max_principle_exits_1(tmp_path, capsys, monkeypatch):
+    from maniflow import solver
+
+    def with_source(u, table, xi, stencil):
+        return rhs(u, table, xi, stencil) + 1e-3
+
+    rhs = solver.rhs
+    monkeypatch.setattr(solver, "rhs", with_source)
+    out = tmp_path / "out"
+    rc, _ = run_cli(capsys, write_config(tmp_path, [("scenario.u0", '"0.5"')]),
+                    "--out", str(out))
+    assert rc == 1
+    assert {p.name for p in out.iterdir()} == OUTPUTS
+    report = json.loads((out / "report.json").read_text())
+    assert report["violations"] == ["max_principle"]
+    assert report["max_principle"]["excess"] == pytest.approx(1e-3 * 0.01, rel=1e-6)
+
+
 def test_override_reaches_the_run(tmp_path, capsys):
     out = tmp_path / "out"
     rc, err = run_cli(capsys, write_config(tmp_path), "--out", str(out),

@@ -181,12 +181,13 @@ class TestCompatibilityControl:
     """Negative control: the kinetic residual notices a flux that breaks div f = divdiv A.
 
     `wavy1d` heat with sigma = 0, eta = 1e-2, u0 = 0.5 + 0.3 sin 2 pi x1, t_end =
-    0.1 and 40 snapshots, at cfl = 0.1 (0.4 exceeds the stable step on this
-    metric).  The compatible flux is f = 0; the incompatible one f = 0.2 xi sin
-    2 pi x1.  Measured kinetic residuals at seeds 0, 1, 2:
-        compatible,   n = 128: 1.30e-4, 1.79e-4, 1.59e-4
-        incompatible, n = 64:  4.90e-3, 6.61e-3, 1.08e-2
-        incompatible, n = 128: 4.56e-3, 6.46e-3, 1.02e-2
+    0.1 and 40 snapshots, at cfl = 0.1 (1,310 steps at n = 128).  The compatible
+    flux is f = 0; the incompatible one f = 0.2 xi sin 2 pi x1.  Measured kinetic
+    residuals at seeds 0, 1, 2:
+        compatible,   n = 128: 1.29e-4, 1.78e-4, 1.58e-4
+        incompatible, n = 64:  4.89e-3, 6.60e-3, 1.08e-2
+        incompatible, n = 128: 4.57e-3, 6.46e-3, 1.03e-2
+    At cfl = 0.4 (328 steps) each reads within 1 % of these.
     """
 
     FLUX = {"compatible": "0", "incompatible": "0.2*xi*sin(2*pi*x1)"}

@@ -294,10 +294,33 @@ class TestDiffusionModel:
         dm = zero_diffusion(grid, xi, M)
         assert psd_audit(dm, M)["min_quadratic_form"] == 0.0
 
-    def test_opnorm_flat_identity(self, one_d):
+    def test_max_abs_aprime_flat_identity(self, one_d):
         grid, M, xi = one_d
         dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
-        assert dm.max_aprime_opnorm() == pytest.approx(2.0, abs=1e-14)
+        full = dm.max_abs_aprime(0.0, 1.0)
+        assert full.shape == (1, 1) + grid.shape
+        assert np.max(np.abs(full - 2.0)) <= 1e-14
+
+    @pytest.mark.parametrize("lo, hi, top", [
+        (0.1, 0.9, 58),  # cells 6 .. 57 hold 0.1 and 0.9
+        (0.5, 0.5, 33),  # an edge touches the cells on both sides of it
+        (0.0, 0.0, 1), (1.0, 1.0, 64), (0.5 + 1e-9, 0.5 + 1e-9, 33)])
+    def test_max_abs_aprime_reads_the_edges_of_the_touched_cells(self, one_d, lo, hi, top):
+        # a' = 2 xi grows with xi, so the largest edge read gives the value
+        grid, M, xi = one_d
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        assert np.allclose(dm.max_abs_aprime(lo, hi), 2.0 * top / xi.n, rtol=0, atol=1e-14)
+
+    def test_max_abs_aprime_takes_the_absolute_value_per_component(self):
+        # curved2d with an off-diagonal sigma: a' has entries of both signs
+        grid = ChartGrid(2, 16)
+        M = build_metric(CURVED2D, grid)
+        xi = XiGrid(16)
+        dm = DiffusionModel.from_exprs([["0.3 + 0.2*xi", "-0.4*xi"], ["0.1", "0.2 + xi"]],
+                                       grid, xi, M)
+        assert np.any(dm.aprime < 0.0)
+        want = np.max(np.abs(dm.aprime[..., 3:9]), axis=-1)  # cells 3 .. 7 hold [0.24, 0.44]
+        assert np.array_equal(dm.max_abs_aprime(0.24, 0.44), want)
 
 
 class TestBetaFamily:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from maniflow.geometry import ChartGrid, build_metric, integrate, norm_l1, transport_stencil
-from maniflow.model import (DiffusionModel, FluxModel, XiGrid, make_compatible_flux,
-                            transport_table, xi_interp)
+from maniflow.model import (DiffusionModel, FluxModel, XiGrid, compat_norms,
+                            make_compatible_flux, transport_table, xi_interp)
 from maniflow.entropy import DissipationLedger, deposit
 from maniflow.solver import (BLOCK_NODE_STEPS, MAX_STEPS, RangeViolation, SolverConfig,
-                             SolverError, Trajectory, rhs, run, stable_dt, total_variation)
-from maniflow import catalog, solver
+                             SolverError, Trajectory, max_principle, rhs, run, stable_dt,
+                             total_variation)
+from maniflow import catalog, cli, solver
 
 from helpers import euclidean_metric, zero_diffusion, zero_flux
 
@@ -36,20 +37,27 @@ def heat_setup(n, eta):
     return grid, M, xi, dm, fm, u0
 
 
+def step_dt(cfg, fm, dm, M, u0):
+    """The dt bound, cfl times the smaller step bound, of a run from u0 under cfg."""
+    return stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), np.asarray(u0)).dt
+
+
 class TestStableDt:
     def test_pure_diffusion_plugin_value(self, flat_1d):
         grid, M, xi = flat_1d
         dm = zero_diffusion(grid, xi, M)
         fm = zero_flux(grid, xi)
         cfg = SolverConfig(eta=1.0, t_end=1.0, cfl=0.4)
-        assert stable_dt(cfg, fm, dm, M) == pytest.approx(4.8828125e-5, rel=1e-12)
+        assert step_dt(cfg, fm, dm, M, np.zeros(grid.shape)) == pytest.approx(4.8828125e-5,
+                                                                              rel=1e-12)
 
     def test_doubling_eta_halves_dt(self, flat_1d):
         grid, M, xi = flat_1d
         dm = zero_diffusion(grid, xi, M)
         fm = zero_flux(grid, xi)
-        dt1 = stable_dt(SolverConfig(eta=1.0, t_end=1.0), fm, dm, M)
-        dt2 = stable_dt(SolverConfig(eta=2.0, t_end=1.0), fm, dm, M)
+        u0 = np.zeros(grid.shape)
+        dt1 = step_dt(SolverConfig(eta=1.0, t_end=1.0), fm, dm, M, u0)
+        dt2 = step_dt(SolverConfig(eta=2.0, t_end=1.0), fm, dm, M, u0)
         assert dt1 / dt2 == pytest.approx(2.0, rel=1e-12)
 
     def test_min_of_two_branches(self, flat_1d):
@@ -61,7 +69,8 @@ class TestStableDt:
             cfg = SolverConfig(eta=eta, t_end=1.0, cfl=0.4)
             conv = 0.4 * grid.h / 1.0
             diff = 0.4 * grid.h ** 2 / (2.0 * eta)
-            assert stable_dt(cfg, fm, dm, M) == pytest.approx(min(conv, diff), rel=1e-12)
+            assert step_dt(cfg, fm, dm, M, np.zeros(grid.shape)) == pytest.approx(
+                min(conv, diff), rel=1e-12)
 
     @pytest.mark.parametrize("prime", [1e200, np.nan], ids=["zero", "nan"])
     def test_bound_that_is_not_positive_and_finite_is_an_error(self, flat_1d, prime):
@@ -71,7 +80,7 @@ class TestStableDt:
         # |f'|^2 = 1e400 overflows to inf, a bound of 0, or is NaN
         fm.fprime = np.full_like(fm.fprime, prime)
         with pytest.raises(SolverError, match="stable step bound"):
-            stable_dt(SolverConfig(eta=1.0, t_end=1.0), fm, dm, M)
+            step_dt(SolverConfig(eta=1.0, t_end=1.0), fm, dm, M, np.zeros(grid.shape))
 
 
 class TestRhs:
@@ -202,7 +211,7 @@ class TestRhs:
 
 def per_step_run(cfg, fm, dm, M, u0, xi):
     """Reference: the step loop with a monitor and a deposit on every step."""
-    dt_raw = stable_dt(cfg, fm, dm, M)
+    dt_raw = step_dt(cfg, fm, dm, M, u0)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_raw)))
     dt = cfg.t_end / n_steps
     n_snap = min(cfg.n_snapshots, n_steps)
@@ -363,12 +372,12 @@ class TestRun:
     def test_step_count_is_bounded_before_any_allocation(self, monkeypatch):
         grid, M, xi, dm, fm, u0 = heat_setup(16, 1e-2)
         cfg = SolverConfig(eta=1e-2, t_end=0.5)
-        n_steps = int(np.ceil(cfg.t_end / stable_dt(cfg, fm, dm, M)))
+        n_steps = int(np.ceil(cfg.t_end / step_dt(cfg, fm, dm, M, u0)))
         monkeypatch.setattr(solver, "MAX_STEPS", n_steps)
         assert len(run(cfg, fm, dm, M, u0, xi).mass) == n_steps + 1
         monkeypatch.setattr(solver, "MAX_STEPS", n_steps - 1)
-        # the stencil is the first thing a run builds after its step count
-        monkeypatch.setattr(solver, "geo", None)
+        # the table is the first thing a run builds after its step count
+        monkeypatch.setattr(solver.model, "transport_table", None)
         with pytest.raises(SolverError, match=re.escape(
                 f"set by the parabolic bound, needs {n_steps:.3e} steps to t_end = 0.5; "
                 f"at most {n_steps - 1} are allowed")):
@@ -377,9 +386,9 @@ class TestRun:
     def test_nothing_is_allocated_per_step(self, monkeypatch):
         # 8 MB per monitor at MAX_STEPS; the block of states is 128 kB on 16 nodes
         grid, M, xi, dm, fm, u0 = heat_setup(16, 1e-2)
-        dt = stable_dt(SolverConfig(eta=1e-2, t_end=1.0), fm, dm, M)
+        dt = step_dt(SolverConfig(eta=1e-2, t_end=1.0), fm, dm, M, u0)
         cfg = SolverConfig(eta=1e-2, t_end=(MAX_STEPS - 0.5) * dt)
-        assert np.ceil(cfg.t_end / stable_dt(cfg, fm, dm, M)) == MAX_STEPS
+        assert np.ceil(cfg.t_end / step_dt(cfg, fm, dm, M, u0)) == MAX_STEPS
 
         def failing(*args):
             raise SolverError("stopped")
@@ -420,7 +429,7 @@ class TestRun:
         n_steps = blocks[0] * B + blocks[1]
         n_snap = n_steps if snaps == "n_steps" else int(snaps)
         cfg0 = SolverConfig(eta=eta, t_end=1.0, n_snapshots=3)
-        cfg = SolverConfig(eta=eta, t_end=(n_steps - 0.5) * stable_dt(cfg0, fm, dm, M),
+        cfg = SolverConfig(eta=eta, t_end=(n_steps - 0.5) * step_dt(cfg0, fm, dm, M, u0),
                            n_snapshots=n_snap)
         calls = []
 
@@ -453,3 +462,136 @@ class TestRun:
         assert not calls
         assert not np.any(quiet.ledger.bins_m) and not np.any(quiet.ledger.bins_n)
         assert np.array_equal(quiet.u_final, ref.u_final)
+
+
+def fd_jacobian(u, table, xi, stencil, eps=1e-7):
+    """Dense central-difference Jacobian of `rhs` at u, one column per node."""
+    flat = u.ravel()
+    J = np.empty((flat.size, flat.size))
+    for j in range(flat.size):
+        v = flat.copy()
+        v[j] += eps
+        plus = rhs(v.reshape(u.shape), table, xi, stencil)
+        v[j] -= 2.0 * eps
+        J[:, j] = (plus - rhs(v.reshape(u.shape), table, xi, stencil)).ravel() / (2.0 * eps)
+    return J
+
+
+def bound_case(metric, n, diffusion=True):
+    """(cfg, fm, dm, M, u0, xi) of a parabolic problem on a catalog metric: no flux and
+    a state-dependent sigma, whose A on a curved metric is incompatible, so I widens;
+    heat (sigma = 0) without `diffusion`."""
+    d = catalog.METRICS[metric]["d"]
+    grid = ChartGrid(d, n)
+    M = build_metric(catalog.METRICS[metric]["entries"], grid)
+    xi = XiGrid(16)
+    axes = [1, 2][:d]
+    sigma = [[f"0.2 + 0.5*xi + 0.05*sin(2*pi*x{k})" if i == k else "0.1*xi" for i in axes]
+             for k in axes]
+    dm = DiffusionModel.from_exprs(sigma, grid, xi, M) if diffusion else \
+        zero_diffusion(grid, xi, M)
+    u0 = 0.5 + 0.3 * np.sin(TWO_PI * sum(grid.coords()))
+    return SolverConfig(eta=1e-2, t_end=0.01), zero_flux(grid, xi), dm, M, u0, xi
+
+
+def scaled_spectral_radii(metric, n, diffusion=True):
+    """dt * rho(J) / (2 cfl) at u0 and at the final state of the run; <= 1 is stable."""
+    cfg, fm, dm, M, u0, xi = bound_case(metric, n, diffusion)
+    traj = run(cfg, fm, dm, M, u0, xi, record_dissipation=False)
+    stencil, table = transport_stencil(M, cfg.eta), transport_table(fm, dm)
+    return [traj.dt * np.max(np.abs(np.linalg.eigvals(fd_jacobian(u, table, xi, stencil))))
+            / (2.0 * cfg.cfl) for u in (u0, traj.u_final)]
+
+
+def scenario_run(name, **solver_keys):
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS[name].items()}
+    cfg["solver"].update(solver_keys)
+    return cli.build_pipeline(cfg).run()
+
+
+class TestStepBound:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("metric", sorted(catalog.METRICS))
+    def test_dt_times_spectral_radius_is_within_heun_stability(self, metric, n):
+        assert max(scaled_spectral_radii(metric, n)) <= 1.0
+
+    def test_a_bound_without_the_inverse_metric_is_unstable_on_wavy1d(self, monkeypatch):
+        # the former parabolic bound h^2 / (2 d (eta + max|a'|)) on heat data, without
+        # g^aa, which reaches 4 on wavy1d
+        cfg, _, _, M, _, _ = bound_case("wavy1d", 32, diffusion=False)
+
+        def flat(stencil, amax):
+            return 4.0 * (cfg.eta + float(np.max(amax))) / M.grid.h ** 2
+
+        assert max(scaled_spectral_radii("wavy1d", 32, diffusion=False)) <= 1.0
+        monkeypatch.setattr(solver, "parabolic_rho", flat)
+        assert max(scaled_spectral_radii("wavy1d", 32, diffusion=False)) > 1.0
+
+    def test_wavy1d_heat_is_stable_at_cfl_0_4(self):
+        # the former bound left dt 4x too large here: RangeViolation at step 38
+        grid = ChartGrid(1, 128)
+        M = build_metric(catalog.METRICS["wavy1d"]["entries"], grid)
+        xi = XiGrid(64)
+        u0 = 0.5 + 0.3 * np.sin(TWO_PI * grid.coords()[0])
+        traj = run(SolverConfig(eta=1e-2, t_end=0.1, cfl=0.4), zero_flux(grid, xi),
+                   zero_diffusion(grid, xi, M), M, u0, xi)
+        assert len(traj.mass) == 328 + 1
+        assert np.min(traj.u_min) >= 0.2 and np.max(traj.u_max) <= 0.8
+
+    @pytest.mark.parametrize("name, n_steps", [("heat", 410), ("shock", 205)])
+    def test_flat_scenarios_keep_their_step_count(self, name, n_steps):
+        assert len(scenario_run(name).mass) == n_steps + 1
+
+    @pytest.mark.parametrize("name", ["heat", "shock", "porous"])
+    def test_flat_bound_is_the_closed_form_on_the_data_range(self, name):
+        pipe = cli.build_pipeline(catalog.SCENARIOS[name])
+        cfg, grid = pipe.solver_cfg, pipe.grid
+        bound = stable_dt(cfg, pipe.fm, pipe.dm, pipe.M, transport_stencil(pipe.M, cfg.eta),
+                          pipe.u0)
+        assert bound.spread == 0.0  # a flux and an A constant in x are compatible on flat charts
+        assert bound.interval == (max(0.0, pipe.u0.min()), min(1.0, pipe.u0.max()))
+        amax = float(np.max(pipe.dm.max_abs_aprime(*bound.interval)))
+        closed = grid.h ** 2 / (2.0 * grid.d * (cfg.eta + amax))
+        assert bound.bounds["parabolic"] == pytest.approx(closed, rel=2.3e-16)
+
+    def test_data_spanning_the_table_give_the_full_range_bound(self):
+        grid, M, xi, _, fm, _ = heat_setup(128, 1e-2)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        cfg = SolverConfig(eta=1e-2, t_end=0.05)
+        u0 = 0.5 + 0.5 * np.sin(TWO_PI * grid.coords()[0])
+        bound = stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), u0)
+        assert bound.interval == (0.0, 1.0)
+        assert bound.bounds["parabolic"] == pytest.approx(grid.h ** 2 / (2.0 * (1e-2 + 2.0)),
+                                                          rel=1e-14)
+        narrow = stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), 0.5 + 0.4 * (u0 - 0.5))
+        assert narrow.bounds["parabolic"] > 1.1 * bound.bounds["parabolic"]
+
+    @pytest.mark.parametrize("metric", ["wavy1d", "curved2d"])
+    def test_compat_defect_is_the_audit_residual_over_all_edges(self, metric):
+        cfg, _, dm, M, u0, xi = bound_case(metric, 16)
+        fm = FluxModel.from_exprs([f"0.2*xi^2*sin(2*pi*x{k})" for k in (1, 2)[:M.grid.d]],
+                                  M.grid, xi)
+        got = solver.compat_defect(fm, dm, transport_stencil(M, cfg.eta))
+        want = max(compat_norms(fm, dm, M, v)["max"] for v in xi.edges)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        bound = stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), u0)
+        assert bound.spread == cfg.t_end * got
+        assert bound.interval == (u0.min() - bound.spread, u0.max() + bound.spread)
+
+
+class TestMaxPrinciple:
+    @pytest.mark.parametrize("name", sorted(catalog.SCENARIOS))
+    def test_every_catalog_scenario_keeps_the_bound(self, name):
+        report = max_principle(scenario_run(name))
+        assert report["pass"], report
+        assert 0.0 <= report["excess"] <= report["bound"]
+
+    def test_a_constant_source_breaks_it(self, monkeypatch):
+        def with_source(u, table, xi, stencil):
+            return rhs(u, table, xi, stencil) + 1e-3
+
+        monkeypatch.setattr(solver, "rhs", with_source)
+        # a constant state: diffusion, which narrows the range of other data, cannot hide it
+        report = max_principle(scenario_run("const"))
+        assert not report["pass"]
+        assert report["excess"] == pytest.approx(1e-3 * 0.05, rel=1e-6)

@@ -4,10 +4,10 @@
 
 Runs `maniflow run CONFIG --out TMP` in this process with tracemalloc on and
 wraps each phase of the run: `build_pipeline`, `transport_stencil`,
-`transport_table`, `run` (the step loop, which holds the two before it) and
-each diagnostic `cmd_run` calls.  For every call of a phase it prints the
-traced MB live when the call starts, the traced peak during the call above
-that, and the process's `ru_maxrss` in MB when the call returns.  A phase
+`stable_dt`, `transport_table`, `run` (the step loop, which holds the three
+before it) and each diagnostic `cmd_run` calls.  For every call of a phase
+it prints the traced MB live when the call starts, the traced peak during the
+call above that, and the process's `ru_maxrss` in MB when the call returns.  A phase
 called more than once (an entropy residual per entropy, a chain-rule residual
 per psi) gets one row per call.  tracemalloc adds its own overhead to the
 RSS, so the RSS column compares only with other runs of this script.  The
@@ -29,25 +29,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from maniflow import cli, entropy, geometry, kinetic, model  # noqa: E402
+from maniflow import cli, entropy, geometry, kinetic, model, solver  # noqa: E402
 
 MB = 1024.0 * 1024.0
 
 # (module, phase): each phase function is wrapped where its caller looks it up
 PHASES = [
-    (cli, "build_pipeline"), (geometry, "transport_stencil"), (model, "transport_table"),
-    (cli, "run"), (entropy, "energy_balance"), (entropy, "entropy_residual"),
-    (entropy, "chain_rule_residual"), (entropy, "nu_bound_check"), (cli, "psd_audit"),
-    (kinetic, "kinetic_residual"), (kinetic, "friedrichs_commutator"),
+    (cli, "build_pipeline"), (geometry, "transport_stencil"), (solver, "stable_dt"),
+    (model, "transport_table"), (cli, "run"), (entropy, "energy_balance"),
+    (entropy, "entropy_residual"), (entropy, "chain_rule_residual"),
+    (entropy, "nu_bound_check"), (cli, "psd_audit"), (kinetic, "kinetic_residual"),
+    (kinetic, "friedrichs_commutator"),
 ]
 
 
 class PhaseMeter:
     """Wraps phase functions; records (phase, live MB, peak MB above live, maxrss MB) per call.
 
-    Phases nest (`run` holds the stencil and the table): an inner call resets
-    tracemalloc's peak, so the outer call's peak so far is saved before it and
-    the inner peak is carried back into the outer one after it.
+    Phases nest (`run` holds the stencil, the step bound and the table): an
+    inner call resets tracemalloc's peak, so the outer call's peak so far is
+    saved before it and the inner peak is carried back into the outer one
+    after it.
     """
 
     def __init__(self):
