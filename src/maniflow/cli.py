@@ -295,7 +295,7 @@ class Pipeline:
             check_initial_state(self.u0, grid)
 
     def run(self):
-        return run(self.solver_cfg, self.fm, self.dm, self.M, self.u0, self.xi)
+        return run(self.solver_cfg, self.fm, self.dm, self.M, self.u0)
 
 
 def build_pipeline(cfg):
@@ -376,7 +376,7 @@ def cmd_run(cfg, out_dir):
     kin_battery = kinetic.kinetic_battery(pipe.grid, pipe.xi, seed=pipe.battery_seed,
                                           t_scale=pipe.solver_cfg.t_end)
     try:
-        kin_res = kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, pipe.xi, kin_battery)
+        kin_res = kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, kin_battery)
     except kinetic.KineticError as exc:
         # keep the report: every other diagnostic is already computed
         kin_res = None
@@ -433,8 +433,8 @@ def _sweep(cfg, section, key, field):
     values = pipe.cfg[section][key]
     with _building(section, [key]):
         configs = [dataclasses.replace(pipe.solver_cfg, **{field: v}) for v in values]
-    return pipe, values, [run(c, pipe.fm, pipe.dm, pipe.M, pipe.u0, pipe.xi,
-                              record_dissipation=False) for c in configs]
+    return pipe, values, [run(c, pipe.fm, pipe.dm, pipe.M, pipe.u0, record_dissipation=False)
+                          for c in configs]
 
 
 def cmd_study_eta(cfg, out_dir):
@@ -467,18 +467,19 @@ def cmd_uniqueness(cfg, out_dir):
         k_max = min(len(base.snapshots), len(other.snapshots))
         rows = []
         for k in range(k_max):
-            n_a = kinetic.level_count(base.snapshots[k], pipe.xi)
-            n_b = kinetic.level_count(other.snapshots[k], pipe.xi)
+            u_a, u_b = base.snapshots[k], other.snapshots[k]
             rows.append({
                 "t": base.times[k],
-                "forward": kinetic.contraction(n_a, n_b, pipe.M, pipe.xi),
-                "backward": kinetic.contraction(n_b, n_a, pipe.M, pipe.xi),
+                "t_pair": [base.times[k], other.times[k]],
+                "forward": kinetic.contraction(u_a, u_b, pipe.M),
+                "backward": kinetic.contraction(u_b, u_a, pipe.M),
             })
         series.append({"cfl_pair": [cfls[0], cfls[other_idx]],
                        "dt_pair": [base.dt, other.dt], "rows": rows})
         for row in rows:
-            print(f"t={row['t']:.4f}  contraction forward {row['forward']:.6e}  "
-                  f"backward {row['backward']:.6e}")
+            t_a, t_b = row["t_pair"]
+            print(f"t={row['t']:.4f}  t_a {t_a:.6e}  t_b {t_b:.6e}  contraction forward "
+                  f"{row['forward']:.6e}  backward {row['backward']:.6e}")
     report = {"version": __version__, "command": "uniqueness", "series": series}
     if out_dir is not None:
         _json_dump(report, f"{out_dir}/kinetic_report.json")

@@ -89,29 +89,29 @@ class DissipationLedger:
         return float(np.sum(self.bins_n))
 
 
-def dissipation_densities(u, sigmaT, xi, M, eta):
+def dissipation_densities(u, dm, M, eta):
     """Per-node viscous and degenerate dissipation densities at state u; u may carry batch axes.
 
-    `sigmaT` is the edge table of sigma^t (`DiffusionModel.sigmaT`).
+    sigma^t is read from `dm.sigmaT` on the model's own xi-grid.
     """
     grid = M.grid
     du = np.stack([geo.ddx(u, i, grid.h) for i in range(grid.d)])
     m_density = eta * geo.oneform_norm_sq(du, M)
-    sT = xi_interp(sigmaT, u, xi, grid.d)
+    sT = xi_interp(dm.sigmaT, u, dm.xi, grid.d)
     w = np.einsum("ji...,j...->i...", sT, du)
     n_density = geo.oneform_norm_sq(w, M)
     return m_density, n_density
 
 
-def deposit(u, sigmaT, M, eta, dt, ledger):
+def deposit(u, dm, M, eta, dt, ledger):
     """Bin the dissipation weights of accepted steps of length dt at their state values.
 
     u is the state before one step, or grid + batch axes: one column per
-    step, deposited in the C order of the batch axes.  `sigmaT` is the edge
-    table of sigma^t on the ledger's xi-grid (`DiffusionModel.sigmaT`).
+    step, deposited in the C order of the batch axes.  The densities read
+    sigma^t on the model's xi-grid; the ledger bins them on its own.
     """
     grid = M.grid
-    m_density, n_density = dissipation_densities(u, sigmaT, ledger.xi, M, eta)
+    m_density, n_density = dissipation_densities(u, dm, M, eta)
     cell = M.sqrt_det.reshape(grid.shape + (1,) * (u.ndim - grid.d)) * grid.h ** grid.d * dt
 
     def rows(a):  # (states, nodes)
@@ -136,9 +136,10 @@ def entropy_flux_fields(u, S, fm, dm):
     return flux, xi_interp(cumtrapz_edges(dm.aprime * sp, xi.dxi), u, xi)
 
 
-def _binned_s2_dissipation(u, S, dm, M, eta, xi):
-    """integral of S''(xi) (n+m)(., xi) dxi realized through the hat bins."""
-    m_density, n_density = dissipation_densities(u, dm.sigmaT, xi, M, eta)
+def _binned_s2_dissipation(u, S, dm, M, eta):
+    """integral of S''(xi) (n+m)(., xi) dxi realized through the hat bins of `dm.xi`."""
+    xi = dm.xi
+    m_density, n_density = dissipation_densities(u, dm, M, eta)
     total = m_density + n_density
     j0, j1, w1 = hat_weights(u, xi)
     s2 = np.asarray(S.d2s(xi.centers), dtype=float)
@@ -151,12 +152,11 @@ def entropy_residual(u_prev, u_next, dt, S, fm, dm, M, eta, battery):
     battery: spatial test profiles, grid + (count,).  Returns the max
     absolute residual over the battery.
     """
-    xi = fm.xi
     u_mid = 0.5 * (u_prev + u_next)
     dS_dt = (S.on(u_next) - S.on(u_prev)) / dt
     flux_field, diff_field = entropy_flux_fields(u_mid, S, fm, dm)
     strong = (dS_dt - geo.transport(flux_field, diff_field, S.on(u_mid), M, eta)
-              + _binned_s2_dissipation(u_mid, S, dm, M, eta, xi))
+              + _binned_s2_dissipation(u_mid, S, dm, M, eta))
     return float(np.max(np.abs(geo.integrate(battery * strong[..., None], M))))
 
 

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 
 def _component_count(field, grid):
     lead = field.shape[: field.ndim - grid.d]
-    count = 1
-    for s in lead:
-        count *= s
-    return count, lead
+    return math.prod(lead), lead
 
 
 def write_csv(field, grid, path):

@@ -3,12 +3,13 @@
 The kinetic function of a state field u is the indicator chi(x, b) = 1
 where the xi-bin center lies at or below u(x).  Since the centers ascend,
 chi is held as its level count n(x), the number of such bins, and chi(x, b)
-= [b < n(x)]; `contraction` and `kinetic_residual` read only level counts.
-`kinetic_residual` tests the kinetic equation weakly against a battery of
-smooth test functions; its terms linear in chi are summed over time first,
-so the space operators are applied once.  `friedrichs_commutator` measures
-how smoothing by a symmetric polynomial bump commutes with multiplication
-and differentiation.
+= [b < n(x)]; `kinetic_residual` reads only level counts.  `contraction`
+takes the ordering functional of two states exactly, as the integral of
+(u_a - u_b)_+, so it reads no xi-grid.  `kinetic_residual` tests the
+kinetic equation weakly against a battery of smooth test functions; its
+terms linear in chi are summed over time first, so the space operators are
+applied once.  `friedrichs_commutator` measures how smoothing by a
+symmetric polynomial bump commutes with multiplication and differentiation.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ def level_count(u, xi):
     return np.searchsorted(xi.centers, u, side="right")
 
 
-def contraction(n_a, n_b, M, xi):
+def contraction(u_a, u_b, M):
     """Ordering functional: integral of chi_a (1 - chi_b) over chart x state.
 
-    `n_a` and `n_b` are the level counts of the two states; chi_a (1 - chi_b)
-    holds max(n_a - n_b, 0) bins at each node.
+    For the exact kinetic functions chi(x, xi) = [xi < u(x)], the state
+    integral of chi_a (1 - chi_b) at a node is (u_a - u_b)_+, so this is the
+    chart integral of that (Chen & Perthame, Ann. IHP 20, 2003).
     """
-    return geo.integrate(xi.dxi * np.maximum(n_a - n_b, 0), M)
+    return geo.integrate(np.maximum(u_a - u_b, 0.0), M)
 
 
 # --- mollifier ----------------------------------------------------------------
@@ -127,7 +129,7 @@ def kinetic_battery(grid, xi, seed=0, count=5, t_scale=1.0):
 
 # --- weak residual of the kinetic equation -------------------------------------
 
-def kinetic_residual(traj, fm, dm, M, xi, battery):
+def kinetic_residual(traj, fm, dm, M, battery):
     """Max weak residual of the kinetic equation over a test battery.
 
     The equation is d_t chi + div(f' chi) - divdiv(a' chi) - eta Lap_g chi =
@@ -146,9 +148,10 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
     the measure term, nonlinear in u, is formed per snapshot: the per-node
     dissipation densities times the exact state derivative of theta at u(x).
     Every term is paired with phi through one `geometry.integrate`; the last
-    axis of every array runs over the battery.
+    axis of every array runs over the battery, whose theta is sampled on the
+    bin centers of the models' xi-grid.
     """
-    grid, nodes = M.grid, M.sqrt_det.size
+    grid, nodes, xi = M.grid, M.sqrt_det.size, dm.xi
     times = np.asarray(traj.times)
     w_t = np.zeros(len(times))
     w_t[1:] += 0.5 * np.diff(times)
@@ -165,7 +168,7 @@ def kinetic_residual(traj, fm, dm, M, xi, battery):
              - battery.tau(times[0]) * prefix[counts[0]]).reshape(grid.shape + (-1,))
     for t, w, u, n in zip(times, w_t, traj.snapshots, counts):
         hist[rows, n] += w * battery.tau(t)
-        m_density, n_density = dissipation_densities(u, dm.sigmaT, xi, M, traj.eta)
+        m_density, n_density = dissipation_densities(u, dm, M, traj.eta)
         local += w * (battery.tau(t) * (m_density + n_density)[..., None] * battery.dtheta(u)
                       - battery.dtau(t) * prefix[n].reshape(local.shape))
 

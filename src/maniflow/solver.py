@@ -254,8 +254,8 @@ class Recorder:
                                        np.min(U, axis=axes), np.max(U, axis=axes)]))
         if self.ledger is not None and n_dep:
             # node-major copy: the lookups and products then read each node's states together
-            deposit(np.ascontiguousarray(U[..., :n_dep]), self.dm.sigmaT, M, self.cfg.eta,
-                    self.dt, self.ledger)
+            deposit(np.ascontiguousarray(U[..., :n_dep]), self.dm, M, self.cfg.eta, self.dt,
+                    self.ledger)
         self.count = 0
 
     def finish(self, bound):
@@ -267,8 +267,11 @@ class Recorder:
                           eta=self.cfg.eta, bound=bound)
 
 
-def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
-    """Integrate to t_end; returns snapshots, monitors and the ledger."""
+def run(cfg, fm, dm, M, u0, record_dissipation=True):
+    """Integrate to t_end; returns snapshots, monitors and the ledger.
+
+    The coefficient tables and the ledger's bins share the models' xi-grid.
+    """
     u0 = np.asarray(u0, dtype=float)
     check_initial_state(u0, M.grid)
 
@@ -284,6 +287,7 @@ def run(cfg, fm, dm, M, u0, xi, record_dissipation=True):
     n_steps = max(1, int(n_steps))
     dt = cfg.t_end / n_steps
     table = model.transport_table(fm, dm)
+    xi = dm.xi
     ledger = DissipationLedger(xi) if record_dissipation else None
     recorder = Recorder(cfg, dm, M, u0, n_steps, dt, ledger)
     u = u0.copy()

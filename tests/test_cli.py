@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maniflow import cli
+from maniflow import catalog, cli
 
 # a tiny 1D run: n = 16, n_xi = 16, about 30 Heun steps
 BASE = {
@@ -400,7 +400,7 @@ def per_value_builds(monkeypatch, path):
         sub = {s: dict(kv) for s, kv in cfg.items()}
         sub["solver"].update(eta=solver_cfg.eta, cfl=solver_cfg.cfl)
         pipe = cli.Pipeline(sub)
-        return solver_run(pipe.solver_cfg, pipe.fm, pipe.dm, pipe.M, pipe.u0, pipe.xi, **kwargs)
+        return solver_run(pipe.solver_cfg, pipe.fm, pipe.dm, pipe.M, pipe.u0, **kwargs)
 
     monkeypatch.setattr(cli, "run", fresh)
 
@@ -418,6 +418,24 @@ def test_sweep_builds_once_and_matches_per_value_builds(tmp_path, capsys, monkey
     assert cli.main([command, str(path), "--out", str(tmp_path / "each")]) == 0
     assert capsys.readouterr().out == once
     assert (tmp_path / "once" / report).read_bytes() == (tmp_path / "each" / report).read_bytes()
+
+
+def test_uniqueness_rows_give_both_runs_snapshot_times(tmp_path, capsys):
+    # snapshot k of each run comes after ceil(k n / 10) of its own steps, so the
+    # paired states can lie up to one step apart; on porous they do
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS["porous"].items()}
+    cfg["solver"]["t_end"] = 0.01
+    assert cli.cmd_uniqueness(cfg, str(tmp_path)) == 0
+    out = capsys.readouterr().out.splitlines()
+    (series,) = json.loads((tmp_path / "kinetic_report.json").read_text())["series"]
+    step = max(series["dt_pair"])
+    gaps = []
+    for row, line in zip(series["rows"], out, strict=True):
+        t_a, t_b = row["t_pair"]
+        assert t_a == row["t"] and abs(t_a - t_b) <= step
+        assert line.startswith(f"t={t_a:.4f}  t_a {t_a:.6e}  t_b {t_b:.6e}  ")
+        gaps.append(t_a - t_b)
+    assert any(gaps)
 
 
 @pytest.mark.parametrize("command", list(SWEEPS))

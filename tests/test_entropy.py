@@ -56,7 +56,7 @@ class TestLedger:
         grid, M, xi = flat_1d
         dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
         ledger = DissipationLedger(xi)
-        deposit(np.full(grid.shape, 0.4), dm.sigmaT, M, 1e-2, 1e-3, ledger)
+        deposit(np.full(grid.shape, 0.4), dm, M, 1e-2, 1e-3, ledger)
         assert ledger.total_m == 0.0 and ledger.total_n == 0.0
 
     def test_zero_sigma_no_degenerate_deposits(self, flat_1d):
@@ -64,7 +64,7 @@ class TestLedger:
         dm = zero_diffusion(grid, xi, M)
         ledger = DissipationLedger(xi)
         x = grid.coords()[0]
-        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm.sigmaT, M, 1e-2, 1e-3, ledger)
+        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, M, 1e-2, 1e-3, ledger)
         assert ledger.total_n == 0.0 and ledger.total_m > 0.0
 
     def test_frozen_step_closed_form(self):
@@ -76,7 +76,7 @@ class TestLedger:
         ledger = DissipationLedger(xi)
         dt = 1e-3
         x = grid.coords()[0]
-        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm.sigmaT, M, 0.0, dt, ledger)
+        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, M, 0.0, dt, ledger)
         exact = dt * 0.32 * np.pi ** 2
         assert ledger.total_n == pytest.approx(exact, rel=1e-6)
 
@@ -130,7 +130,7 @@ class TestEntropyResidual:
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0)
         return grid, M, xi, dm, fm, traj
 
     def test_constant_state_residual_tiny(self):
@@ -140,7 +140,7 @@ class TestEntropyResidual:
         dm = zero_diffusion(grid, xi, M)
         fm = zero_flux(grid, xi)
         traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M,
-                   np.full(grid.shape, 0.5), xi)
+                   np.full(grid.shape, 0.5))
         battery = spatial_battery(grid, seed=0)
         r = entropy_residual(traj.snapshots[-2], traj.snapshots[-1],
                              traj.times[-1] - traj.times[-2],
@@ -155,7 +155,7 @@ class TestEntropyResidual:
         x = grid.coords()[0]
         u0 = 0.5 + 0.3 * np.sin(TWO_PI * x)
         eta = 1e-2
-        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, M, u0)
         ua, ub = traj.snapshots[-2], traj.snapshots[-1]
         dt = traj.times[-1] - traj.times[-2]
         um = 0.5 * (ua + ub)
@@ -175,7 +175,7 @@ class TestEntropyResidual:
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         eta = 1e-2
-        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, M, u0)
         ua, ub = traj.snapshots[-2], traj.snapshots[-1]
         dt = traj.times[-1] - traj.times[-2]
         phi = spatial_battery(grid, seed=2, count=1)
@@ -191,7 +191,7 @@ class TestEntropyResidual:
             ff, df = entropy_flux_fields(um, S, fm, dm)
             strong = ((S.on(ub) - S.on(ua)) / dt + div_vector(ff, M)
                       - divdiv_tensor11(df, M) - eta * laplace_beltrami(S.on(um), M)
-                      + _binned_s2_dissipation(um, S, dm, M, eta, xi))
+                      + _binned_s2_dissipation(um, S, dm, M, eta))
             return integrate(phi[..., 0] * strong, M)
 
         assert abs(signed(S_sum) - signed(S1) - signed(S2)) <= 1e-10
@@ -214,7 +214,7 @@ class TestEnergyBalance:
         dm = zero_diffusion(grid, xi, M)
         fm = zero_flux(grid, xi)
         traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M,
-                   np.full(grid.shape, 0.25), xi)
+                   np.full(grid.shape, 0.25))
         report = energy_balance(traj)
         assert abs(report["residual"]) <= 1e-14
 
@@ -226,7 +226,7 @@ class TestEnergyBalance:
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M,
-                   0.5 + 0.4 * np.sin(TWO_PI * x), xi)
+                   0.5 + 0.4 * np.sin(TWO_PI * x))
         report = energy_balance(traj)
         assert report["relative_residual"] <= 0.02
         assert report["total_degenerate"] == 0.0
@@ -239,7 +239,7 @@ class TestEnergyBalance:
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, M,
-                   0.5 + 0.4 * np.sin(TWO_PI * x), xi)
+                   0.5 + 0.4 * np.sin(TWO_PI * x))
         report = energy_balance(traj)
         assert report["relative_residual"] <= 0.05
         assert report["total_degenerate"] > report["total_viscous"]
@@ -310,7 +310,7 @@ class TestNuBound:
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.3 * np.sin(TWO_PI * x)  # max 0.8
-        traj = run(SolverConfig(eta=1e-2, t_end=0.2), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.2), fm, dm, M, u0)
         high = xi.centers > 0.8 + 2 * xi.dxi
         assert np.max(traj.ledger.bins_m[high] + traj.ledger.bins_n[high]) == 0.0
         nu = nu_profile(u0, M, xi)
@@ -324,6 +324,6 @@ class TestNuBound:
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M, u0)
         verdict = nu_bound_check(traj.ledger, u0, M)
         assert verdict["pass"]

@@ -7,7 +7,7 @@ import pytest
 from maniflow.geometry import ChartGrid, build_metric, integrate, norm_l1, transport_stencil
 from maniflow.model import (DiffusionModel, FluxModel, XiGrid, compat_norms,
                             make_compatible_flux, transport_table, xi_interp)
-from maniflow.entropy import DissipationLedger, deposit
+from maniflow.entropy import DissipationLedger, deposit, energy_balance
 from maniflow.solver import (BLOCK_NODE_STEPS, MAX_STEPS, RangeViolation, SolverConfig,
                              SolverError, Trajectory, max_principle, rhs, run, stable_dt,
                              total_variation)
@@ -209,7 +209,7 @@ class TestRhs:
         assert not isinstance(info.value, RangeViolation)
 
 
-def per_step_run(cfg, fm, dm, M, u0, xi):
+def per_step_run(cfg, fm, dm, M, u0):
     """Reference: the step loop with a monitor and a deposit on every step."""
     dt_raw = step_dt(cfg, fm, dm, M, u0)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_raw)))
@@ -219,6 +219,7 @@ def per_step_run(cfg, fm, dm, M, u0, xi):
     next_target = 0
     stencil = transport_stencil(M, cfg.eta)
     table = transport_table(fm, dm)
+    xi = dm.xi
     ledger = DissipationLedger(xi)
     u = np.asarray(u0, dtype=float).copy()
     times, snapshots = [0.0], [u.copy()]
@@ -233,7 +234,7 @@ def per_step_run(cfg, fm, dm, M, u0, xi):
 
     monitor(0.0, u)
     for step in range(1, n_steps + 1):
-        deposit(u, dm.sigmaT, M, cfg.eta, dt, ledger)
+        deposit(u, dm, M, cfg.eta, dt, ledger)
         k1 = rhs(u, table, xi, stencil)
         k2 = rhs(u + dt * k1, table, xi, stencil)
         u = u + 0.5 * dt * (k1 + k2)
@@ -281,7 +282,7 @@ BOOKKEEPING_IDS = [step_id if snaps == "3" else f"{step_id},snaps={snaps}"
 class TestRun:
     def test_heat_matches_spectral_solution(self):
         grid, M, xi, dm, fm, u0 = heat_setup(128, 1e-2)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, M, u0)
         # exact heat semigroup of the band-limited initial data
         x = grid.coords()[0]
         exact = 0.5 + 0.4 * np.exp(-1e-2 * TWO_PI ** 2 * 0.05) * np.sin(TWO_PI * x)
@@ -289,7 +290,7 @@ class TestRun:
 
     def test_mass_conserved(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.1), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.1), fm, dm, M, u0)
         assert abs(traj.mass[-1] - traj.mass[0]) <= 1e-6
 
     def test_compatible_constant_stays_constant(self):
@@ -302,7 +303,7 @@ class TestRun:
         dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
         fm = make_compatible_flux(dm, M, stream=sc["stream"])
         u0 = np.full(grid.shape, 0.5)
-        traj = run(SolverConfig(eta=5e-3, t_end=0.1), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=5e-3, t_end=0.1), fm, dm, M, u0)
         assert np.max(np.abs(traj.u_final - 0.5)) <= 1e-4
 
     def test_maximum_principle_shock(self):
@@ -313,7 +314,7 @@ class TestRun:
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
-        traj = run(SolverConfig(eta=5e-3, t_end=0.3), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=5e-3, t_end=0.3), fm, dm, M, u0)
         assert np.min(traj.u_min) >= -1e-6
         assert np.max(traj.u_max) <= 1.0 + 1e-6
 
@@ -325,15 +326,15 @@ class TestRun:
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
-        tvs = [total_variation(run(SolverConfig(eta=e, t_end=0.3), fm, dm, M, u0, xi,
+        tvs = [total_variation(run(SolverConfig(eta=e, t_end=0.3), fm, dm, M, u0,
                                    record_dissipation=False).u_final)
                for e in (5e-3, 1e-2, 2e-2)]
         assert tvs[0] >= tvs[1] >= tvs[2]
 
     def test_determinism_bitwise(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        a = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0, xi)
-        b = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0, xi)
+        a = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0)
+        b = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0)
         assert np.array_equal(a.u_final, b.u_final)
         assert np.array_equal(a.ledger.bins_m, b.ledger.bins_m)
         assert a.times == b.times
@@ -343,8 +344,7 @@ class TestRun:
         dm = zero_diffusion(grid, xi, M)
         fm = zero_flux(grid, xi)
         with pytest.raises(SolverError, match=r"\[0,1\]"):
-            run(SolverConfig(eta=1e-2, t_end=0.01), fm, dm, M,
-                np.full(grid.shape, 1.5), xi)
+            run(SolverConfig(eta=1e-2, t_end=0.01), fm, dm, M, np.full(grid.shape, 1.5))
 
     def test_range_violation_keeps_its_type(self):
         # the data of tests/test_cli.py::test_range_violation_exits_1
@@ -355,7 +355,7 @@ class TestRun:
         fm = FluxModel.from_exprs(["20*xi^2"], grid, xi)
         u0 = 0.5 + 0.25 * np.sin(TWO_PI * grid.coords()[0])
         with pytest.raises(RangeViolation, match=r"^step 32 \(t=.*node \(7,\) outside"):
-            run(SolverConfig(eta=1e-4, t_end=0.5, cfl=1.0), fm, dm, M, u0, xi)
+            run(SolverConfig(eta=1e-4, t_end=0.5, cfl=1.0), fm, dm, M, u0)
 
     def test_blowup_aborts_with_step_index(self, flat_1d):
         grid, M, xi = flat_1d
@@ -367,21 +367,21 @@ class TestRun:
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         with pytest.raises(SolverError, match="step"):
-            run(SolverConfig(eta=1e-3, t_end=0.5), fm, dm, M, u0, xi)
+            run(SolverConfig(eta=1e-3, t_end=0.5), fm, dm, M, u0)
 
     def test_step_count_is_bounded_before_any_allocation(self, monkeypatch):
         grid, M, xi, dm, fm, u0 = heat_setup(16, 1e-2)
         cfg = SolverConfig(eta=1e-2, t_end=0.5)
         n_steps = int(np.ceil(cfg.t_end / step_dt(cfg, fm, dm, M, u0)))
         monkeypatch.setattr(solver, "MAX_STEPS", n_steps)
-        assert len(run(cfg, fm, dm, M, u0, xi).mass) == n_steps + 1
+        assert len(run(cfg, fm, dm, M, u0).mass) == n_steps + 1
         monkeypatch.setattr(solver, "MAX_STEPS", n_steps - 1)
         # the table is the first thing a run builds after its step count
         monkeypatch.setattr(solver.model, "transport_table", None)
         with pytest.raises(SolverError, match=re.escape(
                 f"set by the parabolic bound, needs {n_steps:.3e} steps to t_end = 0.5; "
                 f"at most {n_steps - 1} are allowed")):
-            run(cfg, fm, dm, M, u0, xi)
+            run(cfg, fm, dm, M, u0)
 
     def test_nothing_is_allocated_per_step(self, monkeypatch):
         # 8 MB per monitor at MAX_STEPS; the block of states is 128 kB on 16 nodes
@@ -398,7 +398,7 @@ class TestRun:
         tracemalloc.reset_peak()
         try:
             with pytest.raises(SolverError, match=r"^step 1 \(t=.*\): stopped$"):
-                run(cfg, fm, dm, M, u0, xi)
+                run(cfg, fm, dm, M, u0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -406,14 +406,28 @@ class TestRun:
 
     def test_snapshot_times_hit_targets(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.02, n_snapshots=4), fm, dm, M, u0, xi)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02, n_snapshots=4), fm, dm, M, u0)
         assert len(traj.snapshots) == 5
         targets = [0.0, 0.005, 0.01, 0.015, 0.02]
         assert all(abs(t - s) <= traj.dt for t, s in zip(traj.times, targets))
 
+    def test_ledger_bins_on_the_models_xi_grid(self):
+        # the run reads xi from the models: tables and ledger share their 32 bins
+        grid = ChartGrid(1, 64)
+        M = euclidean_metric(grid)
+        xi = XiGrid(32)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        u0 = 0.5 + 0.4 * np.sin(TWO_PI * grid.coords()[0])
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02), zero_flux(grid, xi), dm, M, u0)
+        assert traj.ledger.xi is xi
+        assert traj.ledger.bins_m.shape == traj.ledger.bins_n.shape == (32,)
+        assert traj.ledger.total_n > 0.0
+        # measured 2.8e-4
+        assert energy_balance(traj)["relative_residual"] <= 1e-3
+
     def test_eta_cauchy_contractive(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        finals = [run(SolverConfig(eta=e, t_end=0.1), fm, dm, M, u0, xi,
+        finals = [run(SolverConfig(eta=e, t_end=0.1), fm, dm, M, u0,
                       record_dissipation=False).u_final
                   for e in (4e-2, 2e-2, 1e-2)]
         e1 = norm_l1(finals[0] - finals[1], M)
@@ -438,8 +452,8 @@ class TestRun:
             return deposit(*args)
 
         monkeypatch.setattr(solver, "deposit", counted)
-        got = run(cfg, fm, dm, M, u0, xi)
-        ref = per_step_run(cfg, fm, dm, M, u0, xi)
+        got = run(cfg, fm, dm, M, u0)
+        ref = per_step_run(cfg, fm, dm, M, u0)
         assert len(got.monitor_t) == n_steps + 1
         assert len(got.snapshots) == min(n_snap, n_steps) + 1
         assert len(calls) == -(-n_steps // B)  # one deposit per block, not per step
@@ -458,7 +472,7 @@ class TestRun:
         if snaps != "3":
             return  # the snapshot count does not reach the ledger
         calls.clear()
-        quiet = run(cfg, fm, dm, M, u0, xi, record_dissipation=False)
+        quiet = run(cfg, fm, dm, M, u0, record_dissipation=False)
         assert not calls
         assert not np.any(quiet.ledger.bins_m) and not np.any(quiet.ledger.bins_n)
         assert np.array_equal(quiet.u_final, ref.u_final)
@@ -497,7 +511,7 @@ def bound_case(metric, n, diffusion=True):
 def scaled_spectral_radii(metric, n, diffusion=True):
     """dt * rho(J) / (2 cfl) at u0 and at the final state of the run; <= 1 is stable."""
     cfg, fm, dm, M, u0, xi = bound_case(metric, n, diffusion)
-    traj = run(cfg, fm, dm, M, u0, xi, record_dissipation=False)
+    traj = run(cfg, fm, dm, M, u0, record_dissipation=False)
     stencil, table = transport_stencil(M, cfg.eta), transport_table(fm, dm)
     return [traj.dt * np.max(np.abs(np.linalg.eigvals(fd_jacobian(u, table, xi, stencil))))
             / (2.0 * cfg.cfl) for u in (u0, traj.u_final)]
@@ -534,7 +548,7 @@ class TestStepBound:
         xi = XiGrid(64)
         u0 = 0.5 + 0.3 * np.sin(TWO_PI * grid.coords()[0])
         traj = run(SolverConfig(eta=1e-2, t_end=0.1, cfl=0.4), zero_flux(grid, xi),
-                   zero_diffusion(grid, xi, M), M, u0, xi)
+                   zero_diffusion(grid, xi, M), M, u0)
         assert len(traj.mass) == 328 + 1
         assert np.min(traj.u_min) >= 0.2 and np.max(traj.u_max) <= 0.8
 

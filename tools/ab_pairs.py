@@ -9,21 +9,25 @@ perfbench/child.py on workload W once under each tree, each in a fresh
 process with perfbench's single-thread child environment (which sets
 PYTHONHASHSEED=0) and `diagnostics.battery_seed=S`; the side that runs first
 alternates from pair to pair.  `wall_s` and `setup_s` are read from the
-child's result file and `peak_rss_mb` from `os.wait4`; `--setup-only`
-children build the pipeline and stop, and report `setup_s` and
-`peak_rss_mb` only.
+child's result file and `peak_rss_mb` from `os.wait4`.  Each full child's
+output directory goes through the benchmark's own output gate,
+`check_output` of perfbench/run.py, which also gives its `mass_drift` and
+`energy_balance_rel`.  `--setup-only` children build the pipeline and stop,
+and report `setup_s` and `peak_rss_mb` only.
 
 Per metric (lower is better) it prints each side's median and quartiles, the
 pairs the change won (ties count for neither side), and whether a gain may be
 claimed: the change wins at least 9 in 10 of the pairs, and the parent's
 median exceeds the change's by more than the parent's interquartile range.
-A child that exits non-zero stops the script with exit code 1.  The script
-only reads perfbench/ and writes only to a temporary directory.
+A child that exits non-zero, or whose output the gate rejects, stops the
+script with exit code 1 and the reason.  The script only reads perfbench/
+and writes only to a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -35,10 +39,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
+SRC = ROOT / "src"
+ACCURACY = ("mass_drift", "energy_balance_rel")  # the gate's facts that the table shows
 
 
-def child_env():
-    """perfbench's environment for a child: BLAS/OpenMP pinned to one thread, fixed hash seed."""
+@functools.cache
+def perfbench_run():
+    """perfbench/run.py, loaded once: its child environment and its output gate."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))  # the gate reads u_final through `maniflow.fieldio`
     sys.path.insert(0, str(BENCH))  # run.py imports its sibling `tracer`
     try:
         spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
@@ -46,7 +55,23 @@ def child_env():
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(BENCH))
-    return dict(module.CHILD_ENV)
+    return module
+
+
+def child_env():
+    """perfbench's environment for a child: BLAS/OpenMP pinned to one thread, fixed hash seed."""
+    return dict(perfbench_run().CHILD_ENV)
+
+
+def gate(returncode, out_dir):
+    """perfbench's output gate on one full child: {metric: value} for the ACCURACY metrics.
+
+    Raises RuntimeError with the gate's reason when it rejects the output.
+    """
+    facts, reason = perfbench_run().check_output(returncode, out_dir)
+    if reason is not None:
+        raise RuntimeError(reason)
+    return {name: facts[name] for name in ACCURACY}
 
 
 def run_child(src, workload, seed, setup_only, work, env):
@@ -61,15 +86,19 @@ def run_child(src, workload, seed, setup_only, work, env):
         proc = subprocess.Popen(cmd, cwd=ROOT, env=dict(env, PYTHONPATH=str(src)),
                                 stdout=log, stderr=subprocess.STDOUT)
         _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"child under {src} exited {proc.returncode}:\n"
+    returncode = os.waitstatus_to_exitcode(status)
+    if returncode != 0:
+        raise RuntimeError(f"child under {src} exited {returncode}:\n"
                            + (work / "child.log").read_text()[-2000:])
     with open(result) as fh:
         child = json.load(fh)
     sample = {"setup_s": child["setup_s"], "peak_rss_mb": usage.ru_maxrss / 1024.0}
     if not setup_only:
         sample["wall_s"] = child["wall_s"]
+        try:
+            sample.update(gate(returncode, out))
+        except RuntimeError as exc:
+            raise RuntimeError(f"child under {src} fails the output gate: {exc}") from None
     return sample
 
 
