@@ -279,10 +279,10 @@ class Pipeline:
             self.M = build_metric(_metric_entries(cfg["metric"], d), grid)
         with _building("scenario", [f"sigma{p}" for p in pairs], sc):
             self.dm = DiffusionModel.from_exprs(
-                [[sc[f"sigma{k}{i}"] for i in idx] for k in idx], grid, xi, self.M)
+                [[sc[f"sigma{k}{i}"] for i in idx] for k in idx], self.M, xi)
         if sc["compatible"]:
             with _building("scenario", ["stream"]):
-                self.fm = make_compatible_flux(self.dm, self.M, stream=sc["stream"])
+                self.fm = make_compatible_flux(self.dm, stream=sc["stream"])
         else:
             primes = [sc[f"flux_prime{k}"] for k in idx]
             prime = None if primes == [None] * d else ["0" if p is None else p for p in primes]
@@ -295,7 +295,7 @@ class Pipeline:
             check_initial_state(self.u0, grid)
 
     def run(self):
-        return run(self.solver_cfg, self.fm, self.dm, self.M, self.u0)
+        return run(self.solver_cfg, self.fm, self.dm, self.u0)
 
 
 def build_pipeline(cfg):
@@ -344,21 +344,19 @@ def cmd_run(cfg, out_dir):
     ent_res = {}
     for S in (entropy.identity_entropy(), entropy.square_entropy()):
         ent_res[S.name] = entropy.entropy_residual(
-            traj.snapshots[-2], traj.snapshots[-1],
-            traj.times[-1] - traj.times[-2], S,
-            pipe.fm, pipe.dm, pipe.M, traj.eta, battery)
+            traj.snapshots[-2], traj.snapshots[-1], traj.times[-1] - traj.times[-2], S,
+            pipe.fm, pipe.dm, traj.eta, battery)
     report["entropy_residuals"] = ent_res
 
-    report["chain_rule_residuals"] = {
-        p: entropy.chain_rule_residual(traj.u_final, p, pipe.dm, pipe.M)
-        for p in entropy.CHAIN_RULE_PSI}
+    report["chain_rule_residuals"] = {p: entropy.chain_rule_residual(traj.u_final, p, pipe.dm)
+                                      for p in entropy.CHAIN_RULE_PSI}
 
     nu_check = entropy.nu_bound_check(traj.ledger, pipe.u0, pipe.M)
     report["nu_bound"] = {k: nu_check[k] for k in ("pass", "worst_bin", "worst_excess")}
     if not nu_check["pass"]:
         violations.append("nu_bound")
 
-    audit = psd_audit(pipe.dm, pipe.M)
+    audit = psd_audit(pipe.dm)
     report["psd_audit"] = audit
     if audit["min_quadratic_form"] < -1e-10:
         violations.append("psd")
@@ -376,7 +374,7 @@ def cmd_run(cfg, out_dir):
     kin_battery = kinetic.kinetic_battery(pipe.grid, pipe.xi, seed=pipe.battery_seed,
                                           t_scale=pipe.solver_cfg.t_end)
     try:
-        kin_res = kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, kin_battery)
+        kin_res = kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, kin_battery)
     except kinetic.KineticError as exc:
         # keep the report: every other diagnostic is already computed
         kin_res = None
@@ -408,7 +406,7 @@ def cmd_audit_compat(cfg, out_dir):
     rows = []
     ok = True
     for s in COMPAT_XI_SAMPLES:
-        norms = compat_norms(pipe.fm, pipe.dm, pipe.M, s)
+        norms = compat_norms(pipe.fm, pipe.dm, s)
         passed = norms["max"] <= threshold
         ok = ok and passed
         rows.append({"xi": s, "max": norms["max"], "l1": norms["l1"], "pass": passed})
@@ -433,7 +431,7 @@ def _sweep(cfg, section, key, field):
     values = pipe.cfg[section][key]
     with _building(section, [key]):
         configs = [dataclasses.replace(pipe.solver_cfg, **{field: v}) for v in values]
-    return pipe, values, [run(c, pipe.fm, pipe.dm, pipe.M, pipe.u0, record_dissipation=False)
+    return pipe, values, [run(c, pipe.fm, pipe.dm, pipe.u0, record_dissipation=False)
                           for c in configs]
 
 

@@ -7,7 +7,7 @@ Two dissipation densities are tracked per time step:
 
 Each node deposits its weight (density * sqrt|g| * h^d * dt) into the two
 xi-bins nearest to u(x) with linear hat weights, which conserves the total
-deposited mass exactly.
+deposited mass exactly.  g is the diffusion model's own metric, `dm.M`.
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ class DissipationLedger:
         return float(np.sum(self.bins_n))
 
 
-def dissipation_densities(u, dm, M, eta):
+def dissipation_densities(u, dm, eta):
     """Per-node viscous and degenerate dissipation densities at state u; u may carry batch axes.
 
-    sigma^t is read from `dm.sigmaT` on the model's own xi-grid.
+    sigma^t is read from `dm.sigmaT` on the model's own xi-grid, and g from `dm.M`.
     """
-    grid = M.grid
+    M, grid = dm.M, dm.grid
     du = np.stack([geo.ddx(u, i, grid.h) for i in range(grid.d)])
     m_density = eta * geo.oneform_norm_sq(du, M)
     sT = xi_interp(dm.sigmaT, u, dm.xi, grid.d)
@@ -103,15 +103,15 @@ def dissipation_densities(u, dm, M, eta):
     return m_density, n_density
 
 
-def deposit(u, dm, M, eta, dt, ledger):
+def deposit(u, dm, eta, dt, ledger):
     """Bin the dissipation weights of accepted steps of length dt at their state values.
 
     u is the state before one step, or grid + batch axes: one column per
     step, deposited in the C order of the batch axes.  The densities read
     sigma^t on the model's xi-grid; the ledger bins them on its own.
     """
-    grid = M.grid
-    m_density, n_density = dissipation_densities(u, dm, M, eta)
+    M, grid = dm.M, dm.grid
+    m_density, n_density = dissipation_densities(u, dm, eta)
     cell = M.sqrt_det.reshape(grid.shape + (1,) * (u.ndim - grid.d)) * grid.h ** grid.d * dt
 
     def rows(a):  # (states, nodes)
@@ -136,17 +136,17 @@ def entropy_flux_fields(u, S, fm, dm):
     return flux, xi_interp(cumtrapz_edges(dm.aprime * sp, xi.dxi), u, xi)
 
 
-def _binned_s2_dissipation(u, S, dm, M, eta):
+def _binned_s2_dissipation(u, S, dm, eta):
     """integral of S''(xi) (n+m)(., xi) dxi realized through the hat bins of `dm.xi`."""
     xi = dm.xi
-    m_density, n_density = dissipation_densities(u, dm, M, eta)
+    m_density, n_density = dissipation_densities(u, dm, eta)
     total = m_density + n_density
     j0, j1, w1 = hat_weights(u, xi)
     s2 = np.asarray(S.d2s(xi.centers), dtype=float)
     return total * ((1.0 - w1) * s2[j0] + w1 * s2[j1])
 
 
-def entropy_residual(u_prev, u_next, dt, S, fm, dm, M, eta, battery):
+def entropy_residual(u_prev, u_next, dt, S, fm, dm, eta, battery):
     """Weak residual of the entropy identity on one snapshot pair.
 
     battery: spatial test profiles, grid + (count,).  Returns the max
@@ -155,9 +155,9 @@ def entropy_residual(u_prev, u_next, dt, S, fm, dm, M, eta, battery):
     u_mid = 0.5 * (u_prev + u_next)
     dS_dt = (S.on(u_next) - S.on(u_prev)) / dt
     flux_field, diff_field = entropy_flux_fields(u_mid, S, fm, dm)
-    strong = (dS_dt - geo.transport(flux_field, diff_field, S.on(u_mid), M, eta)
-              + _binned_s2_dissipation(u_mid, S, dm, M, eta))
-    return float(np.max(np.abs(geo.integrate(battery * strong[..., None], M))))
+    strong = (dS_dt - geo.transport(flux_field, diff_field, S.on(u_mid), dm.M, eta)
+              + _binned_s2_dissipation(u_mid, S, dm, eta))
+    return float(np.max(np.abs(geo.integrate(battery * strong[..., None], dm.M))))
 
 
 def battery_profile(rng, grid, amp_max):
@@ -208,7 +208,7 @@ def energy_balance(traj):
 CHAIN_RULE_PSI = ("1", "xi")  # the weights `maniflow run` reports the chain rule for
 
 
-def chain_rule_residual(u, psi, dm, M):
+def chain_rule_residual(u, psi, dm):
     """L2 norm of the chain-rule defect for a weight psi >= 0.
 
     lhs = div(B^psi(., u)) - [div B^psi(., xi)] evaluated at xi = u
@@ -220,7 +220,7 @@ def chain_rule_residual(u, psi, dm, M):
     is O(h^2 + dxi^2) for psi smooth on the range of u.  It vanishes exactly
     for psi = 1 and psi = 0.
     """
-    xi = dm.xi
+    xi, M = dm.xi, dm.M
     # div beta(., u) of both weights before the table div_x sigma^t, which is
     # then not held while beta_at builds its two sigma^t-sized tables
     div_lhs, div_rhs = [geo.div_tensor11(beta_at(dm.sigmaT, u, xi, w), M) for w in (psi, None)]

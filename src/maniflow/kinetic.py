@@ -129,7 +129,7 @@ def kinetic_battery(grid, xi, seed=0, count=5, t_scale=1.0):
 
 # --- weak residual of the kinetic equation -------------------------------------
 
-def kinetic_residual(traj, fm, dm, M, battery):
+def kinetic_residual(traj, fm, dm, battery):
     """Max weak residual of the kinetic equation over a test battery.
 
     The equation is d_t chi + div(f' chi) - divdiv(a' chi) - eta Lap_g chi =
@@ -149,9 +149,9 @@ def kinetic_residual(traj, fm, dm, M, battery):
     dissipation densities times the exact state derivative of theta at u(x).
     Every term is paired with phi through one `geometry.integrate`; the last
     axis of every array runs over the battery, whose theta is sampled on the
-    bin centers of the models' xi-grid.
+    bin centers of the models' xi-grid.  Every operator reads the metric `dm.M`.
     """
-    grid, nodes, xi = M.grid, M.sqrt_det.size, dm.xi
+    M, grid, nodes, xi = dm.M, dm.grid, dm.M.sqrt_det.size, dm.xi
     times = np.asarray(traj.times)
     w_t = np.zeros(len(times))
     w_t[1:] += 0.5 * np.diff(times)
@@ -168,7 +168,7 @@ def kinetic_residual(traj, fm, dm, M, battery):
              - battery.tau(times[0]) * prefix[counts[0]]).reshape(grid.shape + (-1,))
     for t, w, u, n in zip(times, w_t, traj.snapshots, counts):
         hist[rows, n] += w * battery.tau(t)
-        m_density, n_density = dissipation_densities(u, dm, M, traj.eta)
+        m_density, n_density = dissipation_densities(u, dm, traj.eta)
         local += w * (battery.tau(t) * (m_density + n_density)[..., None] * battery.dtheta(u)
                       - battery.dtau(t) * prefix[n].reshape(local.shape))
 

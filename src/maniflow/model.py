@@ -234,15 +234,15 @@ class FluxModel:
 
 
 class DiffusionModel:
-    """Diffusion coefficients derived from the tensor square root sigma.
+    """Diffusion coefficients from the tensor square root sigma, on the metric `dm.M` it keeps.
 
     Tables (all on grid x xi-edges, xi-major): sigma, its metric transpose, the
     diffusivity a' = sigma^t sigma, and the antiderivative A with A(x,0)=0.
     """
 
-    def __init__(self, grid, xi, M, sigma_table):
-        self.grid = grid
-        self.xi = xi
+    def __init__(self, M, xi, sigma_table):
+        self.M, self.xi = M, xi
+        self.grid = grid = M.grid
         expected = (grid.d, grid.d) + grid.shape + (xi.n + 1,)
         sigma_table = np.asarray(sigma_table, dtype=float)
         if sigma_table.shape != expected:
@@ -257,9 +257,9 @@ class DiffusionModel:
         _finite(self.A[..., -1], "A")
 
     @classmethod
-    def from_exprs(cls, entries, grid, xi, M):
-        sig = _edge_table([e for row in entries for e in row], grid, xi)
-        return cls(grid, xi, M, sig.reshape((grid.d, grid.d) + sig.shape[1:]))
+    def from_exprs(cls, entries, M, xi):
+        sig = _edge_table([e for row in entries for e in row], M.grid, xi)
+        return cls(M, xi, sig.reshape((M.grid.d, M.grid.d) + sig.shape[1:]))
 
     def max_abs_aprime(self, lo, hi):
         """|a'| per component and node, maximised over the xi-edges of the cells [lo, hi] touches.
@@ -320,21 +320,21 @@ def beta_at(slope, u, xi, psi=None):
 
 # --- geometry compatibility -------------------------------------------------
 
-def compat_residual(fm, dm, M, xi_value):
+def compat_residual(fm, dm, xi_value):
     """div f(., xi) - divdiv A(., xi): minus `geometry.transport` at the constant state xi."""
     const = np.full(fm.grid.shape, float(xi_value))
     f_slice = xi_interp(fm.f, const, fm.xi)
     A_slice = xi_interp(dm.A, const, dm.xi)
-    return -geo.transport(f_slice, A_slice, const, M, 0.0)
+    return -geo.transport(f_slice, A_slice, const, dm.M, 0.0)
 
 
 COMPAT_XI_SAMPLES = (0.0, 0.5, 1.0)  # the constant states `maniflow audit-compat` checks
 COMPAT_TOL_FACTOR = 10.0  # its threshold on the max norm, in units of h^2
 
 
-def compat_norms(fm, dm, M, xi_value):
-    r = compat_residual(fm, dm, M, xi_value)
-    return {"max": float(np.max(np.abs(r))), "l1": geo.norm_l1(r, M)}
+def compat_norms(fm, dm, xi_value):
+    r = compat_residual(fm, dm, xi_value)
+    return {"max": float(np.max(np.abs(r))), "l1": geo.norm_l1(r, dm.M)}
 
 
 def stream_vector(stream, M):
@@ -349,24 +349,28 @@ def stream_vector(stream, M):
     return W
 
 
-def make_compatible_flux(dm, M, stream=None):
-    """Manufacture a flux satisfying the compatibility condition.
+def make_compatible_flux(dm, stream=None):
+    """Manufacture a flux satisfying the compatibility condition on the metric `dm.M`.
 
     f(., xi) = (div A(., xi))# + W with W divergence-free; the two sides of
     the compatibility residual then agree analytically, so the audit sees
     pure stencil truncation.
     """
-    f = geo.sharp(geo.div_tensor11(dm.A, M), M)
+    f = geo.sharp(geo.div_tensor11(dm.A, dm.M), dm.M)
     if stream is not None:
-        f += stream_vector(stream, M)[..., None]
+        f += stream_vector(stream, dm.M)[..., None]
     return FluxModel(dm.grid, dm.xi, f)
 
 
-def psd_audit(dm, M, n_dirs=8, seed=0):
-    """Minimum of <a' v, v>_g over nodes, xi-samples and random directions."""
-    v = np.random.default_rng(seed).normal(size=(n_dirs, dm.grid.d))
+PSD_DIRS = 8  # the random directions `psd_audit` samples
+PSD_SEED = 0  # and the seed it draws them with
+
+
+def psd_audit(dm):
+    """Minimum of <a' v, v>_g, g = `dm.M`, over nodes, xi-samples and random directions."""
+    v = np.random.default_rng(PSD_SEED).normal(size=(PSD_DIRS, dm.grid.d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    g_a = np.einsum("ij...,jk...z->ik...z", M.g, dm.aprime)
+    g_a = np.einsum("ij...,jk...z->ik...z", dm.M.g, dm.aprime)
     # one direction at a time, so only one grid x edges form is alive
     low = min(np.min(np.einsum("i,ik...z,k->...z", vn, g_a, vn)) for vn in v)
-    return {"min_quadratic_form": float(low), "n_dirs": n_dirs, "seed": seed}
+    return {"min_quadratic_form": float(low), "n_dirs": PSD_DIRS, "seed": PSD_SEED}

@@ -157,8 +157,8 @@ def parabolic_rho(stencil, amax):
     return float(np.max(row))
 
 
-def stable_dt(cfg, fm, dm, M, stencil, u0):
-    """The step of a run from u0 with `stencil` = transport_stencil(M, cfg.eta): a `StepBound`.
+def stable_dt(cfg, fm, dm, stencil, u0):
+    """The step of a run from u0 with `stencil` = transport_stencil(dm.M, cfg.eta): a `StepBound`.
 
     dt is cfl times the smaller of the convective bound h / (d max|f'|_g) and
     the parabolic bound 2 / rho (`parabolic_rho`), with |a'| maximised over
@@ -166,13 +166,12 @@ def stable_dt(cfg, fm, dm, M, stencil, u0):
     (C from `compat_defect`, `DiffusionModel.max_abs_aprime`).  On a flat
     metric 2 / rho is h^2 / (2 d (eta + max|a'|)).  Overwrites `stencil.state`.
     """
-    grid = M.grid
     spread = cfg.t_end * compat_defect(fm, dm, stencil)
     # NaN fails both comparisons of max and min, leaving the full range
     lo, hi = max(0.0, float(u0.min()) - spread), min(1.0, float(u0.max()) + spread)
     amax = dm.max_abs_aprime(lo, hi)
-    rho = parabolic_rho(stencil, amax.reshape((-1,) + grid.shape))
-    bounds = {"convective": grid.h / (grid.d * fm.max_prime_gnorm(M) + 1e-30),
+    rho = parabolic_rho(stencil, amax.reshape((-1,) + dm.grid.shape))
+    bounds = {"convective": dm.grid.h / (dm.grid.d * fm.max_prime_gnorm(dm.M) + 1e-30),
               "parabolic": 2.0 / rho}
     for name, bound in bounds.items():
         # coefficients whose products overflow make a bound 0 or NaN
@@ -225,8 +224,8 @@ class Recorder:
     step started from (all but the run's last state), read from sigma^t as it is.
     """
 
-    def __init__(self, cfg, dm, M, u0, n_steps, dt, ledger):
-        self.cfg, self.dm, self.M, self.dt, self.ledger = cfg, dm, M, dt, ledger
+    def __init__(self, cfg, dm, u0, n_steps, dt, ledger):
+        self.cfg, self.dm, self.dt, self.ledger = cfg, dm, dt, ledger
         n_snap = min(cfg.n_snapshots, n_steps)
         self.snap_steps = {-(-i * n_steps // n_snap) for i in range(n_snap + 1)}
         self.times, self.snapshots, self.monitors = [], [], []
@@ -248,13 +247,13 @@ class Recorder:
 
     def _record(self, n_dep):
         """Append the block's monitors, one 4 x count array; deposit its first n_dep states."""
-        U, M = self.block[..., :self.count], self.M
+        U, M = self.block[..., :self.count], self.dm.M
         axes = tuple(range(M.grid.d))
         self.monitors.append(np.array([geo.integrate(U, M), geo.integrate(0.5 * U * U, M),
                                        np.min(U, axis=axes), np.max(U, axis=axes)]))
         if self.ledger is not None and n_dep:
             # node-major copy: the lookups and products then read each node's states together
-            deposit(np.ascontiguousarray(U[..., :n_dep]), self.dm, M, self.cfg.eta, self.dt,
+            deposit(np.ascontiguousarray(U[..., :n_dep]), self.dm, self.cfg.eta, self.dt,
                     self.ledger)
         self.count = 0
 
@@ -267,17 +266,17 @@ class Recorder:
                           eta=self.cfg.eta, bound=bound)
 
 
-def run(cfg, fm, dm, M, u0, record_dissipation=True):
+def run(cfg, fm, dm, u0, record_dissipation=True):
     """Integrate to t_end; returns snapshots, monitors and the ledger.
 
-    The coefficient tables and the ledger's bins share the models' xi-grid.
+    The tables and the ledger's bins share the models' xi-grid; operators read `dm.M`.
     """
     u0 = np.asarray(u0, dtype=float)
-    check_initial_state(u0, M.grid)
+    check_initial_state(u0, dm.grid)
 
-    stencil = geo.transport_stencil(M, cfg.eta)
+    stencil = geo.transport_stencil(dm.M, cfg.eta)
     # looked up on the module, where a memory trace wraps it
-    bound = stable_dt(cfg, fm, dm, M, stencil, u0)
+    bound = stable_dt(cfg, fm, dm, stencil, u0)
     # a float until it is checked: t_end / dt may be too large for any array, or inf
     n_steps = np.ceil(cfg.t_end / bound.dt)
     if not n_steps <= MAX_STEPS:
@@ -286,10 +285,9 @@ def run(cfg, fm, dm, M, u0, record_dissipation=True):
             f"{n_steps:.3e} steps to t_end = {cfg.t_end:g}; at most {MAX_STEPS} are allowed")
     n_steps = max(1, int(n_steps))
     dt = cfg.t_end / n_steps
-    table = model.transport_table(fm, dm)
-    xi = dm.xi
+    table, xi = model.transport_table(fm, dm), dm.xi
     ledger = DissipationLedger(xi) if record_dissipation else None
-    recorder = Recorder(cfg, dm, M, u0, n_steps, dt, ledger)
+    recorder = Recorder(cfg, dm, u0, n_steps, dt, ledger)
     u = u0.copy()
     u_star = np.empty_like(u)
     for step in range(1, n_steps + 1):

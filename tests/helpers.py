@@ -23,8 +23,9 @@ def zero_flux(grid, xi):
     return FluxModel(grid, xi, np.zeros((grid.d,) + grid.shape + (xi.n + 1,)))
 
 
-def zero_diffusion(grid, xi, M):
-    return DiffusionModel(grid, xi, M, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
+def zero_diffusion(M, xi):
+    grid = M.grid
+    return DiffusionModel(M, xi, np.zeros((grid.d, grid.d) + grid.shape + (xi.n + 1,)))
 
 
 def quartic_entropy():

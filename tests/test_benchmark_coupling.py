@@ -62,7 +62,7 @@ def test_operator_spans_see_the_assembly_and_the_kinetic_residual():
         (geometry, "assemble_stencil", "assembly"), (kinetic, "kinetic_residual", "kinetic")]
     with tracer.Patches(rec, targets):
         traj = pipe.run()
-        kinetic.kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M,
+        kinetic.kinetic_residual(traj, pipe.fm, pipe.dm,
                                  kinetic.kinetic_battery(pipe.grid, pipe.xi))
     for name in ops:
         parents = [rec.spans[parent][0] for span, _, _, parent in rec.spans if span == name]

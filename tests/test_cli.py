@@ -400,7 +400,7 @@ def per_value_builds(monkeypatch, path):
         sub = {s: dict(kv) for s, kv in cfg.items()}
         sub["solver"].update(eta=solver_cfg.eta, cfl=solver_cfg.cfl)
         pipe = cli.Pipeline(sub)
-        return solver_run(pipe.solver_cfg, pipe.fm, pipe.dm, pipe.M, pipe.u0, **kwargs)
+        return solver_run(pipe.solver_cfg, pipe.fm, pipe.dm, pipe.u0, **kwargs)
 
     monkeypatch.setattr(cli, "run", fresh)
 

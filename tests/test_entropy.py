@@ -54,17 +54,17 @@ class TestLedger:
 
     def test_constant_state_no_deposits(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1"]], M, xi)
         ledger = DissipationLedger(xi)
-        deposit(np.full(grid.shape, 0.4), dm, M, 1e-2, 1e-3, ledger)
+        deposit(np.full(grid.shape, 0.4), dm, 1e-2, 1e-3, ledger)
         assert ledger.total_m == 0.0 and ledger.total_n == 0.0
 
     def test_zero_sigma_no_degenerate_deposits(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         ledger = DissipationLedger(xi)
         x = grid.coords()[0]
-        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, M, 1e-2, 1e-3, ledger)
+        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, 1e-2, 1e-3, ledger)
         assert ledger.total_n == 0.0 and ledger.total_m > 0.0
 
     def test_frozen_step_closed_form(self):
@@ -72,11 +72,11 @@ class TestLedger:
         grid = ChartGrid(1, 8192)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1"]], M, xi)
         ledger = DissipationLedger(xi)
         dt = 1e-3
         x = grid.coords()[0]
-        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, M, 0.0, dt, ledger)
+        deposit(0.5 + 0.4 * np.sin(TWO_PI * x), dm, 0.0, dt, ledger)
         exact = dt * 0.32 * np.pi ** 2
         assert ledger.total_n == pytest.approx(exact, rel=1e-6)
 
@@ -87,7 +87,7 @@ class TestEntropyFluxFields:
         grid, M, xi = flat_1d
         fm = FluxModel.from_exprs(["xi*(0.3 + 0.1*sin(2*pi*x1))"], grid, xi,
                                   prime_exprs=["0.3 + 0.1*sin(2*pi*x1)"])
-        dm = DiffusionModel.from_exprs([["0.7"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["0.7"]], M, xi)
         x = grid.coords()[0]
         u = 0.4 + 0.3 * np.sin(TWO_PI * x + 0.3)
         ff, df = entropy_flux_fields(u, identity_entropy(), fm, dm)
@@ -97,7 +97,7 @@ class TestEntropyFluxFields:
     def test_identity_entropy_smooth_flux_quadrature_close(self, flat_1d):
         grid, M, xi = flat_1d
         fm = FluxModel.from_exprs(["sin(xi)"], grid, xi, prime_exprs=["cos(xi)"])
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         u = np.full(grid.shape, 0.77)
         ff, _ = entropy_flux_fields(u, identity_entropy(), fm, dm)
         # f(x,0) = 0 here, so the integral should reproduce f(x,u)
@@ -106,7 +106,7 @@ class TestEntropyFluxFields:
     def test_zero_state_zero_fields(self, flat_1d):
         grid, M, xi = flat_1d
         fm = FluxModel.from_exprs(["xi^2"], grid, xi)
-        dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1 + xi"]], M, xi)
         ff, df = entropy_flux_fields(np.zeros(grid.shape), square_entropy(), fm, dm)
         assert np.max(np.abs(ff)) == 0.0 and np.max(np.abs(df)) == 0.0
 
@@ -114,7 +114,7 @@ class TestEntropyFluxFields:
         # S' = xi, sigma = 1: integral of a' S' = u^2/2 * Id
         grid, M, xi = flat_1d
         fm = zero_flux(grid, xi)
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1"]], M, xi)
         x = grid.coords()[0]
         u = 0.5 + 0.4 * np.sin(TWO_PI * x)
         _, df = entropy_flux_fields(u, square_entropy(), fm, dm)
@@ -126,36 +126,36 @@ class TestEntropyResidual:
         grid = ChartGrid(1, n)
         M = euclidean_metric(grid)
         xi = XiGrid(n)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, u0)
         return grid, M, xi, dm, fm, traj
 
     def test_constant_state_residual_tiny(self):
         grid = ChartGrid(2, 32)
         M = build_metric(catalog.METRICS["curved2d"]["entries"], grid)
         xi = XiGrid(32)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M,
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm,
                    np.full(grid.shape, 0.5))
         battery = spatial_battery(grid, seed=0)
         r = entropy_residual(traj.snapshots[-2], traj.snapshots[-1],
                              traj.times[-1] - traj.times[-2],
-                             square_entropy(), fm, dm, M, 1e-2, battery)
+                             square_entropy(), fm, dm, 1e-2, battery)
         assert r <= 1e-8
 
     def test_identity_entropy_matches_plain_scheme(self, flat_1d):
         grid, M, xi = flat_1d
         fm = FluxModel.from_exprs(["xi*(0.3 + 0.1*sin(2*pi*x1))"], grid, xi,
                                   prime_exprs=["0.3 + 0.1*sin(2*pi*x1)"])
-        dm = DiffusionModel.from_exprs([["0.5"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["0.5"]], M, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.3 * np.sin(TWO_PI * x)
         eta = 1e-2
-        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, u0)
         ua, ub = traj.snapshots[-2], traj.snapshots[-1]
         dt = traj.times[-1] - traj.times[-2]
         um = 0.5 * (ua + ub)
@@ -165,17 +165,17 @@ class TestEntropyResidual:
             - divdiv_tensor11(xi_interp(dm.A, um, xi), M) - eta * laplace_beltrami(um, M)), M))
             for phi in np.moveaxis(battery, -1, 0))
         kinetic_form = entropy_residual(ua, ub, dt, identity_entropy(),
-                                        fm, dm, M, eta, battery)
+                                        fm, dm, eta, battery)
         assert abs(kinetic_form - plain) <= 1e-10
 
     def test_linear_in_entropy(self, flat_1d):
         grid, M, xi = flat_1d
         fm = zero_flux(grid, xi)
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         eta = 1e-2
-        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=eta, t_end=0.01), fm, dm, u0)
         ua, ub = traj.snapshots[-2], traj.snapshots[-1]
         dt = traj.times[-1] - traj.times[-2]
         phi = spatial_battery(grid, seed=2, count=1)
@@ -191,7 +191,7 @@ class TestEntropyResidual:
             ff, df = entropy_flux_fields(um, S, fm, dm)
             strong = ((S.on(ub) - S.on(ua)) / dt + div_vector(ff, M)
                       - divdiv_tensor11(df, M) - eta * laplace_beltrami(S.on(um), M)
-                      + _binned_s2_dissipation(um, S, dm, M, eta))
+                      + _binned_s2_dissipation(um, S, dm, eta))
             return integrate(phi[..., 0] * strong, M)
 
         assert abs(signed(S_sum) - signed(S1) - signed(S2)) <= 1e-10
@@ -204,16 +204,16 @@ class TestEntropyResidual:
             battery = spatial_battery(grid, seed=0)
             res.append(entropy_residual(traj.snapshots[-2], traj.snapshots[-1],
                                         traj.times[-1] - traj.times[-2],
-                                        square_entropy(), fm, dm, M, 1e-2, battery))
+                                        square_entropy(), fm, dm, 1e-2, battery))
         assert res[1] <= 0.5 * res[0]
 
 
 class TestEnergyBalance:
     def test_constant_run_exact_zero(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M,
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm,
                    np.full(grid.shape, 0.25))
         report = energy_balance(traj)
         assert abs(report["residual"]) <= 1e-14
@@ -222,10 +222,10 @@ class TestEnergyBalance:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
-        traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M,
+        traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm,
                    0.5 + 0.4 * np.sin(TWO_PI * x))
         report = energy_balance(traj)
         assert report["relative_residual"] <= 0.02
@@ -235,10 +235,10 @@ class TestEnergyBalance:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
-        traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, M,
+        traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm,
                    0.5 + 0.4 * np.sin(TWO_PI * x))
         report = energy_balance(traj)
         assert report["relative_residual"] <= 0.05
@@ -253,7 +253,7 @@ class TestChainRule:
             M = build_metric([["(1 + 0.5*sin(2*pi*x1))^2"]], grid)
             xi = XiGrid(n_xi)
             dm = DiffusionModel.from_exprs(
-                [["(0.4 + 0.4*xi)*(1 + 0.3*sin(2*pi*x1))"]], grid, xi, M)
+                [["(0.4 + 0.4*xi)*(1 + 0.3*sin(2*pi*x1))"]], M, xi)
             x = grid.coords()[0]
             u = 0.5 + 0.3 * np.sin(TWO_PI * x)
             return grid, M, xi, dm, u
@@ -261,24 +261,24 @@ class TestChainRule:
 
     def test_psi_constant_exactly_zero(self, curved_setup):
         grid, M, xi, dm, u = curved_setup(64, 32)
-        assert chain_rule_residual(u, "1", dm, M) <= 1e-12
+        assert chain_rule_residual(u, "1", dm) <= 1e-12
 
     def test_psi_zero_both_sides_vanish(self, curved_setup):
         grid, M, xi, dm, u = curved_setup(64, 32)
-        assert chain_rule_residual(u, "0", dm, M) == 0.0
+        assert chain_rule_residual(u, "0", dm) == 0.0
 
     def test_linear_psi_refines(self, curved_setup):
         grid1, M1, xi1, dm1, u1 = curved_setup(64, 32)
-        r_coarse = chain_rule_residual(u1, "xi", dm1, M1)
+        r_coarse = chain_rule_residual(u1, "xi", dm1)
         grid2, M2, xi2, dm2, u2 = curved_setup(128, 64)
-        r_fine = chain_rule_residual(u2, "xi", dm2, M2)
+        r_fine = chain_rule_residual(u2, "xi", dm2)
         assert r_coarse / r_fine >= 3.0
 
     def test_x_refinement_at_fixed_xi_does_not_raise(self, curved_setup):
         residuals = []
         for n in (64, 128, 256, 512):
             grid, M, xi, dm, u = curved_setup(n, 32)
-            residuals.append(chain_rule_residual(u, "xi", dm, M))
+            residuals.append(chain_rule_residual(u, "xi", dm))
         assert all(fine <= coarse for coarse, fine in zip(residuals, residuals[1:]))
 
     def test_curved2d_refines_second_order(self):
@@ -288,8 +288,8 @@ class TestChainRule:
             grid = ChartGrid(2, n)
             M = build_metric(catalog.METRICS["curved2d"]["entries"], grid)
             sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
-            dm = DiffusionModel.from_exprs(sigma, grid, XiGrid(n), M)
-            residuals.append(chain_rule_residual(grid.eval_expr(sc["u0"]), "xi", dm, M))
+            dm = DiffusionModel.from_exprs(sigma, M, XiGrid(n))
+            residuals.append(chain_rule_residual(grid.eval_expr(sc["u0"]), "xi", dm))
         for coarse, fine in zip(residuals, residuals[1:]):
             assert coarse / fine >= 3.0
 
@@ -306,11 +306,11 @@ class TestNuBound:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.3 * np.sin(TWO_PI * x)  # max 0.8
-        traj = run(SolverConfig(eta=1e-2, t_end=0.2), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.2), fm, dm, u0)
         high = xi.centers > 0.8 + 2 * xi.dxi
         assert np.max(traj.ledger.bins_m[high] + traj.ledger.bins_n[high]) == 0.0
         nu = nu_profile(u0, M, xi)
@@ -320,10 +320,10 @@ class TestNuBound:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.5), fm, dm, u0)
         verdict = nu_bound_check(traj.ledger, u0, M)
         assert verdict["pass"]

@@ -55,7 +55,7 @@ def per_bin_residual(traj, fm, dm, M, battery):
         diffusion = np.stack([divdiv_tensor11(chi[..., b] * aprime_c[..., b], M)
                               for b in range(xi.n)], axis=-1)
         viscous = np.stack([laplace_beltrami(chi[..., b], M) for b in range(xi.n)], axis=-1)
-        density = sum(dissipation_densities(u, dm, M, traj.eta))
+        density = sum(dissipation_densities(u, dm, traj.eta))
         for i in range(len(res)):
             dt_psi = battery.dtau(t)[i] * phi[..., i, None] * theta[:, i]
             term = np.sum((-chi * dt_psi + (transport - diffusion - traj.eta * viscous)
@@ -149,7 +149,7 @@ class TestKineticResidual:
         pipe, traj = pipeline(name, grid_n=32 if name == "shock" else 16, xi_n=16,
                               solver_t_end=0.02, solver_snapshots=4)
         battery = battery_of(pipe, seed=1)
-        got = kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, battery)
+        got = kinetic_residual(traj, pipe.fm, pipe.dm, battery)
         ref = per_bin_residual(traj, pipe.fm, pipe.dm, pipe.M, battery)
         assert ref > 0.0
         assert abs(got - ref) <= 1e-12 * ref
@@ -168,7 +168,7 @@ class TestKineticResidual:
                           mass=None, u_min=None, u_max=None, energy=None, ledger=None,
                           dt=0.01, eta=pipe.solver_cfg.eta)
         battery = battery_of(pipe, seed=1)
-        got = kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, battery)
+        got = kinetic_residual(traj, pipe.fm, pipe.dm, battery)
         ref = per_bin_residual(traj, pipe.fm, pipe.dm, pipe.M, battery)
         assert ref > 0.0
         assert abs(got - ref) <= 1e-12 * ref
@@ -177,7 +177,7 @@ class TestKineticResidual:
         # measured ratios at seeds 0, 1, 2: 3.98, 3.14, 3.79
         runs = [pipeline("curved_evo", grid_n=n, xi_n=n, solver_snapshots=40) for n in (16, 32)]
         for seed in range(3):
-            coarse, fine = (kinetic_residual(traj, p.fm, p.dm, p.M, battery_of(p, seed))
+            coarse, fine = (kinetic_residual(traj, p.fm, p.dm, battery_of(p, seed))
                             for p, traj in runs)
             assert coarse / fine >= 2.0, (seed, coarse, fine)
 
@@ -186,7 +186,7 @@ class TestKineticResidual:
         # measured 3.2e-4 and 3.0e-4 at seeds 0, 1, and 7.4e-3 and 1.7e-2 without the term
         pipe, traj = pipeline("heat", solver_snapshots=40)
         for seed in (0, 1):
-            res = kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M, battery_of(pipe, seed))
+            res = kinetic_residual(traj, pipe.fm, pipe.dm, battery_of(pipe, seed))
             assert res <= 1e-3, (seed, res)
 
 
@@ -219,7 +219,7 @@ class TestCompatibilityControl:
 
     def residuals(self, runs, case, n):
         pipe, traj = runs[case, n]
-        return np.array([kinetic_residual(traj, pipe.fm, pipe.dm, pipe.M,
+        return np.array([kinetic_residual(traj, pipe.fm, pipe.dm,
                                           battery_of(pipe, seed)) for seed in range(3)])
 
     def test_incompatible_residual_is_ten_times_the_compatible_one(self, runs):
@@ -234,7 +234,7 @@ class TestCompatibilityControl:
         for n in (64, 128):
             for case in self.FLUX:
                 pipe, _ = runs[case, n]
-                worst = max(compat_norms(pipe.fm, pipe.dm, pipe.M, s)["max"]
+                worst = max(compat_norms(pipe.fm, pipe.dm, s)["max"]
                             for s in COMPAT_XI_SAMPLES)
                 if case == "compatible":
                     assert worst == 0.0

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, _loca
                             compat_norms, compat_residual, cumtrapz_edges,
                             make_compatible_flux, psd_audit, root_weight, stream_vector,
                             transport_table, xi_hermite, xi_interp, xi_major)
-from maniflow import catalog, cli
+from maniflow import catalog, cli, entropy, kinetic, solver
 
 from helpers import euclidean_metric, zero_diffusion, zero_flux
 
@@ -119,7 +121,7 @@ class TestGather:
         M = build_metric(CURVED2D if d == 2 else [["(1 + 0.5*sin(2*pi*x1))^2"]], grid)
         xi = XiGrid(16)
         entries = [["0.3 + 0.3*xi", "0.1*xi"], ["0.05", "0.2 + 0.4*xi^2"]]
-        dm = DiffusionModel.from_exprs([row[:d] for row in entries[:d]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([row[:d] for row in entries[:d]], M, xi)
         U = np.random.default_rng(7).uniform(-0.05, 1.05, size=grid.shape + (n,))
         for name, table in (("stored", dm.A), ("C order", np.ascontiguousarray(dm.sigmaT))):
             per_column = np.stack([xi_interp(table, U[..., b], xi) for b in range(n)], axis=-1)
@@ -143,7 +145,7 @@ class TestXiInterpOut:
         M = build_metric(CURVED2D, grid)
         xi = XiGrid(16)
         dm = DiffusionModel.from_exprs([["0.3 + 0.3*xi", "0.1*xi"], ["0.05", "0.2 + 0.4*xi^2"]],
-                                       grid, xi, M)
+                                       M, xi)
         fm = FluxModel.from_exprs(["xi^2", "0.5*xi*cos(2*pi*x1)"], grid, xi)
         return grid, xi, fm, dm
 
@@ -225,14 +227,29 @@ def wavy_1d():
 
 
 class TestDiffusionModel:
+    def test_the_model_owns_its_metric(self, wavy_1d):
+        grid, M, xi = wavy_1d
+        dm = DiffusionModel(M, xi, np.zeros((1, 1) + grid.shape + (xi.n + 1,)))
+        assert dm.M is M and dm.grid is M.grid
+        pipe = cli.build_pipeline(catalog.SCENARIOS["curved_evo"])
+        assert pipe.dm.M is pipe.M
+
+    @pytest.mark.parametrize("fn", [
+        solver.run, solver.stable_dt, solver.Recorder, entropy.dissipation_densities,
+        entropy.deposit, entropy._binned_s2_dissipation, entropy.entropy_residual,
+        entropy.chain_rule_residual, kinetic.kinetic_residual, compat_residual, compat_norms,
+        make_compatible_flux, psd_audit], ids=lambda fn: fn.__name__)
+    def test_functions_of_the_model_take_no_second_metric(self, fn):
+        assert "M" not in inspect.signature(fn).parameters
+
     def test_zero_sigma_gives_zero_everything(self, one_d):
         grid, M, xi = one_d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         assert np.all(dm.aprime == 0.0) and np.all(dm.A == 0.0)
 
     def test_identity_sigma_gives_identity_aprime(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1"]], M, xi)
         assert np.max(np.abs(dm.aprime - 1.0)) <= 1e-15
         # A(xi) = xi * Id exactly (trapezoid of a constant)
         assert np.max(np.abs(dm.A[0, 0] - xi.edges)) <= 1e-14
@@ -240,7 +257,7 @@ class TestDiffusionModel:
     def test_one_d_transpose_cancels_metric(self, wavy_1d):
         # d=1: sigma^t = g^{11} s g_11 = s, so a' = s^2 for any metric
         grid, M, xi = wavy_1d
-        dm = DiffusionModel.from_exprs([["(1 + xi)*(1 + 0.25*cos(2*pi*x1))"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["(1 + xi)*(1 + 0.25*cos(2*pi*x1))"]], M, xi)
         assert np.max(np.abs(dm.sigmaT - dm.sigma)) <= 1e-12
         assert np.max(np.abs(dm.aprime - dm.sigma ** 2)) <= 1e-12
 
@@ -248,11 +265,11 @@ class TestDiffusionModel:
         grid, M, xi = one_d
         # sigma is finite, a' = sigma^2 = 1e400 is not
         with pytest.raises(ModelError, match="A table contains non-finite entries"):
-            DiffusionModel.from_exprs([["1e200"]], grid, xi, M)
+            DiffusionModel.from_exprs([["1e200"]], M, xi)
 
     def test_porous_antiderivative(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         # a' = 2 xi sampled exactly; its trapezoid is xi^2 exactly at edges
         assert np.max(np.abs(dm.aprime[0, 0] - 2.0 * xi.edges)) <= 1e-14
         assert np.max(np.abs(dm.A[0, 0] - xi.edges ** 2)) <= 1e-14
@@ -263,12 +280,12 @@ class TestDiffusionModel:
 
     def test_A_at_zero_is_zero(self, wavy_1d):
         grid, M, xi = wavy_1d
-        dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1 + xi"]], M, xi)
         assert np.max(np.abs(xi_interp(dm.A, np.zeros(grid.shape), xi))) == 0.0
 
     def test_xi_derivative_of_A_matches_aprime(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["sin(xi) + 1"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sin(xi) + 1"]], M, xi)
         # centered xi-FD of the A table at interior edges
         dA = (dm.A[..., 2:] - dm.A[..., :-2]) / (2.0 * xi.dxi)
         err = np.max(np.abs(dA - dm.aprime[..., 1:-1]))
@@ -280,23 +297,28 @@ class TestDiffusionModel:
         xi = XiGrid(16)
         dm = DiffusionModel.from_exprs(
             [["0.5 + 0.3*sin(2*pi*x1)*xi", "0.2*cos(2*pi*x2)"],
-             ["0.1*xi", "0.4 + 0.2*cos(2*pi*x1 + xi)"]], grid, xi, M)
-        report = psd_audit(dm, M, n_dirs=16, seed=3)
-        assert report["min_quadratic_form"] >= -1e-10
+             ["0.1*xi", "0.4 + 0.2*cos(2*pi*x1 + xi)"]], M, xi)
+        g_a = np.einsum("ij...,jk...z->ik...z", M.g, dm.aprime)
+        sym = 0.5 * (g_a + np.swapaxes(g_a, 0, 1))
+        # the exact minimum of the form over unit directions, at every node and xi-edge
+        exact = np.min(np.linalg.eigvalsh(np.moveaxis(sym, (0, 1), (-2, -1))))
+        assert exact >= -1e-10
+        # sampled directions can only read the form at or above its minimum
+        assert psd_audit(dm)["min_quadratic_form"] >= exact - 1e-12
 
     def test_psd_audit_identity_positive(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
-        assert psd_audit(dm, M)["min_quadratic_form"] > 0.0
+        dm = DiffusionModel.from_exprs([["1"]], M, xi)
+        assert psd_audit(dm)["min_quadratic_form"] > 0.0
 
     def test_psd_audit_zero_sigma(self, one_d):
         grid, M, xi = one_d
-        dm = zero_diffusion(grid, xi, M)
-        assert psd_audit(dm, M)["min_quadratic_form"] == 0.0
+        dm = zero_diffusion(M, xi)
+        assert psd_audit(dm)["min_quadratic_form"] == 0.0
 
     def test_max_abs_aprime_flat_identity(self, one_d):
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         full = dm.max_abs_aprime(0.0, 1.0)
         assert full.shape == (1, 1) + grid.shape
         assert np.max(np.abs(full - 2.0)) <= 1e-14
@@ -308,7 +330,7 @@ class TestDiffusionModel:
     def test_max_abs_aprime_reads_the_edges_of_the_touched_cells(self, one_d, lo, hi, top):
         # a' = 2 xi grows with xi, so the largest edge read gives the value
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         assert np.allclose(dm.max_abs_aprime(lo, hi), 2.0 * top / xi.n, rtol=0, atol=1e-14)
 
     def test_max_abs_aprime_takes_the_absolute_value_per_component(self):
@@ -317,7 +339,7 @@ class TestDiffusionModel:
         M = build_metric(CURVED2D, grid)
         xi = XiGrid(16)
         dm = DiffusionModel.from_exprs([["0.3 + 0.2*xi", "-0.4*xi"], ["0.1", "0.2 + xi"]],
-                                       grid, xi, M)
+                                       M, xi)
         assert np.any(dm.aprime < 0.0)
         want = np.max(np.abs(dm.aprime[..., 3:9]), axis=-1)  # cells 3 .. 7 hold [0.24, 0.44]
         assert np.array_equal(dm.max_abs_aprime(0.24, 0.44), want)
@@ -328,14 +350,14 @@ class TestBetaFamily:
 
     def test_zero_at_origin(self, wavy_1d):
         grid, M, xi = wavy_1d
-        dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1 + xi"]], M, xi)
         zero = np.zeros(grid.shape)
         assert np.max(np.abs(beta_at(dm.sigmaT, zero, xi))) == 0.0
         assert np.max(np.abs(beta_at(dm.sigmaT, zero, xi, "xi"))) == 0.0
 
     def test_psi_one_bit_identical_to_plain(self, wavy_1d):
         grid, M, xi = wavy_1d
-        dm = DiffusionModel.from_exprs([["1 + 0.5*xi"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1 + 0.5*xi"]], M, xi)
         plain = cumtrapz_edges(dm.sigmaT, xi.dxi)
         # xi_hermite returns the table itself at the edges
         for b, z in enumerate(xi.edges):
@@ -348,7 +370,7 @@ class TestBetaFamily:
         # sigma = 1 + xi: the trapezoid table of xi + xi^2/2 is exact, and the
         # Hermite evaluation with slope sigma^t reproduces the quadratic
         grid, M, xi = wavy_1d
-        dm = DiffusionModel.from_exprs([["1 + xi"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1 + xi"]], M, xi)
         u = 0.5 + 0.3 * np.sin(TWO_PI * grid.coords()[0])
         assert np.max(np.abs(beta_at(dm.sigmaT, u, xi)[0, 0] - (u + 0.5 * u * u))) <= 1e-14
         assert np.max(np.abs(beta_at(dm.sigmaT, u, xi, "4")[0, 0]
@@ -357,7 +379,7 @@ class TestBetaFamily:
     def test_sqrt_weight_closed_form(self, one_d):
         # sigma = 1, psi(z) = z: antiderivative of sqrt(z) is (2/3) z^{3/2}
         grid, M, xi = one_d
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1"]], M, xi)
         # the weighted table, read back at the edges where xi_hermite returns it
         table = np.stack([beta_at(dm.sigmaT, np.full(grid.shape, z), xi, "xi")
                           for z in xi.edges], axis=-1)
@@ -368,7 +390,7 @@ class TestBetaFamily:
 
     def test_derivative_recovers_sigmaT(self, wavy_1d):
         grid, M, xi = wavy_1d
-        dm = DiffusionModel.from_exprs([["1 + xi^2"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1 + xi^2"]], M, xi)
         plain = cumtrapz_edges(dm.sigmaT, xi.dxi)
         db = (plain[..., 2:] - plain[..., :-2]) / (2.0 * xi.dxi)
         assert np.max(np.abs(db - dm.sigmaT[..., 1:-1])) <= 2.0 * xi.dxi ** 2
@@ -418,8 +440,8 @@ class TestCompatibility:
     def test_trivial_zero_pair(self, one_d):
         grid, M, xi = one_d
         fm = zero_flux(grid, xi)
-        dm = zero_diffusion(grid, xi, M)
-        r = compat_residual(fm, dm, M, 0.5)
+        dm = zero_diffusion(M, xi)
+        r = compat_residual(fm, dm, 0.5)
         assert np.max(np.abs(r)) == 0.0
 
     @pytest.mark.parametrize("name", ["curved_const", "curved_evo", "shock"])
@@ -431,13 +453,13 @@ class TestCompatibility:
             const = np.full(pipe.grid.shape, value)
             ref = (div_vector(xi_interp(pipe.fm.f, const, pipe.xi), pipe.M)
                    - divdiv_tensor11(xi_interp(pipe.dm.A, const, pipe.xi), pipe.M))
-            assert np.array_equal(compat_residual(pipe.fm, pipe.dm, pipe.M, value), ref)
+            assert np.array_equal(compat_residual(pipe.fm, pipe.dm, value), ref)
 
     def test_stream_requires_2d(self, wavy_1d):
         grid, M, xi = wavy_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         with pytest.raises(ModelError, match="d = 2"):
-            make_compatible_flux(dm, M, stream="x1")
+            make_compatible_flux(dm, stream="x1")
 
     def test_flat_stream_hand_curl(self):
         grid = ChartGrid(2, 64)
@@ -457,10 +479,10 @@ class TestCompatibility:
         xi = XiGrid(32)
         sc = catalog.SCENARIOS["curved_const"]["scenario"]
         sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
-        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
-        fm = make_compatible_flux(dm, M, stream=sc["stream"])
+        dm = DiffusionModel.from_exprs(sigma, M, xi)
+        fm = make_compatible_flux(dm, stream=sc["stream"])
         for s in (0.0, 0.5, 1.0):
-            norms = compat_norms(fm, dm, M, s)
+            norms = compat_norms(fm, dm, s)
             assert norms["max"] <= 10.0 * grid.h ** 2, f"xi={s}: {norms}"
 
     def test_manufactured_pair_refines_at_h2(self):
@@ -471,9 +493,9 @@ class TestCompatibility:
             xi = XiGrid(32)
             sc = catalog.SCENARIOS["curved_const"]["scenario"]
             sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
-            dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
-            fm = make_compatible_flux(dm, M, stream=sc["stream"])
-            worst.append(max(compat_norms(fm, dm, M, s)["max"] for s in (0.0, 0.5, 1.0)))
+            dm = DiffusionModel.from_exprs(sigma, M, xi)
+            fm = make_compatible_flux(dm, stream=sc["stream"])
+            worst.append(max(compat_norms(fm, dm, s)["max"] for s in (0.0, 0.5, 1.0)))
         assert 2.5 <= worst[0] / worst[1] <= 6.0
 
     def test_perturbed_pair_detected(self):
@@ -482,12 +504,12 @@ class TestCompatibility:
         xi = XiGrid(32)
         sc = catalog.SCENARIOS["curved_const"]["scenario"]
         sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
-        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
-        fm = make_compatible_flux(dm, M, stream=sc["stream"])
+        dm = DiffusionModel.from_exprs(sigma, M, xi)
+        fm = make_compatible_flux(dm, stream=sc["stream"])
         perturbed = fm.f.copy()
         perturbed[0] += 0.1
         fmp = FluxModel(grid, xi, perturbed)
-        r = compat_norms(fmp, dm, M, 0.5)["max"]
+        r = compat_norms(fmp, dm, 0.5)["max"]
         assert r >= 10.0 * 10.0 * grid.h ** 2  # an order above the pass threshold
 
     def test_flat_metric_manufactured_pair(self):
@@ -496,7 +518,7 @@ class TestCompatibility:
         xi = XiGrid(32)
         dm = DiffusionModel.from_exprs(
             [["0.3 + 0.3*xi + 0.005*sin(2*pi*x1)", "0"],
-             ["0", "0.3 + 0.3*xi + 0.005*cos(2*pi*x2)"]], grid, xi, M)
-        fm = make_compatible_flux(dm, M, stream="0.005*sin(2*pi*x1)*sin(2*pi*x2)")
+             ["0", "0.3 + 0.3*xi + 0.005*cos(2*pi*x2)"]], M, xi)
+        fm = make_compatible_flux(dm, stream="0.005*sin(2*pi*x1)*sin(2*pi*x2)")
         for s in (0.0, 0.5, 1.0):
-            assert compat_norms(fm, dm, M, s)["max"] <= 10.0 * grid.h ** 2
+            assert compat_norms(fm, dm, s)["max"] <= 10.0 * grid.h ** 2

@@ -61,3 +61,20 @@ def test_a_config_error_in_a_multi_key_step_is_a_case(tool, tmp_path):
     assert streams == {"stdout": b"", "exit code": 2, "stderr":
                        b"config error: [scenario] sigma21: sqrt of negative value (at offset 0)\n"}
     assert files == {}
+
+
+def test_uniqueness_on_a_curved_chart_is_a_case(tool, tmp_path):
+    # on a flat chart both runs conserve mass to round-off, so forward and backward
+    # agree to the printed digits; on a curved one the mass drifts and they differ
+    cases = dict(tool.cases(tool.ROOT / "src", tmp_path))
+    argv = cases["uniqueness_curved_evo"]
+    assert argv == ["uniqueness", str(tmp_path / "curved_evo.ini"),
+                    "--override", "solver.t_end=0.01"]
+    streams, files = tool.run_case(tool.ROOT / "src", argv, tmp_path / "out")
+    assert streams["exit code"] == 0 and list(files) == ["kinetic_report.json"]
+    rows = [line.split() for line in streams["stdout"].decode().splitlines()]
+    assert len(rows) == 11
+    assert all(row[5] == "contraction" and row[8] == "backward" for row in rows)
+    # both runs start from the same state, so only the rows after t = 0 tell them apart
+    assert rows[0][7] == rows[0][9] == "0.000000e+00"
+    assert all(row[7] != row[9] for row in rows[1:])

@@ -30,7 +30,7 @@ def heat_setup(n, eta):
     grid = ChartGrid(1, n)
     M = euclidean_metric(grid)
     xi = XiGrid(64)
-    dm = zero_diffusion(grid, xi, M)
+    dm = zero_diffusion(M, xi)
     fm = zero_flux(grid, xi)
     x = grid.coords()[0]
     u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
@@ -39,13 +39,13 @@ def heat_setup(n, eta):
 
 def step_dt(cfg, fm, dm, M, u0):
     """The dt bound, cfl times the smaller step bound, of a run from u0 under cfg."""
-    return stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), np.asarray(u0)).dt
+    return stable_dt(cfg, fm, dm, transport_stencil(M, cfg.eta), np.asarray(u0)).dt
 
 
 class TestStableDt:
     def test_pure_diffusion_plugin_value(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         cfg = SolverConfig(eta=1.0, t_end=1.0, cfl=0.4)
         assert step_dt(cfg, fm, dm, M, np.zeros(grid.shape)) == pytest.approx(4.8828125e-5,
@@ -53,7 +53,7 @@ class TestStableDt:
 
     def test_doubling_eta_halves_dt(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         u0 = np.zeros(grid.shape)
         dt1 = step_dt(SolverConfig(eta=1.0, t_end=1.0), fm, dm, M, u0)
@@ -62,7 +62,7 @@ class TestStableDt:
 
     def test_min_of_two_branches(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         # convective branch: 0.4 * h / 1; diffusive branch: 0.4 h^2 / (2 eta)
         for eta in (1e-4, 1e-1):
@@ -75,7 +75,7 @@ class TestStableDt:
     @pytest.mark.parametrize("prime", [1e200, np.nan], ids=["zero", "nan"])
     def test_bound_that_is_not_positive_and_finite_is_an_error(self, flat_1d, prime):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         # |f'|^2 = 1e400 overflows to inf, a bound of 0, or is NaN
         fm.fprime = np.full_like(fm.fprime, prime)
@@ -86,7 +86,7 @@ class TestStableDt:
 class TestRhs:
     def test_flat_heat_is_discrete_laplacian(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u = 0.5 + 0.3 * np.sin(TWO_PI * x)
@@ -99,7 +99,7 @@ class TestRhs:
         # flat, f=0, a' = 2 xi: rhs must equal D2(u^2) + eta D2(u) where the
         # double divergence reduces to the 3-point second difference
         grid, M, xi = flat_1d
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u = 0.5 + 0.4 * np.sin(TWO_PI * x)
@@ -121,8 +121,8 @@ class TestRhs:
         xi = XiGrid(32)
         sc = catalog.SCENARIOS["curved_const"]["scenario"]
         sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
-        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
-        fm = make_compatible_flux(dm, M, stream=sc["stream"])
+        dm = DiffusionModel.from_exprs(sigma, M, xi)
+        fm = make_compatible_flux(dm, stream=sc["stream"])
         u = np.full(grid.shape, 0.5)
         r = rhs(u, transport_table(fm, dm), xi, transport_stencil(M, 5e-3))
         assert np.max(np.abs(r)) <= 10.0 * grid.h ** 2
@@ -137,7 +137,7 @@ class TestRhs:
         axes = [1, 2][:d]
         sigma = [[f"0.3 + 0.4*xi^2 + 0.05*sin(2*pi*x{k})" if i == k else "0.1*xi*cos(2*pi*x1)"
                   for i in axes] for k in axes]
-        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
+        dm = DiffusionModel.from_exprs(sigma, M, xi)
         fm = FluxModel.from_exprs([f"xi^2*(1 + 0.2*cos(2*pi*x{k}))" for k in axes], grid, xi)
         stencil = transport_stencil(M, 1e-2)
         table = transport_table(fm, dm)
@@ -158,7 +158,7 @@ class TestRhs:
         xi = XiGrid(16)
         axes = [1, 2][:d]
         dm = DiffusionModel.from_exprs([["0.3 + 0.4*xi^2" if i == k else "0.1*xi" for i in axes]
-                                        for k in axes], grid, xi, M)
+                                        for k in axes], M, xi)
         fm = FluxModel.from_exprs([f"xi^2*(1 + 0.2*cos(2*pi*x{k}))" for k in axes], grid, xi)
         return grid, transport_stencil(M, 1e-2), transport_table(fm, dm), xi
 
@@ -189,7 +189,7 @@ class TestRhs:
 
     def test_range_violation_diagnostic(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         u = np.full(grid.shape, 0.5)
         u[13] = 1.2
@@ -199,7 +199,7 @@ class TestRhs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_is_not_a_range_violation(self, flat_1d, bad):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         u = np.full(grid.shape, 0.5)
         u[13] = bad
@@ -234,7 +234,7 @@ def per_step_run(cfg, fm, dm, M, u0):
 
     monitor(0.0, u)
     for step in range(1, n_steps + 1):
-        deposit(u, dm, M, cfg.eta, dt, ledger)
+        deposit(u, dm, cfg.eta, dt, ledger)
         k1 = rhs(u, table, xi, stencil)
         k2 = rhs(u + dt * k1, table, xi, stencil)
         u = u + 0.5 * dt * (k1 + k2)
@@ -254,7 +254,7 @@ def bookkeeping_case(name):
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         fm = FluxModel.from_exprs(["0.3*xi^2"], grid, xi)
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * grid.coords()[0])
         return fm, dm, M, u0, xi, 1e-3
@@ -263,8 +263,8 @@ def bookkeeping_case(name):
     xi = XiGrid(32)
     sc = catalog.SCENARIOS["curved_const"]["scenario"]
     dm = DiffusionModel.from_exprs([[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)],
-                                   grid, xi, M)
-    fm = make_compatible_flux(dm, M, stream=sc["stream"])
+                                   M, xi)
+    fm = make_compatible_flux(dm, stream=sc["stream"])
     x1, x2 = grid.coords()
     u0 = 0.5 + 0.3 * np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2)
     return fm, dm, M, u0, xi, 5e-3
@@ -282,7 +282,7 @@ BOOKKEEPING_IDS = [step_id if snaps == "3" else f"{step_id},snaps={snaps}"
 class TestRun:
     def test_heat_matches_spectral_solution(self):
         grid, M, xi, dm, fm, u0 = heat_setup(128, 1e-2)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.05), fm, dm, u0)
         # exact heat semigroup of the band-limited initial data
         x = grid.coords()[0]
         exact = 0.5 + 0.4 * np.exp(-1e-2 * TWO_PI ** 2 * 0.05) * np.sin(TWO_PI * x)
@@ -290,7 +290,7 @@ class TestRun:
 
     def test_mass_conserved(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.1), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.1), fm, dm, u0)
         assert abs(traj.mass[-1] - traj.mass[0]) <= 1e-6
 
     def test_compatible_constant_stays_constant(self):
@@ -300,21 +300,21 @@ class TestRun:
         xi = XiGrid(32)
         sc = cfg_dict["scenario"]
         sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
-        dm = DiffusionModel.from_exprs(sigma, grid, xi, M)
-        fm = make_compatible_flux(dm, M, stream=sc["stream"])
+        dm = DiffusionModel.from_exprs(sigma, M, xi)
+        fm = make_compatible_flux(dm, stream=sc["stream"])
         u0 = np.full(grid.shape, 0.5)
-        traj = run(SolverConfig(eta=5e-3, t_end=0.1), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=5e-3, t_end=0.1), fm, dm, u0)
         assert np.max(np.abs(traj.u_final - 0.5)) <= 1e-4
 
     def test_maximum_principle_shock(self):
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
-        traj = run(SolverConfig(eta=5e-3, t_end=0.3), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=5e-3, t_end=0.3), fm, dm, u0)
         assert np.min(traj.u_min) >= -1e-6
         assert np.max(traj.u_max) <= 1.0 + 1e-6
 
@@ -322,66 +322,66 @@ class TestRun:
         grid = ChartGrid(1, 128)
         M = euclidean_metric(grid)
         xi = XiGrid(64)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
-        tvs = [total_variation(run(SolverConfig(eta=e, t_end=0.3), fm, dm, M, u0,
+        tvs = [total_variation(run(SolverConfig(eta=e, t_end=0.3), fm, dm, u0,
                                    record_dissipation=False).u_final)
                for e in (5e-3, 1e-2, 2e-2)]
         assert tvs[0] >= tvs[1] >= tvs[2]
 
     def test_determinism_bitwise(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        a = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0)
-        b = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, M, u0)
+        a = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, u0)
+        b = run(SolverConfig(eta=1e-2, t_end=0.02), fm, dm, u0)
         assert np.array_equal(a.u_final, b.u_final)
         assert np.array_equal(a.ledger.bins_m, b.ledger.bins_m)
         assert a.times == b.times
 
     def test_initial_range_enforced(self, flat_1d):
         grid, M, xi = flat_1d
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = zero_flux(grid, xi)
         with pytest.raises(SolverError, match=r"\[0,1\]"):
-            run(SolverConfig(eta=1e-2, t_end=0.01), fm, dm, M, np.full(grid.shape, 1.5))
+            run(SolverConfig(eta=1e-2, t_end=0.01), fm, dm, np.full(grid.shape, 1.5))
 
     def test_range_violation_keeps_its_type(self):
         # the data of tests/test_cli.py::test_range_violation_exits_1
         grid = ChartGrid(1, 16)
         M = euclidean_metric(grid)
         xi = XiGrid(16)
-        dm = zero_diffusion(grid, xi, M)
+        dm = zero_diffusion(M, xi)
         fm = FluxModel.from_exprs(["20*xi^2"], grid, xi)
         u0 = 0.5 + 0.25 * np.sin(TWO_PI * grid.coords()[0])
         with pytest.raises(RangeViolation, match=r"^step 32 \(t=.*node \(7,\) outside"):
-            run(SolverConfig(eta=1e-4, t_end=0.5, cfl=1.0), fm, dm, M, u0)
+            run(SolverConfig(eta=1e-4, t_end=0.5, cfl=1.0), fm, dm, u0)
 
     def test_blowup_aborts_with_step_index(self, flat_1d):
         grid, M, xi = flat_1d
         # anti-diffusive flux via a fake diffusion table: negate A by flipping
         # the sign of the tabulated antiderivative directly
-        dm = DiffusionModel.from_exprs([["1"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["1"]], M, xi)
         dm.A = -5.0 * dm.A
         fm = zero_flux(grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * x)
         with pytest.raises(SolverError, match="step"):
-            run(SolverConfig(eta=1e-3, t_end=0.5), fm, dm, M, u0)
+            run(SolverConfig(eta=1e-3, t_end=0.5), fm, dm, u0)
 
     def test_step_count_is_bounded_before_any_allocation(self, monkeypatch):
         grid, M, xi, dm, fm, u0 = heat_setup(16, 1e-2)
         cfg = SolverConfig(eta=1e-2, t_end=0.5)
         n_steps = int(np.ceil(cfg.t_end / step_dt(cfg, fm, dm, M, u0)))
         monkeypatch.setattr(solver, "MAX_STEPS", n_steps)
-        assert len(run(cfg, fm, dm, M, u0).mass) == n_steps + 1
+        assert len(run(cfg, fm, dm, u0).mass) == n_steps + 1
         monkeypatch.setattr(solver, "MAX_STEPS", n_steps - 1)
         # the table is the first thing a run builds after its step count
         monkeypatch.setattr(solver.model, "transport_table", None)
         with pytest.raises(SolverError, match=re.escape(
                 f"set by the parabolic bound, needs {n_steps:.3e} steps to t_end = 0.5; "
                 f"at most {n_steps - 1} are allowed")):
-            run(cfg, fm, dm, M, u0)
+            run(cfg, fm, dm, u0)
 
     def test_nothing_is_allocated_per_step(self, monkeypatch):
         # 8 MB per monitor at MAX_STEPS; the block of states is 128 kB on 16 nodes
@@ -398,7 +398,7 @@ class TestRun:
         tracemalloc.reset_peak()
         try:
             with pytest.raises(SolverError, match=r"^step 1 \(t=.*\): stopped$"):
-                run(cfg, fm, dm, M, u0)
+                run(cfg, fm, dm, u0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -406,7 +406,7 @@ class TestRun:
 
     def test_snapshot_times_hit_targets(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        traj = run(SolverConfig(eta=1e-2, t_end=0.02, n_snapshots=4), fm, dm, M, u0)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02, n_snapshots=4), fm, dm, u0)
         assert len(traj.snapshots) == 5
         targets = [0.0, 0.005, 0.01, 0.015, 0.02]
         assert all(abs(t - s) <= traj.dt for t, s in zip(traj.times, targets))
@@ -416,9 +416,9 @@ class TestRun:
         grid = ChartGrid(1, 64)
         M = euclidean_metric(grid)
         xi = XiGrid(32)
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         u0 = 0.5 + 0.4 * np.sin(TWO_PI * grid.coords()[0])
-        traj = run(SolverConfig(eta=1e-2, t_end=0.02), zero_flux(grid, xi), dm, M, u0)
+        traj = run(SolverConfig(eta=1e-2, t_end=0.02), zero_flux(grid, xi), dm, u0)
         assert traj.ledger.xi is xi
         assert traj.ledger.bins_m.shape == traj.ledger.bins_n.shape == (32,)
         assert traj.ledger.total_n > 0.0
@@ -427,7 +427,7 @@ class TestRun:
 
     def test_eta_cauchy_contractive(self):
         grid, M, xi, dm, fm, u0 = heat_setup(64, 1e-2)
-        finals = [run(SolverConfig(eta=e, t_end=0.1), fm, dm, M, u0,
+        finals = [run(SolverConfig(eta=e, t_end=0.1), fm, dm, u0,
                       record_dissipation=False).u_final
                   for e in (4e-2, 2e-2, 1e-2)]
         e1 = norm_l1(finals[0] - finals[1], M)
@@ -452,7 +452,7 @@ class TestRun:
             return deposit(*args)
 
         monkeypatch.setattr(solver, "deposit", counted)
-        got = run(cfg, fm, dm, M, u0)
+        got = run(cfg, fm, dm, u0)
         ref = per_step_run(cfg, fm, dm, M, u0)
         assert len(got.monitor_t) == n_steps + 1
         assert len(got.snapshots) == min(n_snap, n_steps) + 1
@@ -472,7 +472,7 @@ class TestRun:
         if snaps != "3":
             return  # the snapshot count does not reach the ledger
         calls.clear()
-        quiet = run(cfg, fm, dm, M, u0, record_dissipation=False)
+        quiet = run(cfg, fm, dm, u0, record_dissipation=False)
         assert not calls
         assert not np.any(quiet.ledger.bins_m) and not np.any(quiet.ledger.bins_n)
         assert np.array_equal(quiet.u_final, ref.u_final)
@@ -502,8 +502,8 @@ def bound_case(metric, n, diffusion=True):
     axes = [1, 2][:d]
     sigma = [[f"0.2 + 0.5*xi + 0.05*sin(2*pi*x{k})" if i == k else "0.1*xi" for i in axes]
              for k in axes]
-    dm = DiffusionModel.from_exprs(sigma, grid, xi, M) if diffusion else \
-        zero_diffusion(grid, xi, M)
+    dm = DiffusionModel.from_exprs(sigma, M, xi) if diffusion else \
+        zero_diffusion(M, xi)
     u0 = 0.5 + 0.3 * np.sin(TWO_PI * sum(grid.coords()))
     return SolverConfig(eta=1e-2, t_end=0.01), zero_flux(grid, xi), dm, M, u0, xi
 
@@ -511,7 +511,7 @@ def bound_case(metric, n, diffusion=True):
 def scaled_spectral_radii(metric, n, diffusion=True):
     """dt * rho(J) / (2 cfl) at u0 and at the final state of the run; <= 1 is stable."""
     cfg, fm, dm, M, u0, xi = bound_case(metric, n, diffusion)
-    traj = run(cfg, fm, dm, M, u0, record_dissipation=False)
+    traj = run(cfg, fm, dm, u0, record_dissipation=False)
     stencil, table = transport_stencil(M, cfg.eta), transport_table(fm, dm)
     return [traj.dt * np.max(np.abs(np.linalg.eigvals(fd_jacobian(u, table, xi, stencil))))
             / (2.0 * cfg.cfl) for u in (u0, traj.u_final)]
@@ -548,7 +548,7 @@ class TestStepBound:
         xi = XiGrid(64)
         u0 = 0.5 + 0.3 * np.sin(TWO_PI * grid.coords()[0])
         traj = run(SolverConfig(eta=1e-2, t_end=0.1, cfl=0.4), zero_flux(grid, xi),
-                   zero_diffusion(grid, xi, M), M, u0)
+                   zero_diffusion(M, xi), u0)
         assert len(traj.mass) == 328 + 1
         assert np.min(traj.u_min) >= 0.2 and np.max(traj.u_max) <= 0.8
 
@@ -560,7 +560,7 @@ class TestStepBound:
     def test_flat_bound_is_the_closed_form_on_the_data_range(self, name):
         pipe = cli.build_pipeline(catalog.SCENARIOS[name])
         cfg, grid = pipe.solver_cfg, pipe.grid
-        bound = stable_dt(cfg, pipe.fm, pipe.dm, pipe.M, transport_stencil(pipe.M, cfg.eta),
+        bound = stable_dt(cfg, pipe.fm, pipe.dm, transport_stencil(pipe.M, cfg.eta),
                           pipe.u0)
         assert bound.spread == 0.0  # a flux and an A constant in x are compatible on flat charts
         assert bound.interval == (max(0.0, pipe.u0.min()), min(1.0, pipe.u0.max()))
@@ -570,14 +570,14 @@ class TestStepBound:
 
     def test_data_spanning_the_table_give_the_full_range_bound(self):
         grid, M, xi, _, fm, _ = heat_setup(128, 1e-2)
-        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], grid, xi, M)
+        dm = DiffusionModel.from_exprs([["sqrt(2*xi)"]], M, xi)
         cfg = SolverConfig(eta=1e-2, t_end=0.05)
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * grid.coords()[0])
-        bound = stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), u0)
+        bound = stable_dt(cfg, fm, dm, transport_stencil(M, cfg.eta), u0)
         assert bound.interval == (0.0, 1.0)
         assert bound.bounds["parabolic"] == pytest.approx(grid.h ** 2 / (2.0 * (1e-2 + 2.0)),
                                                           rel=1e-14)
-        narrow = stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), 0.5 + 0.4 * (u0 - 0.5))
+        narrow = stable_dt(cfg, fm, dm, transport_stencil(M, cfg.eta), 0.5 + 0.4 * (u0 - 0.5))
         assert narrow.bounds["parabolic"] > 1.1 * bound.bounds["parabolic"]
 
     @pytest.mark.parametrize("metric", ["wavy1d", "curved2d"])
@@ -586,9 +586,9 @@ class TestStepBound:
         fm = FluxModel.from_exprs([f"0.2*xi^2*sin(2*pi*x{k})" for k in (1, 2)[:M.grid.d]],
                                   M.grid, xi)
         got = solver.compat_defect(fm, dm, transport_stencil(M, cfg.eta))
-        want = max(compat_norms(fm, dm, M, v)["max"] for v in xi.edges)
+        want = max(compat_norms(fm, dm, v)["max"] for v in xi.edges)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-        bound = stable_dt(cfg, fm, dm, M, transport_stencil(M, cfg.eta), u0)
+        bound = stable_dt(cfg, fm, dm, transport_stencil(M, cfg.eta), u0)
         assert bound.spread == cfg.t_end * got
         assert bound.interval == (u0.min() - bound.spread, u0.max() + bound.spread)
 

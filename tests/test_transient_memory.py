@@ -42,7 +42,7 @@ def cumtrapz(p):
 
 
 def psd(p):
-    return (lambda: model.psd_audit(p.dm, p.M)), p.dm.aprime.nbytes
+    return (lambda: model.psd_audit(p.dm)), p.dm.aprime.nbytes
 
 
 def flux_fields(p):

@@ -8,7 +8,8 @@ in a fresh single-threaded process, once under each tree, with --out set:
 
 - `run` and `audit-compat` on the six scenarios of `catalog.SCENARIOS`,
   written out as INI files;
-- `study-eta` on `shock` and `uniqueness` on `porous`, each with a short t_end;
+- `study-eta` on `shock`, and `uniqueness` on `porous` and on the curved
+  `curved_evo`, each with a short t_end;
 - `run` on `shock` at cfl 1 and eta 1e-4, which fails in the step loop, so
   the error path's stderr, exit code and files are compared too;
 - `run` on `curved_evo` with a sigma21 that cannot be sampled, a config
@@ -43,6 +44,7 @@ THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # (name, command, catalog scenario, overrides)
 VARIANTS = [("study-eta_shock", "study-eta", "shock", ["solver.t_end=0.05"]),
             ("uniqueness_porous", "uniqueness", "porous", ["solver.t_end=0.01"]),
+            ("uniqueness_curved_evo", "uniqueness", "curved_evo", ["solver.t_end=0.01"]),
             ("run_shock_fails", "run", "shock", ["solver.cfl=1", "solver.eta=1e-4"]),
             ("run_bad_expression", "run", "curved_evo", ['scenario.sigma21="sqrt(xi - 2)"'])]
 
