@@ -470,14 +470,13 @@ def cmd_uniqueness(cfg, out_dir):
                 "t": base.times[k],
                 "t_pair": [base.times[k], other.times[k]],
                 "forward": kinetic.contraction(u_a, u_b, pipe.M),
-                "backward": kinetic.contraction(u_b, u_a, pipe.M),
             })
         series.append({"cfl_pair": [cfls[0], cfls[other_idx]],
                        "dt_pair": [base.dt, other.dt], "rows": rows})
         for row in rows:
             t_a, t_b = row["t_pair"]
             print(f"t={row['t']:.4f}  t_a {t_a:.6e}  t_b {t_b:.6e}  contraction forward "
-                  f"{row['forward']:.6e}  backward {row['backward']:.6e}")
+                  f"{row['forward']:.6e}")
     report = {"version": __version__, "command": "uniqueness", "series": series}
     if out_dir is not None:
         _json_dump(report, f"{out_dir}/kinetic_report.json")

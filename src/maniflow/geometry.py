@@ -18,19 +18,15 @@ independent field (see `_batched`), and `integrate` returns one value per
 column.
 
 All first derivatives are second-order central differences with periodic
-wrap; the Laplace-Beltrami operator alone uses a conservative face-flux
-form so that its integral against the volume density telescopes to zero
-exactly.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
-`_neighbours`, two views of one padded copy.
-
-Beyond those, a metric caches only the lower-order coefficients of
-`divdiv_tensor11` (`MetricField.divdiv_coef`), read once per kinetic
-residual, once per entropy residual and by every stencil assembly.  The
-metric coefficients of `div_tensor11` and `laplace_beltrami` are one
-contraction or average of arrays the metric already holds, cheap beside the
-operators, and outside the step loop, which applies an assembled stencil,
-the operators are called a few times per diagnostic, so they form them on
-each call.
+wrap.  Every divergence of `transport` is in flux form, (1/sqrt|g|) times a
+sum of differences of products, so its integral against the volume density
+telescopes to zero to round-off and the scheme conserves mass on any chart.
+Compact second differences use a coefficient averaged onto the faces
+i + 1/2.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
+`_neighbours`, two views of one padded copy.  A metric caches nothing beyond
+its inverse, density and Christoffel symbols: the operators form their metric
+coefficients on each call, cheap beside the operators, and the step loop
+applies an assembled stencil instead.
 
 The equation's spatial operator, L(F, T, u) = -div F + divdiv T +
 eta * Laplace-Beltrami(u), is defined once, as `transport`.  The diagnostics
@@ -49,8 +45,6 @@ once; its caller owns it.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -130,14 +124,6 @@ def ddx(f, axis, h):
     return (fp - fm) / (2.0 * h)
 
 
-def d2dx(f, ax1, ax2, h):
-    """Second derivative: 3-point stencil if repeated, central cross otherwise."""
-    if ax1 == ax2:
-        fm, fp = _neighbours(f, ax1)
-        return (fp - 2.0 * f + fm) / (h * h)
-    return ddx(ddx(f, ax1, h), ax2, h)
-
-
 # --- metric -----------------------------------------------------------------
 
 LAM_MIN = 1e-6  # the smallest metric eigenvalue accepted as positive
@@ -206,25 +192,6 @@ class MetricField:
         bracket = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2)
         return 0.5 * np.einsum("kl...,ijl...->kij...", self.ginv, bracket)
 
-    @cached_property
-    def divdiv_coef(self):
-        """(P, Q) with divdiv T = g^{ij} d_i d_k T^k_j + P[a, b, c] d_a T^b_c + Q[a, b] T^a_b.
-
-        The bracket form of div(div T), grouped by derivative order of T, with
-        t_l = Gamma^j_{lj}, c^k = g^{ij} Gamma^k_{ij} and d_i Gamma by central FD;
-        built on first use.
-        """
-        d, h = self.grid.d, self.grid.h
-        gi, G, t = self.ginv, self.gamma, self.gamma_trace
-        dG = np.stack([ddx(G, 3 + i, h) for i in range(d)])  # dG[i, k, l, j] = d_i Gamma^k_{lj}
-        c = np.einsum("ij...,kij...->k...", gi, G)
-        P = np.einsum("ac...,b...->abc...", gi, t) - np.einsum("aj...,cbj...->abc...", gi, G)
-        for a in range(d):
-            P[a, a] -= c
-        Q = (np.einsum("ib...,ikka...->ab...", gi, dG) - np.einsum("ij...,ibaj...->ab...", gi, dG)
-             - np.einsum("a...,b...->ab...", t, c) + np.einsum("k...,bka...->ab...", c, G))
-        return P, Q
-
     def volume(self):
         return float(np.sum(self.sqrt_det) * self.grid.h ** self.grid.d)
 
@@ -249,14 +216,13 @@ def gradient(v, M):
 
 
 def div_vector(X, M):
-    """div X = d_k X^k + Gamma^j_{kj} X^k; X may carry batch axes."""
+    """div X = (1/sqrt|g|) d_k(sqrt|g| X^k) in flux form; X may carry batch axes."""
     grid = M.grid
-    t, = _batched(M, X, 1, M.gamma_trace)
+    sqrt_det, = _batched(M, X, 1, M.sqrt_det)
     out = np.zeros(X.shape[1:])
     for k in range(grid.d):
-        out += ddx(X[k], k, grid.h)
-    out += np.einsum("k...,k...->...", t, X)
-    return out
+        out += ddx(sqrt_det * X[k], k, grid.h)
+    return out / sqrt_det
 
 
 def div_oneform(w, M):
@@ -269,65 +235,72 @@ def div_oneform(w, M):
     return out
 
 
-def div_tensor11(T, M):
-    """(div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l.
+def _christoffel_terms(T, M):
+    """Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l: the terms of (div T)_i beside d_j T^j_i.
 
-    The Christoffel terms are one contraction R[i, a, b] T^a_b with
-    R[i, a, b] = Gamma^j_{ja} delta^b_i - Gamma^b_{ai}.  T may carry trailing
-    batch axes after the grid axes (see `_batched`).
+    One contraction R[i, a, b] T^a_b with R[i, a, b] = Gamma^j_{ja} delta^b_i
+    - Gamma^b_{ai}; T may carry batch axes.
     """
-    grid = M.grid
     R = -np.einsum("bai...->iab...", M.gamma)
-    for i in range(grid.d):
+    for i in range(M.grid.d):
         R[i, :, i] += M.gamma_trace
     R, = _batched(M, T, 2, R)
-    out = np.einsum("iab...,ab...->i...", R, T)
-    for j in range(grid.d):
-        out += ddx(T[j], 1 + j, grid.h)
+    return np.einsum("iab...,ab...->i...", R, T)
+
+
+def div_tensor11(T, M):
+    """(div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l; T may carry batch axes."""
+    out = _christoffel_terms(T, M)
+    for j in range(M.grid.d):
+        out += ddx(T[j], 1 + j, M.grid.h)
     return out
+
+
+def _flux_coef(M):
+    """(c, face): c = sqrt|g| g^{-1}, and face[i] = c[i] averaged onto the faces i + 1/2 along axis i."""
+    c = M.sqrt_det * M.ginv
+    return c, np.stack([0.5 * (c[i] + _neighbours(c[i], 1 + i)[1]) for i in range(M.grid.d)])
 
 
 def divdiv_tensor11(T, M):
-    """Scalar double divergence of a (1,1) tensor field.
+    """(1/sqrt|g|) d_i(sqrt|g| g^{ij} (div T)_j) in flux form; T may carry batch axes.
 
-    The principal part g^{ij} d_i d_k T^k_j uses the compact 3-point stencil
-    when i = k and central-of-central otherwise; the lower-order terms use the
-    metric-only coefficients of `MetricField.divdiv_coef`.  T may carry batch
-    axes.
+    Along each axis i, (div T)_j of `div_tensor11` splits into d_i T^i_j and
+    the rest r_j, the other central derivatives plus the Christoffel terms.
+    The d_i T^i_j part is a compact second difference with sqrt|g| g^{ij}
+    averaged onto the faces i + 1/2, the rest a central difference of
+    sqrt|g| g^{ij} r_j.  So the operator reads one node along each axis and
+    its sqrt|g|-weighted sum telescopes.
     """
-    grid = M.grid
-    d, h = grid.d, grid.h
-    P, Q, ginv = _batched(M, T, 2, *M.divdiv_coef, M.ginv)
-    dT = np.stack([ddx(T, 2 + a, h) for a in range(d)])  # dT[a, b, c] = d_a T^b_c
-    out = np.einsum("abc...,abc...->...", P, dT) + np.einsum("ab...,ab...->...", Q, T)
+    d, h = M.grid.d, M.grid.h
+    c, face, sqrt_det = _batched(M, T, 2, *_flux_coef(M), M.sqrt_det)
+    chris = _christoffel_terms(T, M)
+    acc = np.zeros(T.shape[2:])
     for i in range(d):
-        for k in range(d):
-            # d_i d_k T^k_j; a cross derivative always differences the lower axis first
-            ddT = d2dx(T[k], 1 + min(i, k), 1 + max(i, k), h)
-            out += np.einsum("j...,j...->...", ginv[i], ddT)
-    return out
+        r = sum((ddx(T[k], 1 + k, h) for k in range(d) if k != i), chris)
+        acc += ddx(np.einsum("j...,j...->...", c[i], r), i, h)
+        flux = np.einsum("j...,j...->...", face[i], _neighbours(T[i], 1 + i)[1] - T[i]) / h
+        acc += (flux - _neighbours(flux, i)[0]) / h
+    return acc / sqrt_det
 
 
 def laplace_beltrami(v, M):
-    """Conservative-form Laplace-Beltrami operator; v may carry batch axes.
+    """Flux-form Laplace-Beltrami operator; v may carry batch axes.
 
     Diagonal terms use compact face fluxes, with sqrt|g| g^{aa} averaged onto
     the faces i + 1/2 along axis a; off-diagonal terms central differences of
     central differences with sqrt|g| g^{ab}.  Every term telescopes under the
     full-grid sum and the associated quadratic form is symmetric.
     """
-    grid = M.grid
-    d, h = grid.d, grid.h
-    kappa = M.sqrt_det * np.einsum("aa...->a...", M.ginv)
-    face = np.stack([0.5 * (kappa[a] + _neighbours(kappa[a], a)[1]) for a in range(d)])
-    face, cross, sqrt_det = _batched(M, v, 0, face, M.sqrt_det * M.ginv, M.sqrt_det)
+    d, h = M.grid.d, M.grid.h
+    c, face, sqrt_det = _batched(M, v, 0, *_flux_coef(M), M.sqrt_det)
     acc = np.zeros(v.shape)
     for a in range(d):
-        flux = face[a] * (_neighbours(v, a)[1] - v) / h
+        flux = face[a, a] * (_neighbours(v, a)[1] - v) / h
         acc += (flux - _neighbours(flux, a)[0]) / h
         for b in range(d):
             if b != a:
-                acc += ddx(cross[a, b] * ddx(v, b, h), a, h)
+                acc += ddx(c[a, b] * ddx(v, b, h), a, h)
     return acc / sqrt_det
 
 

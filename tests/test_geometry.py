@@ -5,7 +5,7 @@ from maniflow import cli, geometry
 from maniflow.catalog import METRICS, SCENARIOS
 from maniflow.exprparse import compile_expr
 from maniflow.geometry import (ChartGrid, GeometryError, MetricField, Stencil,
-                               assemble_stencil, build_metric, d2dx, ddx, div_oneform,
+                               assemble_stencil, build_metric, ddx, div_oneform,
                                div_tensor11, div_vector, divdiv_tensor11, flat,
                                gradient, integrate, laplace_beltrami, oneform_norm_sq,
                                sharp, transport, transport_stencil, transpose11)
@@ -334,31 +334,8 @@ def bracket_div_tensor11(T, M):
     return out
 
 
-def bracket_divdiv_tensor11(T, M):
-    """Reference: the eight-term bracket form of div(div T), with d_i Gamma by central FD."""
-    d, h = M.grid.d, M.grid.h
-    dT = np.stack([ddx(T, 2 + l, h) for l in range(d)])  # dT[l, k, i] = d_l T^k_i
-    ddT = np.empty((d, d, d, d) + M.grid.shape)  # ddT[i, k, a, b] = d_i d_k T^a_b
-    for i in range(d):
-        for k in range(i, d):
-            ddT[i, k] = d2dx(T, 2 + i, 2 + k, h)
-            ddT[k, i] = ddT[i, k]
-    G, gi, t = M.gamma, M.ginv, M.gamma_trace
-    dG = np.stack([ddx(G, 3 + i, h) for i in range(d)])  # dG[i, k, l, j] = d_i Gamma^k_{lj}
-
-    out = np.einsum("ij...,ikkj...->...", gi, ddT)
-    out += np.einsum("ij...,l...,ilj...->...", gi, t, dT)
-    out -= np.einsum("ij...,lkj...,ikl...->...", gi, G, dT)
-    out -= np.einsum("ij...,kij...,llk...->...", gi, G, dT)
-    out += np.einsum("ij...,il...,lj...->...", gi, np.einsum("ikkl...->il...", dG), T)
-    out -= np.einsum("ij...,ilkj...,kl...->...", gi, dG, T)
-    out -= np.einsum("ij...,kij...,r...,rk...->...", gi, G, t, T)
-    out += np.einsum("ij...,kij...,rkl...,lr...->...", gi, G, G, T)
-    return out
-
-
 class TestMetricCoefficientsMatchBracketForm:
-    """The operators with per-metric coefficients equal the term-by-term bracket forms.
+    """`div_tensor11` equals its term-by-term bracket form.
 
     On flat metrics every Christoffel term vanishes and the stencils are the
     same, so the results agree bit for bit; on curved metrics the regrouped
@@ -369,9 +346,8 @@ class TestMetricCoefficientsMatchBracketForm:
              ("curved2d", 32, False), ("curved2d", 64, False)]
 
     @pytest.mark.parametrize("name, n, bitwise", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES])
-    @pytest.mark.parametrize("op, ref", [(div_tensor11, bracket_div_tensor11),
-                                         (divdiv_tensor11, bracket_divdiv_tensor11)],
-                             ids=["div_tensor11", "divdiv_tensor11"])
+    @pytest.mark.parametrize("op, ref", [(div_tensor11, bracket_div_tensor11)],
+                             ids=["div_tensor11"])
     def test_random_tensor(self, name, n, bitwise, op, ref):
         metric = METRICS[name]
         grid = ChartGrid(metric["d"], n)
@@ -387,13 +363,6 @@ class TestMetricCoefficientsMatchBracketForm:
 def roll_ddx(f, axis, h):
     """Reference: the former np.roll body of `ddx`."""
     return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
-
-
-def roll_d2dx(f, ax1, ax2, h):
-    """Reference: the former np.roll body of `d2dx`."""
-    if ax1 == ax2:
-        return (np.roll(f, -1, ax1) - 2.0 * f + np.roll(f, 1, ax1)) / (h * h)
-    return roll_ddx(roll_ddx(f, ax1, h), ax2, h)
 
 
 def roll_laplace_beltrami(v, M):
@@ -448,10 +417,6 @@ class TestPeriodicStencils:
     @pytest.mark.parametrize("axis", [2, 3, 4])
     def test_ddx_batched_table(self, table, axis):
         assert np.array_equal(ddx(table, axis, self.H), roll_ddx(table, axis, self.H))
-
-    @pytest.mark.parametrize("ax1, ax2", [(2, 2), (3, 3), (2, 3), (3, 2)])
-    def test_d2dx(self, table, ax1, ax2):
-        assert np.array_equal(d2dx(table, ax1, ax2, self.H), roll_d2dx(table, ax1, ax2, self.H))
 
     @pytest.mark.parametrize("name, n", [("flat1d", 128), ("wavy1d", 128), ("curved2d", 64)])
     def test_laplace_beltrami(self, name, n):
@@ -581,7 +546,22 @@ class TestConservationAndConsistency:
         x1, x2 = self.grid.coords()
         X = np.stack([np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2),
                       np.cos(TWO_PI * x1)])
-        assert abs(integrate(div_vector(X, self.M), self.M)) <= 1e-8
+        div = div_vector(X, self.M)
+        assert abs(integrate(div, self.M)) <= 1e-14 * integrate(np.abs(div), self.M)
+
+    # every operator of `transport` is in flux form, so its sqrt|g|-weighted sum
+    # telescopes to round-off even on rough fields
+    @pytest.mark.parametrize("name, n", [("curved2d", 32), ("diag2d", 32), ("wavy1d", 128)])
+    @pytest.mark.parametrize("op, index", [(div_vector, 1), (divdiv_tensor11, 2),
+                                           (laplace_beltrami, 0)],
+                             ids=["div_vector", "divdiv_tensor11", "laplace_beltrami"])
+    def test_flux_form_telescopes(self, name, n, op, index):
+        metric = METRICS[name]
+        grid = ChartGrid(metric["d"], n)
+        M = build_metric(metric["entries"], grid)
+        field = np.random.default_rng(0).standard_normal((grid.d,) * index + grid.shape)
+        out = op(field, M)
+        assert abs(integrate(out, M)) <= 1e-14 * integrate(np.abs(out), M)
 
     def test_divdiv_matches_composition_at_h2(self):
         T = np.empty((2, 2) + self.grid.shape)

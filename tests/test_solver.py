@@ -293,6 +293,15 @@ class TestRun:
         traj = run(SolverConfig(eta=1e-2, t_end=0.1), fm, dm, u0)
         assert abs(traj.mass[-1] - traj.mass[0]) <= 1e-6
 
+    def test_mass_conserved_on_a_curved_chart(self):
+        # every divergence of the scheme is in flux form, so its sqrt|g|-weighted
+        # sum telescopes on a curved chart as on a flat one
+        cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS["curved_evo"].items()}
+        cfg["solver"]["t_end"] = 2e-3
+        mass = np.asarray(cli.build_pipeline(cfg).run().mass)
+        assert len(mass) > 2
+        assert np.max(np.abs(mass - mass[0])) <= 1e-14 * abs(mass[0])
+
     def test_compatible_constant_stays_constant(self):
         cfg_dict = catalog.SCENARIOS["curved_const"]
         grid = ChartGrid(2, 32)

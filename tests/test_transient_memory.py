@@ -24,8 +24,7 @@ def pipe():
 def traced_peak(call):
     """Bytes that a warm `call()` allocates at its peak, above those live when it starts.
 
-    A first call also pays numpy's one-time costs: `psd_audit`'s first random
-    generator takes 0.7 MB.
+    A first call also pays numpy's one-time costs, which the warm call leaves out.
     """
     call()
     tracemalloc.start()
@@ -60,7 +59,8 @@ def stencil(p):
 CASES = {
     # the output: 1.09 (2.06 with a separate steps array)
     "cumtrapz_edges": (cumtrapz, 1.1),
-    # g a' and one direction's form: 1.25 (3.00 with all 8 directions at once)
+    # g a', its symmetric part's least eigenvalue formed in place: 1.06 (1.25 with
+    # one of 8 random directions' forms at a time, 3.00 with all 8 at once)
     "psd_audit": (psd, 1.5),
     # a' S' and its antiderivative: 2.12 (3.56 with both antiderivatives alive)
     "entropy_flux_fields": (flux_fields, 2.25),

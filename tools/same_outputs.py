@@ -19,12 +19,13 @@ in a fresh single-threaded process, once under each tree, with --out set:
 
 The scenarios are read from PARENT_SRC's catalog, so both trees get the same
 input files.  Every output file, stdout, stderr and exit code that differs
-byte for byte is listed, and the exit code is 1 if any does.  Under a JSON
-file or stdout that differs, each numeric key that differs is listed with
-its largest relative difference |a - b| / max(|a|, |b|) over the numbers it
-holds; a key is a path of JSON object keys, or on a text line the words
-before a number.  The script only reads perfbench/ and writes only to a
-temporary directory.
+byte for byte is listed, and the exit code is 1 if any does.  Under a JSON,
+CSV or raw float64 file or stdout that differs, each numeric key that
+differs is listed with its largest relative difference
+|a - b| / max(|a|, |b|) over the numbers it holds.  A key is a path of JSON
+object keys, a CSV column's header name, `values` for all the numbers of a
+raw dump, or on a text line the words before a number.  The script only
+reads perfbench/ and writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ import math
 import os
 import re
 import runpy
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+QUANTIFIED = (".json", ".csv", ".f64")  # the output files whose numbers are compared
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # (name, command, catalog scenario, overrides)
 VARIANTS = [("study-eta_shock", "study-eta", "shock", ["solver.t_end=0.05"]),
@@ -101,7 +104,7 @@ def differences(parent, change):
             out.append((f"{name} only under {'parent' if name in p_files else 'change'}",
                         None, None))
         elif p_files[name] != c_files[name]:
-            out.append((name,) + ((p_files[name], c_files[name]) if name.endswith(".json")
+            out.append((name,) + ((p_files[name], c_files[name]) if name.endswith(QUANTIFIED)
                                   else (None, None)))
     return out
 
@@ -110,9 +113,22 @@ def differences(parent, change):
 NUMBER = re.compile(r"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan\b|inf\b)")
 
 
-def numbers(data):
-    """{key: [number, ...]} of JSON bytes, or of text bytes line by line."""
+def numbers(data, name=""):
+    """{key: [number, ...]} of the bytes of the file `name`.
+
+    A raw float64 dump is one key, a CSV file one key per column, JSON one
+    key per path, and other text is read line by line.
+    """
+    if name.endswith(".f64"):
+        return {"values": list(struct.unpack(f"<{len(data) // 8}d", data))}
+    text = data.decode(errors="replace")
     found = {}
+    if name.endswith(".csv"):
+        header, *rows = text.splitlines()
+        for row in rows:
+            for column, word in zip(header.split(","), row.split(",")):
+                found.setdefault(column, []).append(float(word))
+        return found
 
     def walk(node, key):
         if isinstance(node, dict):
@@ -124,7 +140,6 @@ def numbers(data):
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
             found.setdefault(key, []).append(float(node))
 
-    text = data.decode(errors="replace")
     try:
         walk(json.loads(text), "")
     except ValueError:
@@ -137,8 +152,8 @@ def numbers(data):
     return found
 
 
-def relative_differences(parent, change):
-    """(key, largest relative difference) of every numeric key whose numbers differ."""
+def relative_differences(parent, change, name=""):
+    """(key, largest relative difference) of every numeric key of the file `name` that differs."""
     def rel(a, b):
         if a == b or (math.isnan(a) and math.isnan(b)):
             return 0.0
@@ -146,7 +161,7 @@ def relative_differences(parent, change):
             return math.inf
         return abs(a - b) / max(abs(a), abs(b))
 
-    p_nums, c_nums = numbers(parent), numbers(change)
+    p_nums, c_nums = numbers(parent, name), numbers(change, name)
     out = []
     for key in sorted(set(p_nums) | set(c_nums)):
         a, b = p_nums.get(key, []), c_nums.get(key, [])
@@ -183,7 +198,7 @@ def main(argv=None):
                   + ("same" if not diff else "DIFFERS: " + ", ".join(d[0] for d in diff)))
             for label, p_bytes, c_bytes in diff:
                 if p_bytes is not None:
-                    for key, what in relative_differences(p_bytes, c_bytes):
+                    for key, what in relative_differences(p_bytes, c_bytes, label):
                         print(f"  {label} {key}: {what}")
             sys.stdout.flush()
     print(f"{found} difference(s)")
