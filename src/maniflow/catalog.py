@@ -53,8 +53,7 @@ SCENARIOS = {
         "grid": {"d": 1, "n": 128},
         "xi": {"n": 64},
         "metric": {"name": "flat1d"},
-        "scenario": {"sigma11": "0", "flux1": "xi^2 / 2", "flux_prime1": "xi",
-                     "u0": "0.5 + 0.5*sin(2*pi*x1)"},
+        "scenario": {"sigma11": "0", "flux1": "xi^2 / 2", "u0": "0.5 + 0.5*sin(2*pi*x1)"},
         "solver": {"eta": 5e-3, "t_end": 0.5, "cfl": 0.4},
     },
     # degenerate diffusion (diffusivity vanishes at state 0)

@@ -19,19 +19,26 @@ sampled twice.
 
 The metric is a catalog entry, [metric] name, or the entries g11, g12 and
 g22; g21 is not a key, since g21 = g12, so the metric is symmetric by
-construction.  Every expression of x1, x2 (and xi) is sampled by
-`ChartGrid.eval_expr`.
+construction.  Likewise the flux is given only as flux1 (and flux2), or
+made by `compatible = true`: its xi-derivative f' is always derived from
+the flux table (`FluxModel`), so no key can set it apart from f.  Every
+expression of x1, x2 (and xi) is sampled by `ChartGrid.eval_expr`.
 
 `main` makes the --out directory before any command builds or runs: an
 empty path, or one that cannot be a directory, is a config error, and a
 config error found after that leaves the directory behind, empty.
 
-Commands:
+Commands (`COMMANDS`):
 
     maniflow run          <config> [--out DIR] [--override sec.key=value ...]
     maniflow audit-compat <config> ...
     maniflow study-eta    <config> ...
     maniflow uniqueness   <config> ...
+
+`audit-compat` reports the compatibility defect div f - divdiv A at every
+xi-edge of the tables, one row each, from the stencil a run assembles
+(`solver.compat_defect`), and fails when a row's max exceeds
+COMPAT_TOL_FACTOR h^2.
 
 Exit codes: 0 success, 1 runtime failure (an output that cannot be written
 is one) or flagged invariant violation, 2 config error.
@@ -50,11 +57,11 @@ import numpy as np
 
 from . import __version__, catalog, entropy, fieldio, kinetic
 from .exprparse import ExprError
-from .geometry import ChartGrid, GeometryError, build_metric, norm_l1
-from .model import (COMPAT_TOL_FACTOR, COMPAT_XI_SAMPLES, DiffusionModel, FluxModel,
-                    ModelError, XiGrid, compat_norms, make_compatible_flux, psd_audit)
-from .solver import (SolverConfig, SolverError, check_initial_state, max_principle, run,
-                     total_variation)
+from .geometry import ChartGrid, GeometryError, build_metric, norm_l1, transport_stencil
+from .model import (COMPAT_TOL_FACTOR, DiffusionModel, FluxModel, ModelError, XiGrid,
+                    make_compatible_flux, psd_audit)
+from .solver import (SolverConfig, SolverError, check_initial_state, compat_defect,
+                     max_principle, run, total_variation)
 
 
 class ConfigError(ValueError):
@@ -158,7 +165,6 @@ KEYS = {
                "g22": (EXPR, None)},
     "scenario": {"sigma11": (EXPR, "0"), "sigma12": (EXPR, "0"), "sigma21": (EXPR, "0"),
                  "sigma22": (EXPR, "0"), "flux1": (EXPR, "0"), "flux2": (EXPR, "0"),
-                 "flux_prime1": (EXPR, None), "flux_prime2": (EXPR, None),
                  "compatible": (BOOL, False), "stream": (EXPR, None), "u0": (EXPR, REQUIRED)},
     "solver": {"eta": (NUM, REQUIRED), "t_end": (NUM, REQUIRED), "cfl": (NUM, 0.4),
                "snapshots": (INT, 10)},
@@ -284,12 +290,9 @@ class Pipeline:
             with _building("scenario", ["stream"]):
                 self.fm = make_compatible_flux(self.dm, stream=sc["stream"])
         else:
-            primes = [sc[f"flux_prime{k}"] for k in idx]
-            prime = None if primes == [None] * d else ["0" if p is None else p for p in primes]
-            keys = [f"flux{k}" for k in idx] + [f"flux_prime{k}" for k in idx]
+            keys = [f"flux{k}" for k in idx]
             with _building("scenario", keys, sc):
-                self.fm = FluxModel.from_exprs([sc[f"flux{k}"] for k in idx], grid, xi,
-                                               prime_exprs=prime)
+                self.fm = FluxModel.from_exprs([sc[k] for k in keys], grid, xi)
         with _building("scenario", ["u0"]):
             self.u0 = grid.eval_expr(sc["u0"])
             check_initial_state(self.u0, grid)
@@ -402,17 +405,15 @@ def cmd_run(cfg, out_dir):
 def cmd_audit_compat(cfg, out_dir):
     pipe = build_pipeline(cfg)
     threshold = COMPAT_TOL_FACTOR * pipe.grid.h ** 2
+    stencil = transport_stencil(pipe.M, pipe.solver_cfg.eta)
 
     rows = []
-    ok = True
-    for s in COMPAT_XI_SAMPLES:
-        norms = compat_norms(pipe.fm, pipe.dm, s)
-        passed = norms["max"] <= threshold
-        ok = ok and passed
-        rows.append({"xi": s, "max": norms["max"], "l1": norms["l1"], "pass": passed})
-        print(f"xi={s:6.3f}  max={norms['max']:.6e}  l1={norms['l1']:.6e}  "
-              f"{'pass' if passed else 'FAIL'}")
+    for value, top, l1 in zip(pipe.xi.edges, *compat_defect(pipe.fm, pipe.dm, stencil)):
+        passed = bool(top <= threshold)
+        rows.append({"xi": float(value), "max": float(top), "l1": float(l1), "pass": passed})
+        print(f"xi={value:8.6f}  max={top:.6e}  l1={l1:.6e}  {'pass' if passed else 'FAIL'}")
     print(f"threshold {threshold:.6e}")
+    ok = all(row["pass"] for row in rows)
     report = {"version": __version__, "command": "audit-compat",
               "threshold": threshold, "rows": rows, "pass": ok}
     if out_dir is not None:
@@ -485,10 +486,14 @@ def cmd_uniqueness(cfg, out_dir):
 
 # --- entry point ------------------------------------------------------------------
 
+# command name -> handler(cfg, out_dir) returning the exit code; the one list of commands
+COMMANDS = {"run": cmd_run, "audit-compat": cmd_audit_compat, "study-eta": cmd_study_eta,
+            "uniqueness": cmd_uniqueness}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="maniflow", description=__doc__)
-    parser.add_argument("command",
-                        choices=["run", "audit-compat", "study-eta", "uniqueness"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("config")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--override", action="append", default=[],
@@ -504,9 +509,7 @@ def main(argv=None):
                 os.makedirs(args.out, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
-        handler = {"run": cmd_run, "audit-compat": cmd_audit_compat,
-                   "study-eta": cmd_study_eta, "uniqueness": cmd_uniqueness}[args.command]
-        return handler(cfg, args.out)
+        return COMMANDS[args.command](cfg, args.out)
     except (ConfigError, ExprError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

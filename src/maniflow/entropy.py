@@ -205,7 +205,9 @@ def energy_balance(traj):
 
 # --- chain rule ---------------------------------------------------------------
 
-CHAIN_RULE_PSI = ("1", "xi")  # the weights `maniflow run` reports the chain rule for
+# the weights `maniflow run` reports the chain rule for; not psi = 1, whose lhs and rhs
+# are the same arrays (the root weight is 1), so its residual is 0.0 by construction
+CHAIN_RULE_PSI = ("xi",)
 
 
 def chain_rule_residual(u, psi, dm):

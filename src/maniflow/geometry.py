@@ -30,11 +30,11 @@ applies an assembled stencil instead.
 
 The equation's spatial operator, L(F, T, u) = -div F + divdiv T +
 eta * Laplace-Beltrami(u), is defined once, as `transport`.  The diagnostics
-call it, the compatibility audit applies it to constant states (where the
-Laplace-Beltrami term is exactly zero) and the step loop applies it
-assembled: every operator reads at most one node away along each axis, so L
-is a `Stencil`, per-node weights on the 3^d - 1 off-centre neighbours plus
-its value on constant fields.  `assemble_stencil` derives the weights by
+call it; the step loop, and the compatibility defect at the constant state
+of each xi-edge (where the Laplace-Beltrami term is exactly zero), apply it
+assembled: every operator reads at most one node away along each axis, so
+L is a `Stencil`, per-node weights on the 3^d - 1 off-centre neighbours
+plus its value on constant fields.  `assemble_stencil` derives the weights by
 probing an operator with period-4 combs and raises GeometryError when it
 reaches further.  A stencil is applied in difference form, so weights of
 order 1/h^2 multiply neighbour differences rather than cancel after rounding.

@@ -206,9 +206,14 @@ def _finite(table, name):
 
 
 class FluxModel:
-    """Convection coefficients: vector field f(x, xi) and its xi-derivative."""
+    """Convection coefficients: vector field f(x, xi) and its xi-derivative f'.
 
-    def __init__(self, grid, xi, f_table, fprime_table=None):
+    f' has one source, the f table: its centred xi-difference, one-sided at
+    the two end edges (`_xi_fd`).  It is exact at interior edges for a flux
+    quadratic in xi, and at every edge for one linear in xi, up to rounding.
+    """
+
+    def __init__(self, grid, xi, f_table):
         self.grid = grid
         self.xi = xi
         expected = (grid.d,) + grid.shape + (xi.n + 1,)
@@ -216,14 +221,11 @@ class FluxModel:
         if f_table.shape != expected:
             raise ModelError(f"flux table shape {f_table.shape} != {expected}")
         self.f = _finite(xi_major(f_table, grid.d), "flux")
-        fprime = _xi_fd(self.f, xi.dxi) if fprime_table is None \
-            else xi_major(np.asarray(fprime_table, dtype=float), grid.d)
-        self.fprime = _finite(fprime, "flux derivative")
+        self.fprime = _finite(_xi_fd(self.f, xi.dxi), "flux derivative")
 
     @classmethod
-    def from_exprs(cls, exprs, grid, xi, prime_exprs=None):
-        prime = None if prime_exprs is None else _edge_table(prime_exprs, grid, xi)
-        return cls(grid, xi, _edge_table(exprs, grid, xi), prime)
+    def from_exprs(cls, exprs, grid, xi):
+        return cls(grid, xi, _edge_table(exprs, grid, xi))
 
     def max_prime_gnorm(self, M):
         """max over nodes and xi-edges of |f'|_g, one edge at a time: no table-sized temporary."""
@@ -320,21 +322,8 @@ def beta_at(slope, u, xi, psi=None):
 
 # --- geometry compatibility -------------------------------------------------
 
-def compat_residual(fm, dm, xi_value):
-    """div f(., xi) - divdiv A(., xi): minus `geometry.transport` at the constant state xi."""
-    const = np.full(fm.grid.shape, float(xi_value))
-    f_slice = xi_interp(fm.f, const, fm.xi)
-    A_slice = xi_interp(dm.A, const, dm.xi)
-    return -geo.transport(f_slice, A_slice, const, dm.M, 0.0)
-
-
-COMPAT_XI_SAMPLES = (0.0, 0.5, 1.0)  # the constant states `maniflow audit-compat` checks
-COMPAT_TOL_FACTOR = 10.0  # its threshold on the max norm, in units of h^2
-
-
-def compat_norms(fm, dm, xi_value):
-    r = compat_residual(fm, dm, xi_value)
-    return {"max": float(np.max(np.abs(r))), "l1": geo.norm_l1(r, dm.M)}
+# the threshold of `maniflow audit-compat` on each edge's max norm, in units of h^2
+COMPAT_TOL_FACTOR = 10.0
 
 
 def stream_vector(stream, M):
@@ -352,12 +341,12 @@ def stream_vector(stream, M):
 def make_compatible_flux(dm, stream=None):
     """Manufacture a flux satisfying the compatibility condition on the metric `dm.M`.
 
-    f(., xi) = (div A(., xi))# + W with W divergence-free.  `divdiv_tensor11`
-    is the flux-form divergence of the same (div A)#, except that it takes
-    d_i A^i_j by a compact second difference, so the audit sees only the
-    truncation of that stencil.  W is a discrete curl, whose flux-form
-    divergence vanishes to round-off: at xi = 0, where A = 0, the residual is
-    round-off.
+    f(., xi) = (div A(., xi))# + W with W divergence-free, at every xi-edge.
+    `divdiv_tensor11` is the flux-form divergence of the same (div A)#,
+    except that it takes d_i A^i_j by a compact second difference, so the
+    defect `solver.compat_defect` reads at each edge is only the truncation
+    of that stencil.  W is a discrete curl, whose flux-form divergence
+    vanishes to round-off: at xi = 0, where A = 0, the defect is round-off.
     """
     f = geo.sharp(geo.div_tensor11(dm.A, dm.M), dm.M)
     if stream is not None:

@@ -10,16 +10,16 @@ bound 2 / rho, rho the largest Gershgorin row sum of the frozen Jacobian's
 parabolic part, the eta Laplace-Beltrami weights plus the T weights times
 the largest |a'| on the states the run can reach.  Those lie in the paper's
 L-infinity interval I = [min u0 - t_end C, max u0 + t_end C] within [0, 1],
-C the largest compatibility residual |div f - divdiv A| over nodes and
-xi-edges; the run's `max_principle` checks that they did.  Then `run` builds
-the table of F and T stacked on one component axis (`model.transport_table`,
-6.5 MB on `curved_const`: 64^2 nodes, 33 edges); `rhs` reads F and T with
-one lookup of the table, written straight into the stencil's one-state input
-buffer `Stencil.state` beside a copy of u, and applies the stencil to that
-buffer in one pass.  The Heun stages update the run's state u and one stage
-buffer u* in place, with the same products and sums as u* = u + dt k1, u = u
-+ 0.5 dt (k1 + k2), so the stages allocate nothing and every state is
-bitwise that of the allocating form.
+C the largest compatibility defect |div f - divdiv A| over nodes and
+xi-edges (`compat_defect`); the run's `max_principle` checks that they did.
+Then `run` builds the table of F and T stacked on one component axis
+(`model.transport_table`, 6.5 MB on `curved_const`: 64^2 nodes, 33 edges);
+`rhs` reads F and T with one lookup of the table, written straight into the
+stencil's one-state input buffer `Stencil.state` beside a copy of u, and
+applies the stencil to that buffer in one pass.  The Heun stages update the
+run's state u and one stage buffer u* in place, with the same products and
+sums as u* = u + dt k1, u = u + 0.5 dt (k1 + k2), so the stages allocate
+nothing and every state is bitwise that of the allocating form.
 A run takes at most MAX_STEPS steps; a step bound that asks for more is an
 error before any per-step storage is allocated.  Every table is stored
 xi-major (see `model`), so each lookup reads, per component, the entries of
@@ -116,22 +116,26 @@ MAX_STEPS = 10 ** 6  # the largest catalog run (porous) takes 7,465 steps
 
 
 def compat_defect(fm, dm, stencil):
-    """C = max over nodes and xi-edges of |div f(., xi) - divdiv A(., xi)|.
+    """Max and L1 norms of div f(., xi) - divdiv A(., xi) at each xi-edge: two arrays of n_xi + 1.
 
-    The stencil applied to the constant state xi at each edge, one edge at a
-    time through `stencil.state`, which this call overwrites; its eta
-    Laplace-Beltrami part is exactly zero on a constant.
+    The one source of the compatibility defect: `stable_dt` takes C as the
+    largest max, and `maniflow audit-compat` reports and gates one row per
+    edge.  It is the stencil applied to the constant state xi at each edge,
+    one edge at a time through `stencil.state`, which this call overwrites;
+    the stencil's eta Laplace-Beltrami part is exactly zero on a constant.
     """
     d = fm.grid.d
     Y = stencil.state
     T = Y[d:-1].reshape(dm.A.shape[:-1])  # a view: the state is contiguous
-    C = 0.0
+    maxes, l1s = np.empty((2, fm.xi.n + 1))
     for e, value in enumerate(fm.xi.edges):
         Y[:d] = fm.f[..., e]
         T[...] = dm.A[..., e]
         Y[-1] = value
-        C = max(C, float(np.max(np.abs(stencil.apply(Y)))))
-    return C
+        r = stencil.apply(Y)
+        maxes[e] = np.max(np.abs(r))
+        l1s[e] = geo.norm_l1(r, dm.M)
+    return maxes, l1s
 
 
 def parabolic_rho(stencil, amax):
@@ -163,10 +167,11 @@ def stable_dt(cfg, fm, dm, stencil, u0):
     dt is cfl times the smaller of the convective bound h / (d max|f'|_g) and
     the parabolic bound 2 / rho (`parabolic_rho`), with |a'| maximised over
     the cells of I = [min u0 - t_end C, max u0 + t_end C] within [0, 1]
-    (C from `compat_defect`, `DiffusionModel.max_abs_aprime`).  On a flat
-    metric 2 / rho is h^2 / (2 d (eta + max|a'|)).  Overwrites `stencil.state`.
+    (C the largest of the per-edge maxima of `compat_defect`,
+    `DiffusionModel.max_abs_aprime`).  On a flat metric 2 / rho is
+    h^2 / (2 d (eta + max|a'|)).  Overwrites `stencil.state`.
     """
-    spread = cfg.t_end * compat_defect(fm, dm, stencil)
+    spread = cfg.t_end * float(np.max(compat_defect(fm, dm, stencil)[0]))
     # NaN fails both comparisons of max and min, leaving the full range
     lo, hi = max(0.0, float(u0.min()) - spread), min(1.0, float(u0.max()) + spread)
     amax = dm.max_abs_aprime(lo, hi)

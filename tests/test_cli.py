@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from maniflow import catalog, cli
+from maniflow.geometry import transport_stencil
+from maniflow.solver import stable_dt
 
 # a tiny 1D run: n = 16, n_xi = 16, about 30 Heun steps
 BASE = {
@@ -118,7 +120,7 @@ def test_kinetic_error_is_a_runtime_failure(tmp_path, capsys):
     # pure convection of a flat-topped bump: the state dips just below 0,
     # inside the solver's range but not the kinetic function's
     path = write_config(tmp_path, [("grid.n", "128"), ("scenario.sigma11", '"0"'),
-                                   ("scenario.flux1", '"xi"'), ("scenario.flux_prime1", '"1"'),
+                                   ("scenario.flux1", '"xi"'),
                                    ("scenario.u0", '"0.5*max(0, sin(2*pi*x1))^8"'),
                                    ("solver.eta", "5e-4"), ("solver.t_end", "0.05")])
     out = tmp_path / "out"
@@ -177,8 +179,9 @@ BAD = {
     "nan_in_list": ([("study.eta_list", '"0.01, nan"')], []),
     "one_entry_cfl_list": ([("uniqueness.cfl_list", "0.4")], []),
     "one_entry_eta_list": ([("study.eta_list", "0.01")], []),
-    "flux_prime_overflow": ([("scenario.flux_prime1", '"1e308*10"')], []),
-    "flux_prime_not_finite": ([("scenario.flux_prime1", '"1e308*10 - 1e308*10"')], []),
+    # cos(pi b / 2) at edge b of 64: centred differences of 2 * 1.7e308
+    "flux_centred_difference_overflow": ([("xi.n", "64"),
+                                          ("scenario.flux1", '"1.7e308*cos(32*pi*xi)"')], []),
     "flux_difference_overflow": ([("scenario.flux1", '"1.5e308*(2*xi - 1)"')], []),
     "u0_of_2000_terms": ([("scenario.u0", '"' + "+".join(["0.0001"] * 2000) + '"')], []),
     "sigma_product_overflow": ([("scenario.sigma11", '"1e200"')], []),
@@ -223,9 +226,11 @@ def test_repeated_key_or_section_exits_2(tmp_path, capsys, at, lines, message):
     ([], None, ["--override", "solver_eta=1"],
      "override must look like section.key=value, got 'solver_eta=1'"),
     ([("study.eta_list", "0.01")], None, [], "[study] eta_list needs at least two entries"),
+    # f' is the flux table's xi-difference, never a key of its own
+    ([("scenario.flux_prime1", '"xi"')], None, [], "[scenario] unknown key 'flux_prime1'"),
 ], ids=["catalog_metric_of_other_d", "metric_without_g12", "malformed_header",
         "line_without_equals", "key_before_any_section", "override_without_section",
-        "one_entry_eta_list"])
+        "one_entry_eta_list", "removed_flux_prime"])
 def test_config_error_is_one_exact_line(tmp_path, capsys, changes, line, extra, message):
     path = write_config(tmp_path, changes)
     if line is not None:
@@ -258,6 +263,14 @@ def test_overflowing_product_names_its_reason(tmp_path, capsys, changes, message
     assert err.startswith(f"config error: {message}")
 
 
+def test_overflowing_flux_difference_is_one_config_error_line(tmp_path, capsys):
+    # every entry is finite; f' = (f(b + 1) - f(b - 1)) / (2 dxi) is not
+    rc, err = run_cli(capsys, write_config(tmp_path, BAD["flux_centred_difference_overflow"][0]))
+    assert rc == 2
+    assert err == ("config error: [scenario] flux1: flux derivative table contains non-finite "
+                   "entries\n")
+
+
 def test_overflowing_flux_bound_is_one_runtime_failure_line(tmp_path, capsys):
     # |f'|_g^2 = 1e400 overflows, so the convective dt bound is 0
     rc, err = run_cli(capsys, write_config(tmp_path, [("scenario.flux1", '"1e200*xi"')]))
@@ -286,12 +299,8 @@ def test_metric_has_no_g21_key(tmp_path, capsys):
     (PLANE + [("metric.g22", '"sqrt(x1 - 2)"')], "[metric] g22: sqrt of negative value"),
     (PLANE + [("scenario.sigma21", '"sqrt(xi - 2)"')],
      "[scenario] sigma21: sqrt of negative value"),
-    (PLANE + [("scenario.flux_prime2", '"1/(xi-xi)"')],
-     "[scenario] flux_prime2: division by zero"),
-    # both keys are bad; the f' table is sampled first, so flux_prime1's error is the one raised
-    ([("scenario.flux1", '"1/(xi-xi)"'), ("scenario.flux_prime1", '"sqrt(xi - 2)"')],
-     "[scenario] flux_prime1: sqrt of negative value"),
-], ids=["metric", "sigma", "flux_prime", "flux_double_fault"])
+    (PLANE + [("scenario.flux2", '"1/(xi-xi)"')], "[scenario] flux2: division by zero"),
+], ids=["metric", "sigma", "flux"])
 def test_multi_key_step_names_the_failing_key(tmp_path, capsys, changes, message):
     rc, err = run_cli(capsys, write_config(tmp_path, changes))
     assert rc == 2
@@ -335,7 +344,7 @@ def test_out_of_memory_is_one_runtime_failure_line(tmp_path, capsys, monkeypatch
     assert err == f"runtime failure: out of memory: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["run", "audit-compat", "study-eta", "uniqueness"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
     def never(*args, **kwargs):
         raise AssertionError("a run started")
@@ -350,7 +359,7 @@ def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, comm
     assert err == f"config error: --out {taken}: File exists\n"
 
 
-@pytest.mark.parametrize("command", ["run", "audit-compat", "study-eta", "uniqueness"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_empty_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
     def never(*args, **kwargs):
         raise AssertionError("a run started")
@@ -445,3 +454,18 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, command):
     assert rc == 2
     section, name = key.split(".")
     assert capsys.readouterr().err.startswith(f"config error: [{section}] {name}: ")
+
+
+@pytest.mark.parametrize("name", ["curved_evo", "shock"])
+def test_audit_compat_checks_every_xi_edge_of_the_run_bound(tmp_path, capsys, name):
+    # one row per edge, from the defect whose largest max sets a run's state interval
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS[name].items()}
+    assert cli.cmd_audit_compat(cfg, str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    pipe = cli.build_pipeline(cfg)
+    assert [row["xi"] for row in rows] == pipe.xi.edges.tolist()
+    assert len(lines) == len(rows) + 1 and lines[-1].startswith("threshold ")
+    bound = stable_dt(pipe.solver_cfg, pipe.fm, pipe.dm,
+                      transport_stencil(pipe.M, pipe.solver_cfg.eta), pipe.u0)
+    assert bound.spread == pipe.solver_cfg.t_end * max(row["max"] for row in rows)

@@ -4,11 +4,11 @@ import pytest
 from maniflow import catalog, cli
 from maniflow.entropy import dissipation_densities
 from maniflow.geometry import (ChartGrid, build_metric, div_vector, divdiv_tensor11,
-                               integrate, laplace_beltrami)
+                               integrate, laplace_beltrami, transport_stencil)
 from maniflow.kinetic import (KineticError, bump_kernel, contraction, friedrichs_commutator,
                               kinetic_battery, kinetic_residual, level_count)
-from maniflow.model import COMPAT_TOL_FACTOR, COMPAT_XI_SAMPLES, XiGrid, compat_norms
-from maniflow.solver import Trajectory
+from maniflow.model import COMPAT_TOL_FACTOR, XiGrid
+from maniflow.solver import Trajectory, compat_defect
 
 from helpers import chi_from_u
 
@@ -234,8 +234,8 @@ class TestCompatibilityControl:
         for n in (64, 128):
             for case in self.FLUX:
                 pipe, _ = runs[case, n]
-                worst = max(compat_norms(pipe.fm, pipe.dm, s)["max"]
-                            for s in COMPAT_XI_SAMPLES)
+                stencil = transport_stencil(pipe.M, pipe.solver_cfg.eta)
+                worst = np.max(compat_defect(pipe.fm, pipe.dm, stencil)[0])
                 if case == "compatible":
                     assert worst == 0.0
                 else:

@@ -33,11 +33,11 @@ def test_every_phase_is_measured_and_nested_peaks_reach_the_run(tool, tmp_path, 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     rc, rows = tool.measure(CONFIG, SMALL)
     assert rc == 0
-    # one row per call, in the order the calls end: two entropies, the two default psi
+    # one row per call, in the order the calls end: two entropies, the one default psi
     assert [r[0] for r in rows] == [
         "build_pipeline", "transport_stencil", "stable_dt", "transport_table", "run",
         "energy_balance",
-        "entropy_residual", "entropy_residual", "chain_rule_residual", "chain_rule_residual",
+        "entropy_residual", "entropy_residual", "chain_rule_residual",
         "nu_bound_check", "psd_audit", "kinetic_residual", "friedrichs_commutator"]
     assert all(live >= 0.0 and peak >= 0.0 and rss > 0.0 for _, live, peak, rss in rows)
     by_phase = {r[0]: r for r in rows}

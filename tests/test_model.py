@@ -3,11 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
-from maniflow.geometry import ChartGrid, build_metric, div_vector, divdiv_tensor11
+from maniflow.geometry import (ChartGrid, build_metric, div_vector, divdiv_tensor11, norm_l1,
+                               transport_stencil)
 from maniflow.model import (DiffusionModel, FluxModel, ModelError, XiGrid, _locate, beta_at,
-                            compat_norms, compat_residual, cumtrapz_edges,
-                            make_compatible_flux, psd_audit, root_weight, stream_vector,
-                            transport_table, xi_hermite, xi_interp, xi_major)
+                            cumtrapz_edges, make_compatible_flux, psd_audit, root_weight,
+                            stream_vector, transport_table, xi_hermite, xi_interp, xi_major)
 from maniflow import catalog, cli, entropy, kinetic, solver
 
 from helpers import euclidean_metric, zero_diffusion, zero_flux
@@ -237,7 +237,7 @@ class TestDiffusionModel:
     @pytest.mark.parametrize("fn", [
         solver.run, solver.stable_dt, solver.Recorder, entropy.dissipation_densities,
         entropy.deposit, entropy._binned_s2_dissipation, entropy.entropy_residual,
-        entropy.chain_rule_residual, kinetic.kinetic_residual, compat_residual, compat_norms,
+        entropy.chain_rule_residual, kinetic.kinetic_residual, solver.compat_defect,
         make_compatible_flux, psd_audit], ids=lambda fn: fn.__name__)
     def test_functions_of_the_model_take_no_second_metric(self, fn):
         assert "M" not in inspect.signature(fn).parameters
@@ -410,15 +410,18 @@ class TestFluxModel:
 
     def test_fd_prime_matches_analytic(self, one_d):
         grid, M, xi = one_d
-        fm_fd = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
-        fm_an = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
-        # centered FD of a quadratic is exact at interior edges
-        assert np.max(np.abs(fm_fd.fprime[..., 1:-1] - fm_an.fprime[..., 1:-1])) <= 1e-14
+        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
+        exact = grid.eval_expr("xi", xi.edges)
+        # centered FD of a quadratic is exact at interior edges; the ends are one-sided
+        assert np.max(np.abs(fm.fprime[0, ..., 1:-1] - exact[..., 1:-1])) <= 1e-14
+        assert np.allclose(fm.fprime[0][..., [0, -1]], [0.5 * xi.dxi, 1.0 - 0.5 * xi.dxi],
+                           rtol=0.0, atol=1e-14)
 
     def test_max_prime_gnorm(self, one_d):
         grid, M, xi = one_d
-        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
-        assert fm.max_prime_gnorm(M) == pytest.approx(1.0, abs=1e-14)
+        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
+        # the largest |f'| is the one-sided difference at xi = 1
+        assert fm.max_prime_gnorm(M) == pytest.approx(1.0 - 0.5 * xi.dxi, abs=1e-14)
 
     def test_shape_validation(self, one_d):
         grid, M, xi = one_d
@@ -427,8 +430,9 @@ class TestFluxModel:
 
     def test_non_finite_derivative_rejected(self, one_d):
         grid, M, xi = one_d
-        with pytest.raises(ModelError, match="flux derivative"):
-            FluxModel.from_exprs(["xi"], grid, xi, prime_exprs=["1e308*10 - 1e308*10"])
+        # a finite flux whose centred differences overflow: cos(pi b / 2) at edge b
+        with pytest.raises(ModelError, match="flux derivative table contains non-finite"):
+            FluxModel.from_exprs(["1.7e308*cos(32*pi*xi)"], grid, xi)
         # a finite flux whose difference quotient overflows
         f = np.broadcast_to(np.where(np.arange(xi.n + 1) % 2 == 0, 1e308, -1e308),
                             (1,) + grid.shape + (xi.n + 1,))
@@ -436,24 +440,31 @@ class TestFluxModel:
             FluxModel(grid, xi, f)
 
 
+def defect(fm, dm, eta=1e-2):
+    """Per-edge max and L1 compatibility defects; eta does not enter on constant states."""
+    return solver.compat_defect(fm, dm, transport_stencil(dm.M, eta))
+
+
 class TestCompatibility:
     def test_trivial_zero_pair(self, one_d):
         grid, M, xi = one_d
-        fm = zero_flux(grid, xi)
-        dm = zero_diffusion(M, xi)
-        r = compat_residual(fm, dm, 0.5)
-        assert np.max(np.abs(r)) == 0.0
+        maxes, l1s = defect(zero_flux(grid, xi), zero_diffusion(M, xi))
+        assert maxes.shape == l1s.shape == (xi.n + 1,)
+        assert np.all(maxes == 0.0) and np.all(l1s == 0.0)
 
     @pytest.mark.parametrize("name", ["curved_const", "curved_evo", "shock"])
     def test_residual_is_the_divergence_difference(self, name):
-        # the residual is minus the transport operator at a constant state; the
-        # difference of the two divergences is the reference
+        # the stencil's defect at each edge is div f - divdiv A of the operator functions
         pipe = cli.build_pipeline({s: dict(kv) for s, kv in catalog.SCENARIOS[name].items()})
-        for value in (0.0, 0.5, 1.0):
-            const = np.full(pipe.grid.shape, value)
-            ref = (div_vector(xi_interp(pipe.fm.f, const, pipe.xi), pipe.M)
-                   - divdiv_tensor11(xi_interp(pipe.dm.A, const, pipe.xi), pipe.M))
-            assert np.array_equal(compat_residual(pipe.fm, pipe.dm, value), ref)
+        maxes, l1s = defect(pipe.fm, pipe.dm, pipe.solver_cfg.eta)
+        ref = np.stack([div_vector(pipe.fm.f[..., e], pipe.M)
+                        - divdiv_tensor11(pipe.dm.A[..., e], pipe.M)
+                        for e in range(pipe.xi.n + 1)], axis=-1)
+        ref_max = np.max(np.abs(ref), axis=tuple(range(pipe.grid.d)))
+        ref_l1 = norm_l1(ref, pipe.M)
+        # relative to each edge, with a floor at the round-off of the largest
+        assert maxes == pytest.approx(ref_max, rel=1e-12, abs=1e-12 * np.max(ref_max))
+        assert l1s == pytest.approx(ref_l1, rel=1e-12, abs=1e-12 * np.max(ref_l1))
 
     def test_stream_requires_2d(self, wavy_1d):
         grid, M, xi = wavy_1d
@@ -478,7 +489,7 @@ class TestCompatibility:
         # and the flux-form divergence of a discrete curl cancels term by term
         pipe = cli.build_pipeline({s: dict(kv) for s, kv in
                                    catalog.SCENARIOS["curved_const"].items()})
-        assert compat_norms(pipe.fm, pipe.dm, 0.0)["max"] <= 1e-13
+        assert defect(pipe.fm, pipe.dm)[0][0] <= 1e-13
 
     def test_manufactured_pair_truncation_only(self):
         grid = ChartGrid(2, 32)
@@ -488,9 +499,8 @@ class TestCompatibility:
         sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
         dm = DiffusionModel.from_exprs(sigma, M, xi)
         fm = make_compatible_flux(dm, stream=sc["stream"])
-        for s in (0.0, 0.5, 1.0):
-            norms = compat_norms(fm, dm, s)
-            assert norms["max"] <= 10.0 * grid.h ** 2, f"xi={s}: {norms}"
+        maxes = defect(fm, dm)[0]
+        assert np.all(maxes <= 10.0 * grid.h ** 2), maxes
 
     def test_manufactured_pair_refines_at_h2(self):
         worst = []
@@ -502,7 +512,7 @@ class TestCompatibility:
             sigma = [[sc[f"sigma{k}{i}"] for i in (1, 2)] for k in (1, 2)]
             dm = DiffusionModel.from_exprs(sigma, M, xi)
             fm = make_compatible_flux(dm, stream=sc["stream"])
-            worst.append(max(compat_norms(fm, dm, s)["max"] for s in (0.0, 0.5, 1.0)))
+            worst.append(np.max(defect(fm, dm)[0]))
         assert 2.5 <= worst[0] / worst[1] <= 6.0
 
     def test_perturbed_pair_detected(self):
@@ -516,8 +526,8 @@ class TestCompatibility:
         perturbed = fm.f.copy()
         perturbed[0] += 0.1
         fmp = FluxModel(grid, xi, perturbed)
-        r = compat_norms(fmp, dm, 0.5)["max"]
-        assert r >= 10.0 * 10.0 * grid.h ** 2  # an order above the pass threshold
+        # an order above the pass threshold at every edge
+        assert np.min(defect(fmp, dm)[0]) >= 10.0 * 10.0 * grid.h ** 2
 
     def test_flat_metric_manufactured_pair(self):
         grid = ChartGrid(2, 32)
@@ -527,5 +537,4 @@ class TestCompatibility:
             [["0.3 + 0.3*xi + 0.005*sin(2*pi*x1)", "0"],
              ["0", "0.3 + 0.3*xi + 0.005*cos(2*pi*x2)"]], M, xi)
         fm = make_compatible_flux(dm, stream="0.005*sin(2*pi*x1)*sin(2*pi*x2)")
-        for s in (0.0, 0.5, 1.0):
-            assert compat_norms(fm, dm, s)["max"] <= 10.0 * grid.h ** 2
+        assert np.all(defect(fm, dm)[0] <= 10.0 * grid.h ** 2)

@@ -35,7 +35,24 @@ def test_nan_and_count_changes_are_named(tool):
     assert tool.relative_differences(b'{"a": [1, NaN]}', b'{"a": [1, 1]}') == [
         ("a[]", "largest relative difference inf")]
     assert tool.relative_differences(b'{"a": [1]}', b'{"a": [1, 2]}') == [
-        ("a[]", "1 numbers under parent, 2 under change")]
+        ("a[]", "1 numbers under parent, 2 under change, relative difference of the last 0.5")]
+    assert tool.relative_differences(b'{"a": []}', b'{"a": [1]}') == [
+        ("a[]", "0 numbers under parent, 1 under change")]
+
+
+def test_a_count_change_quantifies_the_last_number(tool):
+    # a run of another step count: the final monitor row is the one to compare
+    monitors = (b"t,mass\n0,1\n0.5,2\n1,4\n", b"t,mass\n0,1\n0.25,1.5\n0.5,2\n0.75,3\n1,5\n")
+    assert tool.relative_differences(*monitors, "monitors.csv") == [
+        ("mass", "3 numbers under parent, 5 under change, relative difference of the last 0.2"),
+        ("t", "3 numbers under parent, 5 under change, relative difference of the last 0")]
+    # an audit table of another row count: its last row is the xi = 1 row on both sides
+    audit = (b'{"rows": [{"xi": 0.0, "max": 1e-16}, {"xi": 1.0, "max": 8e-4}]}',
+             b'{"rows": [{"xi": 0.0, "max": 1e-16}, {"xi": 0.5, "max": 3e-4},'
+             b' {"xi": 1.0, "max": 1e-3}]}')
+    counts = "2 numbers under parent, 3 under change, relative difference of the last"
+    assert tool.relative_differences(*audit, "report.json") == [
+        ("rows[]/max", f"{counts} 0.2"), ("rows[]/xi", f"{counts} 0")]
 
 
 def test_differences_keep_the_bytes_of_json_files_and_stdout(tool):
@@ -58,7 +75,7 @@ def test_csv_columns_and_raw_dumps_are_quantified(tool):
     assert tool.relative_differences(*raw, "u.f64") == [
         ("values", "largest relative difference 0.2")]
     assert tool.relative_differences(raw[0], raw[0] + raw[0], "u.f64") == [
-        ("values", "3 numbers under parent, 6 under change")]
+        ("values", "3 numbers under parent, 6 under change, relative difference of the last 0")]
 
 
 def test_a_run_that_fails_in_the_step_loop_is_a_case(tool, tmp_path):

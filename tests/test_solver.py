@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from maniflow.geometry import ChartGrid, build_metric, integrate, norm_l1, transport_stencil
-from maniflow.model import (DiffusionModel, FluxModel, XiGrid, compat_norms,
-                            make_compatible_flux, transport_table, xi_interp)
+from maniflow.model import (DiffusionModel, FluxModel, XiGrid, make_compatible_flux,
+                            transport_table, xi_interp)
 from maniflow.entropy import DissipationLedger, deposit, energy_balance
 from maniflow.solver import (BLOCK_NODE_STEPS, MAX_STEPS, RangeViolation, SolverConfig,
                              SolverError, Trajectory, max_principle, rhs, run, stable_dt,
@@ -63,11 +63,12 @@ class TestStableDt:
     def test_min_of_two_branches(self, flat_1d):
         grid, M, xi = flat_1d
         dm = zero_diffusion(M, xi)
-        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
-        # convective branch: 0.4 * h / 1; diffusive branch: 0.4 h^2 / (2 eta)
+        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
+        # convective branch: 0.4 * h / max|f'|, the one-sided difference 1 - dxi / 2 at
+        # xi = 1; diffusive branch: 0.4 h^2 / (2 eta)
         for eta in (1e-4, 1e-1):
             cfg = SolverConfig(eta=eta, t_end=1.0, cfl=0.4)
-            conv = 0.4 * grid.h / 1.0
+            conv = 0.4 * grid.h / (1.0 - 0.5 * xi.dxi)
             diff = 0.4 * grid.h ** 2 / (2.0 * eta)
             assert step_dt(cfg, fm, dm, M, np.zeros(grid.shape)) == pytest.approx(
                 min(conv, diff), rel=1e-12)
@@ -320,7 +321,7 @@ class TestRun:
         M = euclidean_metric(grid)
         xi = XiGrid(64)
         dm = zero_diffusion(M, xi)
-        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
+        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
         traj = run(SolverConfig(eta=5e-3, t_end=0.3), fm, dm, u0)
@@ -332,7 +333,7 @@ class TestRun:
         M = euclidean_metric(grid)
         xi = XiGrid(64)
         dm = zero_diffusion(M, xi)
-        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi, prime_exprs=["xi"])
+        fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
         x = grid.coords()[0]
         u0 = 0.5 + 0.5 * np.sin(TWO_PI * x)
         tvs = [total_variation(run(SolverConfig(eta=e, t_end=0.3), fm, dm, u0,
@@ -590,16 +591,26 @@ class TestStepBound:
         assert narrow.bounds["parabolic"] > 1.1 * bound.bounds["parabolic"]
 
     @pytest.mark.parametrize("metric", ["wavy1d", "curved2d"])
-    def test_compat_defect_is_the_audit_residual_over_all_edges(self, metric):
+    def test_interval_widens_by_t_end_times_the_largest_edge_defect(self, metric):
         cfg, _, dm, M, u0, xi = bound_case(metric, 16)
         fm = FluxModel.from_exprs([f"0.2*xi^2*sin(2*pi*x{k})" for k in (1, 2)[:M.grid.d]],
                                   M.grid, xi)
-        got = solver.compat_defect(fm, dm, transport_stencil(M, cfg.eta))
-        want = max(compat_norms(fm, dm, v)["max"] for v in xi.edges)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        maxes, l1s = solver.compat_defect(fm, dm, transport_stencil(M, cfg.eta))
+        assert maxes.shape == l1s.shape == (xi.n + 1,)
+        assert maxes[0] == 0.0 and np.all(maxes[1:] > 0.0)  # f and A vanish at xi = 0 only
         bound = stable_dt(cfg, fm, dm, transport_stencil(M, cfg.eta), u0)
-        assert bound.spread == cfg.t_end * got
+        assert bound.spread == cfg.t_end * np.max(maxes)
         assert bound.interval == (u0.min() - bound.spread, u0.max() + bound.spread)
+
+    def test_the_exact_flux_derivative_leaves_the_shock_run_unchanged(self):
+        # shock is parabolic-bound, so f' enters only the kinetic diagnostics, not the run
+        pipe = cli.build_pipeline(catalog.SCENARIOS["shock"])
+        fd = pipe.run()
+        assert fd.bound.limit == "parabolic"
+        exact = np.empty_like(pipe.fm.fprime)
+        exact[0] = pipe.grid.eval_expr("xi", pipe.xi.edges)
+        pipe.fm.fprime = exact
+        assert np.array_equal(pipe.run().u_final, fd.u_final)
 
 
 class TestMaxPrinciple:

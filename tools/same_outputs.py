@@ -22,7 +22,11 @@ input files.  Every output file, stdout, stderr and exit code that differs
 byte for byte is listed, and the exit code is 1 if any does.  Under a JSON,
 CSV or raw float64 file or stdout that differs, each numeric key that
 differs is listed with its largest relative difference
-|a - b| / max(|a|, |b|) over the numbers it holds.  A key is a path of JSON
+|a - b| / max(|a|, |b|) over the numbers it holds.  A key that holds a
+different count of numbers under each tree, such as a CSV column over a
+run of another step count or a table of another row count, is listed with
+both counts and the relative difference of its last number: the final
+monitor row, or the last row of a table.  A key is a path of JSON
 object keys, a CSV column's header name, `values` for all the numbers of a
 raw dump, or on a text line the words before a number.  The script only
 reads perfbench/ and writes only to a temporary directory.
@@ -166,7 +170,8 @@ def relative_differences(parent, change, name=""):
     for key in sorted(set(p_nums) | set(c_nums)):
         a, b = p_nums.get(key, []), c_nums.get(key, [])
         if len(a) != len(b):
-            out.append((key, f"{len(a)} numbers under parent, {len(b)} under change"))
+            last = f", relative difference of the last {rel(a[-1], b[-1]):.3g}" if a and b else ""
+            out.append((key, f"{len(a)} numbers under parent, {len(b)} under change{last}"))
         else:
             worst = max((rel(x, y) for x, y in zip(a, b)), default=0.0)
             if worst:
