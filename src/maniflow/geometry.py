@@ -21,12 +21,14 @@ All first derivatives are second-order central differences with periodic
 wrap.  Every divergence of `transport` is in flux form, (1/sqrt|g|) times a
 sum of differences of products, so its integral against the volume density
 telescopes to zero to round-off and the scheme conserves mass on any chart.
-Compact second differences use a coefficient averaged onto the faces
-i + 1/2.  Every periodic stencil reads its neighbours f[i-1], f[i+1] through
-`_neighbours`, two views of one padded copy.  A metric caches nothing beyond
-its inverse, density and Christoffel symbols: the operators form their metric
-coefficients on each call, cheap beside the operators, and the step loop
-applies an assembled stencil instead.
+The second-order operator has one discretisation, `divdiv_tensor11`: a
+compact second difference with its coefficient averaged onto the faces
+i + 1/2, and a centred cross difference.  Laplace-Beltrami is its isotropic
+case divdiv(v I), exactly.  Every periodic stencil reads its neighbours
+f[i-1], f[i+1] through `_neighbours`, two views of one padded copy.  A
+metric caches nothing beyond its inverse, density and Christoffel symbols:
+the operators form their metric coefficients on each call, cheap beside the
+operators, and the step loop applies an assembled stencil instead.
 
 The equation's spatial operator, L(F, T, u) = -div F + divdiv T +
 eta * Laplace-Beltrami(u), is defined once, as `transport`.  The diagnostics
@@ -147,8 +149,6 @@ class MetricField:
         self.ginv, self.det = self._invert()
         self.sqrt_det = np.sqrt(self.det)
         self.gamma = self._christoffel()
-        # Gamma^j_{kj} contracted over the repeated slot, indexed by k
-        self.gamma_trace = np.einsum("jkj...->k...", self.gamma)
 
     def _check_spd(self):
         if self.grid.d == 1:
@@ -239,11 +239,13 @@ def _christoffel_terms(T, M):
     """Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l: the terms of (div T)_i beside d_j T^j_i.
 
     One contraction R[i, a, b] T^a_b with R[i, a, b] = Gamma^j_{ja} delta^b_i
-    - Gamma^b_{ai}; T may carry batch axes.
+    - Gamma^b_{ai}; T may carry batch axes.  R[i, a, i] is formed as the sum
+    over j != i of Gamma^j_{ja}; as `gamma` is symmetric in its lower indices
+    bit for bit, sum_a R[i, a, a] is then exactly 0, and v I gets no term.
     """
     R = -np.einsum("bai...->iab...", M.gamma)
     for i in range(M.grid.d):
-        R[i, :, i] += M.gamma_trace
+        R[i, :, i] = sum(M.gamma[j, j] for j in range(M.grid.d) if j != i)
     R, = _batched(M, T, 2, R)
     return np.einsum("iab...,ab...->i...", R, T)
 
@@ -256,52 +258,42 @@ def div_tensor11(T, M):
     return out
 
 
-def _flux_coef(M):
-    """(c, face): c = sqrt|g| g^{-1}, and face[i] = c[i] averaged onto the faces i + 1/2 along axis i."""
-    c = M.sqrt_det * M.ginv
-    return c, np.stack([0.5 * (c[i] + _neighbours(c[i], 1 + i)[1]) for i in range(M.grid.d)])
-
-
 def divdiv_tensor11(T, M):
     """(1/sqrt|g|) d_i(sqrt|g| g^{ij} (div T)_j) in flux form; T may carry batch axes.
 
     Along each axis i, (div T)_j of `div_tensor11` splits into d_i T^i_j and
     the rest r_j, the other central derivatives plus the Christoffel terms.
     The d_i T^i_j part is a compact second difference with sqrt|g| g^{ij}
-    averaged onto the faces i + 1/2, the rest a central difference of
-    sqrt|g| g^{ij} r_j.  So the operator reads one node along each axis and
-    its sqrt|g|-weighted sum telescopes.
+    averaged onto the faces i + 1/2, then the rest a central difference of
+    sqrt|g| g^{ij} r_j.  So the operator reads one node along each axis and its
+    sqrt|g|-weighted sum telescopes.  On v I every product with a zero entry
+    adds an exact 0, so `laplace_beltrami` is this operator bit for bit.
     """
     d, h = M.grid.d, M.grid.h
-    c, face, sqrt_det = _batched(M, T, 2, *_flux_coef(M), M.sqrt_det)
+    c = M.sqrt_det * M.ginv
+    face = np.stack([0.5 * (c[i] + _neighbours(c[i], 1 + i)[1]) for i in range(d)])
+    c, face, sqrt_det = _batched(M, T, 2, c, face, M.sqrt_det)
     chris = _christoffel_terms(T, M)
     acc = np.zeros(T.shape[2:])
     for i in range(d):
-        r = sum((ddx(T[k], 1 + k, h) for k in range(d) if k != i), chris)
-        acc += ddx(np.einsum("j...,j...->...", c[i], r), i, h)
         flux = np.einsum("j...,j...->...", face[i], _neighbours(T[i], 1 + i)[1] - T[i]) / h
         acc += (flux - _neighbours(flux, i)[0]) / h
+        r = sum((ddx(T[k], 1 + k, h) for k in range(d) if k != i), chris)
+        acc += ddx(np.einsum("j...,j...->...", c[i], r), i, h)
     return acc / sqrt_det
 
 
 def laplace_beltrami(v, M):
-    """Flux-form Laplace-Beltrami operator; v may carry batch axes.
+    """Laplace-Beltrami div grad v = divdiv(v I), as div(v I) = dv; v may carry batch axes.
 
-    Diagonal terms use compact face fluxes, with sqrt|g| g^{aa} averaged onto
-    the faces i + 1/2 along axis a; off-diagonal terms central differences of
-    central differences with sqrt|g| g^{ab}.  Every term telescopes under the
-    full-grid sum and the associated quadratic form is symmetric.
+    Compact face fluxes of sqrt|g| g^{aa} plus central differences of
+    sqrt|g| g^{ab} d_b v, b != a: every term telescopes under the full-grid
+    sum and the associated quadratic form is symmetric.
     """
-    d, h = M.grid.d, M.grid.h
-    c, face, sqrt_det = _batched(M, v, 0, *_flux_coef(M), M.sqrt_det)
-    acc = np.zeros(v.shape)
-    for a in range(d):
-        flux = face[a, a] * (_neighbours(v, a)[1] - v) / h
-        acc += (flux - _neighbours(flux, a)[0]) / h
-        for b in range(d):
-            if b != a:
-                acc += ddx(c[a, b] * ddx(v, b, h), a, h)
-    return acc / sqrt_det
+    d = M.grid.d
+    T = np.zeros((d, d) + v.shape)
+    T[range(d), range(d)] = v
+    return divdiv_tensor11(T, M)
 
 
 # --- assembled operators ----------------------------------------------------

@@ -469,3 +469,20 @@ def test_audit_compat_checks_every_xi_edge_of_the_run_bound(tmp_path, capsys, na
     bound = stable_dt(pipe.solver_cfg, pipe.fm, pipe.dm,
                       transport_stencil(pipe.M, pipe.solver_cfg.eta), pipe.u0)
     assert bound.spread == pipe.solver_cfg.t_end * max(row["max"] for row in rows)
+
+
+def test_const_smoke_scenario_reads_exact_zeros(tmp_path, capsys):
+    # a constant state with no flux and no A: the Laplacian of the constant, and
+    # the Christoffel terms of the constant times the identity, are exactly 0
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS["const"].items()}
+    (tmp_path / "run").mkdir()
+    (tmp_path / "audit").mkdir()
+    assert cli.cmd_run(cfg, str(tmp_path / "run")) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert set(report["entropy_residuals"].values()) == {0.0}
+    assert report["chain_rule_residuals"]["xi"] == 0.0
+    assert report["max_principle"]["excess"] == 0.0
+    assert report["energy_balance"]["residual"] == 0.0
+    assert cli.cmd_audit_compat(cfg, str(tmp_path / "audit")) == 0
+    rows = json.loads((tmp_path / "audit" / "report.json").read_text())["rows"]
+    assert {row["max"] for row in rows} == {row["l1"] for row in rows} == {0.0}

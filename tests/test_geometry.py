@@ -329,7 +329,7 @@ def bracket_div_tensor11(T, M):
     """Reference: (div T)_i = d_j T^j_i + Gamma^j_{jl} T^l_i - Gamma^l_{ji} T^j_l, term by term."""
     dT = np.stack([ddx(T, 2 + j, M.grid.h) for j in range(M.grid.d)])  # dT[j, k, i] = d_j T^k_i
     out = np.einsum("jji...->i...", dT)
-    out += np.einsum("l...,li...->i...", M.gamma_trace, T)
+    out += np.einsum("jlj...,li...->i...", M.gamma, T)
     out -= np.einsum("lji...,jl...->i...", M.gamma, T)
     return out
 
@@ -418,7 +418,8 @@ class TestPeriodicStencils:
     def test_ddx_batched_table(self, table, axis):
         assert np.array_equal(ddx(table, axis, self.H), roll_ddx(table, axis, self.H))
 
-    @pytest.mark.parametrize("name, n", [("flat1d", 128), ("wavy1d", 128), ("curved2d", 64)])
+    @pytest.mark.parametrize("name, n", [("flat1d", 128), ("wavy1d", 128), ("curved2d", 64),
+                                         ("flat2d", 64), ("diag2d", 64)])
     def test_laplace_beltrami(self, name, n):
         metric = METRICS[name]
         grid = ChartGrid(metric["d"], n)
@@ -447,6 +448,38 @@ class TestPeriodicStencils:
     def test_total_variation(self, shape):
         u = np.random.default_rng(9).normal(size=shape)
         assert total_variation(u) == roll_total_variation(u)
+
+
+def times_identity(v, d):
+    """The (1,1)-tensor v I: v on the diagonal, zeros off it."""
+    T = np.zeros((d, d) + np.shape(v))
+    T[range(d), range(d)] = v
+    return T
+
+
+class TestLaplaceBeltramiIsDivdivOfVI:
+    """div(v I) = dv, so the Laplacian is divdiv(v I), with no round-off between the two."""
+
+    # one field, and five columns of a batch axis as the xi-edges of a table
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("name", list(METRICS))
+    def test_constant_multiple_of_identity_is_exactly_annihilated(self, name, batch):
+        metric = METRICS[name]
+        grid = ChartGrid(metric["d"], 64)
+        M = build_metric(metric["entries"], grid)
+        c = np.broadcast_to(np.linspace(-2.0, 3.0, 5) if batch else 0.7, grid.shape + batch)
+        cI = times_identity(c, grid.d)
+        assert np.all(geometry._christoffel_terms(cI, M) == 0.0)
+        assert np.all(divdiv_tensor11(cI, M) == 0.0)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_divdiv_of_v_identity_is_the_roll_laplacian(self, n):
+        metric = METRICS["curved2d"]
+        grid = ChartGrid(metric["d"], n)
+        M = build_metric(metric["entries"], grid)
+        v = np.random.default_rng(12).normal(size=grid.shape)
+        assert np.array_equal(divdiv_tensor11(times_identity(v, grid.d), M),
+                              roll_laplace_beltrami(v, M))
 
 
 class TestTransportStencil:
@@ -589,14 +622,14 @@ class TestConservationAndConsistency:
         M, grid = self.M, self.grid
         for k in range(2):
             lhs = ddx(M.sqrt_det, k, grid.h)
-            rhs = M.gamma_trace[k] * M.sqrt_det
+            rhs = np.einsum("jj...->...", M.gamma[:, k]) * M.sqrt_det
             assert np.max(np.abs(lhs - rhs)) <= 50.0 * grid.h ** 2
 
     def test_metric_identity_inverse_derivative(self):
         M, grid = self.M, self.grid
         dginv = np.stack([ddx(M.ginv, 2 + j, grid.h) for j in range(2)])
         resid = (np.einsum("jij...->i...", dginv)
-                 + np.einsum("ia...,a...->i...", M.ginv, M.gamma_trace)
+                 + np.einsum("ia...,jaj...->i...", M.ginv, M.gamma)
                  + np.einsum("jb...,ijb...->i...", M.ginv, M.gamma))
         assert np.max(np.abs(resid)) <= 80.0 * grid.h ** 2
 
