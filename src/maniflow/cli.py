@@ -145,7 +145,7 @@ def load_config(path, overrides=()):
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        cfg.setdefault(section, {})[key.strip()] = _parse_value(value)
+        cfg.setdefault(section.strip(), {})[key.strip()] = _parse_value(value)
     return cfg
 
 

@@ -105,6 +105,16 @@ def test_override_reaches_the_run(tmp_path, capsys):
     assert read_monitors(out / "monitors.csv")[-1, 0] == pytest.approx(0.02, rel=1e-12)
 
 
+@pytest.mark.parametrize("item", ["solver .t_end=0.02", "solver.t_end =0.02",
+                                  " solver . t_end = 0.02"])
+def test_override_strips_section_and_key_as_a_file_does(tmp_path, capsys, item):
+    # a file's "[ solver ]" and " t_end =" name the same key
+    out = tmp_path / "out"
+    rc, err = run_cli(capsys, write_config(tmp_path), "--out", str(out), "--override", item)
+    assert rc == 0, err
+    assert read_monitors(out / "monitors.csv")[-1, 0] == pytest.approx(0.02, rel=1e-12)
+
+
 def test_range_violation_exits_1(tmp_path, capsys):
     # steep convection at cfl = 1 and almost no viscosity
     path = write_config(tmp_path, [("scenario.sigma11", '"0"'), ("scenario.flux1", '"20*xi^2"'),
