@@ -170,12 +170,17 @@ def xi_hermite(values, slopes, u, xi):
 
 
 def _xi_fd(table, dxi):
-    """Centered xi-derivative of an edge table, one-sided at the ends."""
+    """Centered xi-derivative of an edge table, second-order one-sided at the ends.
+
+    (-3 f0 + 4 f1 - f2) / (2 dxi) and its mirror, so every edge is exact for
+    a table quadratic in xi, up to rounding.
+    """
     out = np.empty_like(table)
-    with np.errstate(over="ignore"):  # an overflow to inf is the caller's to reject
+    # an overflow to inf, or inf - inf, is the caller's to reject
+    with np.errstate(over="ignore", invalid="ignore"):
         out[..., 1:-1] = (table[..., 2:] - table[..., :-2]) / (2.0 * dxi)
-        out[..., 0] = (table[..., 1] - table[..., 0]) / dxi
-        out[..., -1] = (table[..., -1] - table[..., -2]) / dxi
+        out[..., 0] = (4.0 * table[..., 1] - 3.0 * table[..., 0] - table[..., 2]) / (2.0 * dxi)
+        out[..., -1] = (3.0 * table[..., -1] - 4.0 * table[..., -2] + table[..., -3]) / (2.0 * dxi)
     return out
 
 
@@ -208,9 +213,9 @@ def _finite(table, name):
 class FluxModel:
     """Convection coefficients: vector field f(x, xi) and its xi-derivative f'.
 
-    f' has one source, the f table: its centred xi-difference, one-sided at
-    the two end edges (`_xi_fd`).  It is exact at interior edges for a flux
-    quadratic in xi, and at every edge for one linear in xi, up to rounding.
+    f' has one source, the f table: its centred xi-difference, second-order
+    one-sided at the two end edges (`_xi_fd`).  It is exact at every edge for
+    a flux quadratic in xi, up to rounding.
     """
 
     def __init__(self, grid, xi, f_table):

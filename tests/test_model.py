@@ -412,16 +412,14 @@ class TestFluxModel:
         grid, M, xi = one_d
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
         exact = grid.eval_expr("xi", xi.edges)
-        # centered FD of a quadratic is exact at interior edges; the ends are one-sided
-        assert np.max(np.abs(fm.fprime[0, ..., 1:-1] - exact[..., 1:-1])) <= 1e-14
-        assert np.allclose(fm.fprime[0][..., [0, -1]], [0.5 * xi.dxi, 1.0 - 0.5 * xi.dxi],
-                           rtol=0.0, atol=1e-14)
+        # the centred difference and the second-order one-sided ends are exact on a quadratic
+        assert np.max(np.abs(fm.fprime[0] - exact)) <= 1e-14
 
     def test_max_prime_gnorm(self, one_d):
         grid, M, xi = one_d
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
-        # the largest |f'| is the one-sided difference at xi = 1
-        assert fm.max_prime_gnorm(M) == pytest.approx(1.0 - 0.5 * xi.dxi, abs=1e-14)
+        # the largest |f'| is the exact f'(1) = 1, from the one-sided difference at xi = 1
+        assert fm.max_prime_gnorm(M) == pytest.approx(1.0, abs=1e-14)
 
     def test_shape_validation(self, one_d):
         grid, M, xi = one_d

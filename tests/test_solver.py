@@ -64,11 +64,11 @@ class TestStableDt:
         grid, M, xi = flat_1d
         dm = zero_diffusion(M, xi)
         fm = FluxModel.from_exprs(["xi^2 / 2"], grid, xi)
-        # convective branch: 0.4 * h / max|f'|, the one-sided difference 1 - dxi / 2 at
-        # xi = 1; diffusive branch: 0.4 h^2 / (2 eta)
+        # convective branch: 0.4 * h / max|f'|, the exact f'(1) = 1 at xi = 1;
+        # diffusive branch: 0.4 h^2 / (2 eta)
         for eta in (1e-4, 1e-1):
             cfg = SolverConfig(eta=eta, t_end=1.0, cfl=0.4)
-            conv = 0.4 * grid.h / (1.0 - 0.5 * xi.dxi)
+            conv = 0.4 * grid.h / 1.0
             diff = 0.4 * grid.h ** 2 / (2.0 * eta)
             assert step_dt(cfg, fm, dm, M, np.zeros(grid.shape)) == pytest.approx(
                 min(conv, diff), rel=1e-12)
@@ -364,7 +364,7 @@ class TestRun:
         dm = zero_diffusion(M, xi)
         fm = FluxModel.from_exprs(["20*xi^2"], grid, xi)
         u0 = 0.5 + 0.25 * np.sin(TWO_PI * grid.coords()[0])
-        with pytest.raises(RangeViolation, match=r"^step 32 \(t=.*node \(7,\) outside"):
+        with pytest.raises(RangeViolation, match=r"^step 35 \(t=.*node \(8,\) outside"):
             run(SolverConfig(eta=1e-4, t_end=0.5, cfl=1.0), fm, dm, u0)
 
     def test_blowup_aborts_with_step_index(self, flat_1d):
