@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 
@@ -273,6 +274,53 @@ def bookkeeping_case(name):
 
 # (block count, remainder) of n_steps = count * B + remainder, with n_snapshots;
 # a case at 3 snapshots is named by its step count alone
+def burgers_cole_hopf(x, t, eta, modes=256):
+    """Exact u of u_t + (u^2/2)_x = eta u_xx from u0 = 1/2 + sin(2 pi x)/2, periodic on [0, 1).
+
+    Cole-Hopf: u = 1/2 + v(x - t/2, t) with v = -2 eta phi_x / phi, where phi
+    solves phi_t = eta phi_xx from phi0 = exp(cos(2 pi x) / (8 pi eta)).  The
+    heat equation is solved exactly on the Fourier modes of phi0, sampled on
+    `modes` points: phi0 is entire, so its modes beyond a few dozen are below
+    rounding.
+    """
+    k = TWO_PI * np.fft.fftfreq(modes, 1.0 / modes)
+    s = np.arange(modes) / modes
+    phi_hat = np.fft.fft(np.exp(np.cos(TWO_PI * s) / (8.0 * np.pi * eta)))
+    phi_hat *= np.exp(-eta * k * k * t)
+    wave = np.exp(1j * np.outer(x - 0.5 * t, k))
+    return 0.5 - 2.0 * eta * (wave @ (1j * k * phi_hat)).real / (wave @ phi_hat).real
+
+
+@functools.lru_cache(maxsize=None)
+def shock_error_to_cole_hopf(n):
+    """L1 distance of the catalog `shock` run at n nodes from the exact solution at its end."""
+    cfg = {s: dict(kv) for s, kv in catalog.SCENARIOS["shock"].items()}
+    cfg["grid"]["n"] = n
+    pipe = cli.build_pipeline(cfg)
+    traj = pipe.run()
+    exact = burgers_cole_hopf(pipe.grid.coords()[0], traj.times[-1], pipe.solver_cfg.eta)
+    return norm_l1(traj.u_final - exact, pipe.M)
+
+
+class TestShockMatchesColeHopf:
+    def test_reference_starts_at_the_initial_state(self):
+        # phi spans exp(+-1/(8 pi eta)), so v = -2 eta phi_x / phi keeps ~1e-9 of
+        # rounding where phi is least (measured 4.8e-9)
+        x = np.arange(128) / 128
+        exact = burgers_cole_hopf(x, 0.0, 5e-3)
+        assert np.max(np.abs(exact - 0.5 - 0.5 * np.sin(TWO_PI * x))) <= 1e-8
+
+    def test_catalog_shock_is_near_the_exact_solution(self):
+        # measured 6.38e-4 at the catalog's n = 128
+        assert shock_error_to_cole_hopf(catalog.SCENARIOS["shock"]["grid"]["n"]) <= 1e-3
+
+    def test_error_is_second_order(self):
+        # measured 2.52e-3, 6.38e-4 and 1.64e-4 at n = 64, 128 and 256: orders 1.98 and 1.96
+        errs = [shock_error_to_cole_hopf(n) for n in (64, 128, 256)]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 1.8), (errs, orders)
+
+
 BOOKKEEPING_STEPS = {"1": (0, 1), "B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B+1": (2, 1)}
 BOOKKEEPING_CASES = [(blocks, snaps) for snaps in ("3", "1", "n_steps")
                      for blocks in BOOKKEEPING_STEPS.values()]
